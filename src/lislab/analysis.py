@@ -247,13 +247,12 @@ class SensitivityMatrix:
     def __post_init__(self) -> None:
         if len(self.stationary_row) != self.depth:
             raise ValueError("stationary row length must equal the depth")
-        if any(a < 0.0 for a in self.stationary_row):
-            raise ValueError("sensitivity entries must be non-negative")
         for site, row in self.site_rows:
             if len(row) != self.depth:
                 raise ValueError(f"row for site {site} has the wrong length")
-            if any(a < 0.0 for a in row):
-                raise ValueError("sensitivity entries must be non-negative")
+        for row in (self.stationary_row, *(row for _, row in self.site_rows)):
+            if not all(math.isfinite(a) and a >= 0.0 for a in row):
+                raise ValueError("sensitivity entries must be finite and non-negative")
 
     def row(self, i: int) -> tuple[float, ...]:
         for site, row in self.site_rows:
@@ -300,7 +299,7 @@ def build_sensitivity_matrix(f: KernelSpec, cap: int = DEFAULT_CONFIG_CAP) -> Se
         return SensitivityMatrix(
             depth, stationary_row, (), "vkr-estimator", f.truncation_tail
         )
-    default_spec = KernelSpec(f.alphabet, depth, f.family_at(10**9), check=f.check)
+    default_spec = KernelSpec(f.alphabet, depth, f.family.default, check=f.check)
     default_row = tuple(
         sensitivity_estimator(default_spec, 0, -lag, cap) for lag in range(1, depth + 1)
     )

@@ -1,19 +1,26 @@
 """Quantitative decay bounds driven by a sensitivity matrix.
 
-All bounds reduce to sums of powers of the projected sensitivity matrix.
-Because the matrix is strictly banded below the diagonal, its powers
-within a finite window vanish after as many terms as the window has
-sites, so every window sum here is exact; only sums over arbitrarily
-deep past sites are truncated, and those truncations always carry an
-explicit geometric certificate that is added to the bound rather than
-dropped.
+Every bound here reads one object, the oscillation-weighted Neumann
+column ``G(k) = osc(k) + sum_lag A(k + lag, k) G(k + lag)``: the
+oscillations of an observable carried down to site ``k`` through
+``sum_t A^t``.  One backward sweep, ``_influence``, yields ``G`` site by
+site from the top of the observable's window at O(depth) work per site,
+for stationary and site-indexed matrices alike.  Because the matrix is
+strictly banded below the diagonal, sums over a finite window are exact.
+Sums over arbitrarily deep past sites stop once one geometric
+certificate (``_tail_mass`` with per-site base ``s**(1/depth)``) bounds
+what is left; the certificate is added to the bound rather than dropped.
+A sweep that has not certified within ``_SITE_BUDGET`` sites raises
+``BoundNotApplicableError``.
 """
 
 from __future__ import annotations
 
 import math
+from collections import deque
 from dataclasses import dataclass, field
-from typing import Mapping
+from itertools import chain, islice
+from typing import Iterator, Mapping
 
 import numpy as np
 
@@ -31,6 +38,9 @@ from .analysis import (
     dobrushin_check,
 )
 from .kernels import KernelSpec, family_row
+
+#: Sites a Neumann sweep may visit before giving up on its tail certificate.
+_SITE_BUDGET = 200000
 
 
 class BoundNotApplicableError(RuntimeError):
@@ -79,49 +89,48 @@ class DecaySpec:
         return self.rate * math.log1p(gap)
 
 
-def _window_row_sup(alpha: SensitivityMatrix, window: Window) -> float:
-    return max(alpha.row_sum(i) for i in window.sites())
+def _influence(
+    alpha: SensitivityMatrix, osc: Mapping[int, float], top: int
+) -> Iterator[tuple[int, float]]:
+    """Yield ``(k, G(k))`` for ``k = top, top - 1, ...``.
 
-
-def _dense_power_sum(
-    alpha: SensitivityMatrix,
-    window: Window,
-    max_terms: int | None = None,
-    tol: float = 0.0,
-) -> tuple[np.ndarray, int, int, float, float]:
-    """Sum of powers of the window-projected matrix, rows in the window.
-
-    Returns ``(matrix, col_lo, terms, tail_bound, row_sum_sup)`` where the
-    matrix columns cover ``[window.lo - depth, window.hi]``.  With
-    ``tol == 0`` the sum runs until the powers vanish, which happens after
-    at most ``len(window)`` terms, so the result is exact.
+    ``G(k)`` sums ``osc`` over every site ``>= k`` times the weight of
+    all strictly decreasing paths from that site down to ``k`` (the empty
+    path weighs 1).  Sites of ``osc`` above ``top`` are ignored.
     """
-    length = len(window)
-    depth = alpha.depth
-    col_lo = window.lo - depth
-    a = np.zeros((length, length + depth))
-    for ri, i in enumerate(window.sites()):
-        for lag in range(1, depth + 1):
-            j = i - lag
-            if j >= col_lo:
-                a[ri, j - col_lo] = alpha.entry(i, j)
-    row_sup = _window_row_sup(alpha, window)
-    limit = length if max_terms is None else min(max_terms, length)
-    total = a.copy()
-    term = a
-    terms = 1
-    tail = 0.0
-    while terms < limit:
-        term = term[:, depth:] @ a
-        terms += 1
-        total += term
-        peak = float(np.abs(term).max())
-        if peak == 0.0:
-            break
-        if tol > 0.0 and peak < tol:
-            tail = row_sup ** (terms + 1) / (1.0 - row_sup) if row_sup < 1.0 else math.inf
-            break
-    return total, col_lo, terms, tail, row_sup
+    later: deque[float] = deque(maxlen=alpha.depth)  # G(k + 1), ..., G(k + depth)
+    for k in range(top, top - _SITE_BUDGET - 1, -1):
+        g = osc.get(k, 0.0) + sum(
+            alpha.entry(k + lag, k) * g_lag for lag, g_lag in enumerate(later, start=1)
+        )
+        yield k, g
+        later.appendleft(g)
+    raise BoundNotApplicableError(
+        f"tail not certified within {_SITE_BUDGET} sites below site {top}",
+        gamma=alpha.sup_row_sum(),
+    )
+
+
+def _tail_mass(osc: Mapping[int, float], u: float, k: int) -> float:
+    """Geometric mass of ``osc`` seen from site ``k - 1`` at per-site base ``u``."""
+    return sum(w * u ** (site - (k - 1)) for site, w in osc.items())
+
+
+def _pair_tail(
+    osc1: Mapping[int, float], osc2: Mapping[int, float], s: float, u: float, k: int
+) -> float:
+    """Certificate for the sum of ``G1(j) * G2(j)`` over every site ``j < k``."""
+    if u == 0.0:
+        return 0.0  # a zero matrix carries nothing below the windows
+    return (_tail_mass(osc1, u, k) / (1.0 - s)) * (_tail_mass(osc2, u, k) / (1.0 - s)) / (1.0 - u * u)
+
+
+def _paired_influence(
+    alpha: SensitivityMatrix, osc1: Mapping[int, float], osc2: Mapping[int, float], top: int
+) -> Iterator[tuple[int, float, float]]:
+    """The sweeps of two oscillation vectors in lockstep: ``(k, G1(k), G2(k))``."""
+    for (k, g1), (_, g2) in zip(_influence(alpha, osc1, top), _influence(alpha, osc2, top)):
+        yield k, g1, g2
 
 
 @dataclass(frozen=True)
@@ -131,8 +140,6 @@ class NeumannSeries:
     window: Window
     col_lo: int
     matrix: np.ndarray = field(repr=False)
-    terms: int
-    tail_bound: float
     row_sum_sup: float
     diverged: bool
 
@@ -144,47 +151,25 @@ class NeumannSeries:
         return float(self.matrix[k - self.window.lo, j - self.col_lo])
 
 
-def neumann_series(
-    alpha: SensitivityMatrix, window: Window, tol: float = 1e-12
-) -> NeumannSeries:
+def neumann_series(alpha: SensitivityMatrix, window: Window) -> NeumannSeries:
     """Exact Neumann sum over the window, with a divergence flag.
 
-    The banded structure makes the series a finite sum, so the value is
-    exact even when the row-sum condition fails; the flag records that
-    the infinite-volume object behind it would not converge.
-    """
-    total, col_lo, terms, tail, row_sup = _dense_power_sum(alpha, window, None, tol)
-    return NeumannSeries(
-        window=window,
-        col_lo=col_lo,
-        matrix=total,
-        terms=terms,
-        tail_bound=tail,
-        row_sum_sup=row_sup,
-        diverged=row_sup >= 1.0,
-    )
-
-
-def _column_paths(alpha: SensitivityMatrix, k: int, top: int) -> np.ndarray:
-    """Neumann column at site ``k`` for windows ``[k+1, anything >= i]``.
-
-    ``vals[g]`` sums the weights of all strictly decreasing paths from
-    ``k + g`` down to ``k``; a descending path never leaves the interval,
-    so the window's right end is irrelevant and one recursion serves all
-    windows.  ``vals[0] = 1`` is the empty-path boundary value, not a
-    series entry.
+    Row ``k`` pushes the sweep of ``{k: 1}`` through one more step of the
+    matrix, so paths start at ``k`` and stay in the window until their
+    last step.  The banded structure makes the series a finite sum, so
+    the value is exact even when the row-sum condition fails; the flag
+    records that the infinite-volume object behind it would not converge.
     """
     depth = alpha.depth
-    vals = np.zeros(top - k + 1)
-    vals[0] = 1.0
-    for i in range(k + 1, top + 1):
-        acc = 0.0
-        for lag in range(1, min(depth, i - k) + 1):
-            a = alpha.entry(i, i - lag)
-            if a != 0.0:
-                acc += a * vals[i - lag - k]
-        vals[i - k] = acc
-    return vals
+    col_lo = window.lo - depth
+    matrix = np.zeros((len(window), len(window) + depth))
+    for k in window.sites():
+        row = matrix[k - window.lo]
+        for i, g in islice(_influence(alpha, {k: 1.0}, k), k - window.lo + 1):
+            for lag in range(1, depth + 1):
+                row[i - lag - col_lo] += g * alpha.entry(i, i - lag)
+    row_sup = max(alpha.row_sum(i) for i in window.sites())
+    return NeumannSeries(window, col_lo, matrix, row_sup, diverged=row_sup >= 1.0)
 
 
 def memory_bound_general(
@@ -192,41 +177,41 @@ def memory_bound_general(
 ) -> BoundReport:
     """Oscillation bound at a past site for the window average of ``h``.
 
-    Sums the support oscillations of ``h`` against the window-limited
-    power sum (as many terms as the window has sites, which is exact).
+    Sweeps the support oscillations of ``h`` down the window and takes
+    the final step to ``j``; paths stay inside the window, so the sum is
+    exact.
     """
     if j >= window.lo:
         raise ValueError("the probed site must lie left of the window")
     if not window.contains_window(h.support):
         raise ValueError("observable support must lie inside the window")
-    total, col_lo, terms, _, row_sup = _dense_power_sum(alpha, window, len(window), 0.0)
+    osc = oscillation_vector(h, h.support)
     value = 0.0
-    if col_lo <= j:
-        for k, osc in oscillation_vector(h, h.support).items():
-            value += osc * float(total[k - window.lo, j - col_lo])
+    for k, g in islice(_influence(alpha, osc, window.hi), len(window)):
+        value += g * alpha.entry(k, j)
     return BoundReport(
         name="memory-general",
         value=value,
-        quantities={"terms": float(terms), "row_sum_sup": row_sup},
+        quantities={"row_sum_sup": max(alpha.row_sum(i) for i in window.sites())},
     )
 
 
-def _gammas(alpha: SensitivityMatrix, decay: DecaySpec) -> dict[str, float]:
+def _gammas(alpha: SensitivityMatrix, decay: DecaySpec) -> tuple[float, dict[int, float]]:
+    """Tilted row sums: the stationary one and one per overridden site."""
+
     def row_gamma(row: tuple[float, ...]) -> float:
         return float(
             sum(a * math.exp(decay.weight(lag)) for lag, a in enumerate(row, start=1))
         )
 
-    out = {"stationary": row_gamma(alpha.stationary_row)}
-    for site, row in alpha.site_rows:
-        out[f"site:{site}"] = row_gamma(row)
-    return out
+    return row_gamma(alpha.stationary_row), {
+        site: row_gamma(row) for site, row in alpha.site_rows
+    }
 
 
 def gamma_for_window(alpha: SensitivityMatrix, decay: DecaySpec, window: Window) -> float:
-    gammas = _gammas(alpha, decay)
-    override = {int(k.split(":")[1]): v for k, v in gammas.items() if k != "stationary"}
-    return max(override.get(i, gammas["stationary"]) for i in window.sites())
+    stationary, by_site = _gammas(alpha, decay)
+    return max(by_site.get(i, stationary) for i in window.sites())
 
 
 def memory_bound_exponential(
@@ -278,7 +263,8 @@ def fit_decay_rate(
     def sup_gamma(rate: float) -> float:
         if rate == 0.0:
             return alpha.sup_row_sum()
-        return max(_gammas(alpha, DecaySpec(family, rate)).values())
+        stationary, by_site = _gammas(alpha, DecaySpec(family, rate))
+        return max([stationary, *by_site.values()])
 
     target = 1.0 - slack
     if sup_gamma(0.0) > target:
@@ -326,17 +312,14 @@ def series_decay_bound(
         raise BoundNotApplicableError(
             f"tilted row sum {gamma!r} is not below 1 on the window", gamma=gamma
         )
-    total, col_lo, _, _, _ = _dense_power_sum(alpha, window, None, 0.0)
+    series = neumann_series(alpha, window)
     pref = gamma / (1.0 - gamma)
     worst = math.inf
     checked = 0
-    for ri, k in enumerate(window.sites()):
-        for cj in range(total.shape[1]):
-            j = col_lo + cj
-            if j >= k:
-                continue
+    for k in window.sites():
+        for j in range(series.col_lo, k):
             rhs = pref * math.exp(-decay.weight(k - j))
-            worst = min(worst, rhs - float(total[ri, cj]))
+            worst = min(worst, rhs - series.entry(k, j))
             checked += 1
     return SeriesDecayReport(window, gamma, checked, worst)
 
@@ -347,15 +330,6 @@ def _tail_step_base(alpha: SensitivityMatrix) -> float:
     if s <= 0.0:
         return 0.0
     return s ** (1.0 / alpha.depth)
-
-
-def _weighted_column(osc: dict[int, float], col: np.ndarray, k: int) -> float:
-    acc = 0.0
-    for site, weight in osc.items():
-        gap = site - k
-        if gap >= 1:
-            acc += weight * float(col[gap])
-    return acc
 
 
 def correlation_bound(
@@ -394,28 +368,22 @@ def correlation_bound(
             value=0.0,
             quantities={"row_sum_sup": s, "tail_certificate": 0.0, "k_floor": float(delta.hi)},
         )
-    term1 = 0.0
-    for l, w2 in osc2.items():
-        col = _column_paths(alpha, l, lam.hi)
-        term1 += w2 * _weighted_column(osc1, col, l)
+    # G1 has no direct part left of lam, so the sum of G1 * G2 over
+    # k <= delta.hi splits into the pairing with osc2 itself (term1) and
+    # the coupling through deeper sites (acc); every tail test reads the
+    # whole of term1, so the sweep is buffered down through delta first
+    sweep = _paired_influence(alpha, osc1, osc2, lam.hi)
+    head = list(islice(sweep, lam.hi - delta.lo + 1))
+    term1 = sum(g1 * osc2.get(k, 0.0) for k, g1, _ in head)
     u = _tail_step_base(alpha)
     acc = 0.0
-    k = delta.hi
-    tail = 0.0
-    floor = delta.hi - 200000
-    while True:
-        col = _column_paths(alpha, k, lam.hi)
-        f1 = _weighted_column(osc1, col, k)
-        f2 = _weighted_column(osc2, col, k)
-        acc += f1 * f2
-        p1 = sum(w * u ** (site - (k - 1)) for site, w in osc1.items())
-        p2 = sum(w * u ** (site - (k - 1)) for site, w in osc2.items())
-        tail = (p1 / (1.0 - s)) * (p2 / (1.0 - s)) / (1.0 - u * u)
+    for k, g1, g2 in chain(head, sweep):
+        if k > delta.hi:
+            continue
+        acc += g1 * (g2 - osc2.get(k, 0.0))
+        tail = _pair_tail(osc1, osc2, s, u, k)
         if tail <= tol * max(1.0, term1 + acc):
             break
-        k -= 1
-        if k < floor:
-            raise RuntimeError("correlation tail failed to certify within the site budget")
     value = base * (term1 + acc + tail)
     return BoundReport(
         name="correlation",
@@ -443,7 +411,7 @@ def correlation_bound_semi_exact(
 ) -> BoundReport:
     """Variant using exact oscillations of the second window's averages.
 
-    Theoscillation factor for ``h2`` is taken from the brute-force
+    The oscillation factor for ``h2`` is taken from the brute-force
     oracle while it fits under the cap; deeper sites fall back to the
     Neumann product with the same geometric certificate.
     """
@@ -463,39 +431,32 @@ def correlation_bound_semi_exact(
         return BoundReport(name="correlation-semi-exact", value=0.0, quantities={"row_sum_sup": s})
     value = 0.0
     exact_terms = 0
-    k = delta.hi
-    while True:
-        col = _column_paths(alpha, k, lam.hi)
-        f1 = _weighted_column(osc1, col, k)
-        if k == delta.hi:
-            factor = oscillation(h2, k)
-        else:
-            try:
-                factor = _oracle.exact_oscillation_of_average(
-                    f, Window(k + 1, delta.hi), h2, k, cap=cap
-                )
-                exact_terms += 1
-            except CapExceededError:
-                break
-        value += f1 * factor
-        k -= 1
-    # beyond the cap: certified Neumann products, direct terms included
+    exact = True
     u = _tail_step_base(alpha)
-    while True:
-        col = _column_paths(alpha, k, lam.hi)
-        f1 = _weighted_column(osc1, col, k)
-        f2 = osc2.get(k, 0.0) + _weighted_column(osc2, col, k)
-        value += f1 * f2
+    for k, g1, g2 in _paired_influence(alpha, osc1, osc2, lam.hi):
+        if k > delta.hi:
+            continue
+        if exact:
+            if k == delta.hi:
+                factor = oscillation(h2, k)
+            else:
+                try:
+                    factor = _oracle.exact_oscillation_of_average(
+                        f, Window(k + 1, delta.hi), h2, k, cap=cap
+                    )
+                    exact_terms += 1
+                except CapExceededError:
+                    exact = False
+        if exact:
+            value += g1 * factor
+            continue
+        # beyond the cap: certified Neumann products, direct terms included
+        value += g1 * g2
         if k < delta.lo:
-            p1 = sum(w * u ** (site - (k - 1)) for site, w in osc1.items())
-            p2 = sum(w * u ** (site - (k - 1)) for site, w in osc2.items())
-            cert = (p1 / (1.0 - s)) * (p2 / (1.0 - s)) / (1.0 - u * u) if s > 0.0 else 0.0
+            cert = _pair_tail(osc1, osc2, s, u, k)
             if cert <= tol * max(1.0, value):
                 value += cert
                 break
-        k -= 1
-        if k < delta.hi - 200000:
-            raise RuntimeError("correlation tail failed to certify within the site budget")
     return BoundReport(
         name="correlation-semi-exact",
         value=base * value,
@@ -559,16 +520,13 @@ def comparison_bound(
     if not osc:
         return BoundReport(name="comparison", value=0.0, quantities={"row_sum_sup": s})
 
-    gap_cache: dict[int, float] = {}
-    _DEFAULT_KEY = -(10**9)
+    gap_cache: dict[int | None, float] = {}
 
     def gap_at(site: int) -> float:
         if gap_override is not None:
             return gap_override
-        if site in f.override_sites or site in f_tilde.override_sites:
-            key = site
-        else:
-            key = _DEFAULT_KEY
+        # None keys the gap shared by every site without an override
+        key = site if site in f.override_sites or site in f_tilde.override_sites else None
         if key not in gap_cache:
             gap_cache[key] = _kernel_gap_sup(f, f_tilde, site, cap)
         return gap_cache[key]
@@ -577,13 +535,10 @@ def comparison_bound(
         (site for site in f.override_sites + f_tilde.override_sites), default=lam.lo
     )
     acc = 0.0
-    k = lam.hi
     tail = 0.0
     u = _tail_step_base(alpha)
     gap_sup = 0.0
-    while True:
-        col = _column_paths(alpha, k, lam.hi)
-        osc_factor = osc.get(k, 0.0) + _weighted_column(osc, col, k)
+    for k, osc_factor in _influence(alpha, osc, lam.hi):
         gap_k = gap_at(k)
         gap_sup = max(gap_sup, gap_k)
         acc += gap_k * osc_factor
@@ -591,13 +546,9 @@ def comparison_bound(
             if k <= lam.lo:
                 break
         elif k < min(lam.lo, override_floor):
-            p = sum(w * u ** (site - (k - 1)) for site, w in osc.items())
-            tail = gap_sup * p / ((1.0 - s) * (1.0 - u))
+            tail = gap_sup * _tail_mass(osc, u, k) / ((1.0 - s) * (1.0 - u))
             if tail <= tol * max(1.0, acc):
                 break
-        k -= 1
-        if k < lam.hi - 200000:
-            raise RuntimeError("comparison tail failed to certify within the site budget")
     value = acc + tail
     return BoundReport(
         name="comparison",

@@ -10,7 +10,9 @@ from hypothesis import strategies as st
 from lislab import (
     AlphabetSpec,
     KernelSpec,
+    MarkovTable,
     SensitivityMatrix,
+    SiteIndexed,
     boundary_uniformity_check,
     build_sensitivity_matrix,
     dobrushin_check,
@@ -157,6 +159,27 @@ def test_sensitivity_nonnegative_and_banded(k2):
     assert a.entry(0, -5) == 0.0
     assert a.entry(0, 1) == 0.0
     assert all(x >= 0.0 for x in a.stationary_row)
+
+
+def test_sensitivity_matrix_rejects_non_finite_entries():
+    with pytest.raises(ValueError, match="finite"):
+        SensitivityMatrix.from_stationary((math.nan,))
+    with pytest.raises(ValueError, match="finite"):
+        SensitivityMatrix(1, (0.2,), ((3, (math.inf,)),))
+
+
+def test_site_indexed_default_row_ignores_far_override():
+    # a stay-put chain (row sum 1) with an i.i.d. override far to the right:
+    # the default row must come from the default family, not from the
+    # family found at some probe site
+    e = AlphabetSpec.binary()
+    stay = MarkovTable(1, ((1.0, 0.0), (0.0, 1.0)))
+    iid = MarkovTable(1, ((0.5, 0.5), (0.5, 0.5)))
+    f = KernelSpec(e, 1, SiteIndexed(stay, ((10**9, iid),)))
+    alpha = build_sensitivity_matrix(f)
+    assert alpha.stationary_row == (1.0,)
+    assert alpha.row(10**9) == (0.0,)
+    assert not dobrushin_check(alpha).satisfied
 
 
 # --- criteria ---------------------------------------------------------------

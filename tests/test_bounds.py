@@ -24,7 +24,7 @@ from lislab import (
     series_decay_bound,
 )
 from lislab.bounds import BoundNotApplicableError
-from lislab.core import random_observable
+from lislab.core import oscillation_vector, random_observable
 from lislab.oracle import exact_correlation, stationary_measure
 from lislab.specio import iid_kernel, power_law_linear, two_state_markov
 
@@ -34,6 +34,27 @@ def random_sub_dobrushin(rng: np.random.Generator, depth: int | None = None) -> 
     row = rng.random(depth)
     row = row / row.sum() * rng.uniform(0.1, 0.9)
     return SensitivityMatrix.from_stationary(tuple(float(x) for x in row))
+
+
+def random_site_indexed(rng: np.random.Generator, depth: int, sites) -> SensitivityMatrix:
+    """Sub-critical matrix whose rows at ``sites`` override a random default."""
+
+    def row() -> tuple[float, ...]:
+        r = rng.random(depth)
+        return tuple(float(x) for x in r / r.sum() * rng.uniform(0.1, 0.9))
+
+    return SensitivityMatrix(depth, row(), tuple((site, row()) for site in sites))
+
+
+def dense_sensitivity(alpha: SensitivityMatrix, lo: int, hi: int, row_lo: int | None = None):
+    """``alpha`` on the site grid ``[lo, hi]``, rows below ``row_lo`` zeroed."""
+    row_lo = lo if row_lo is None else row_lo
+    size = hi - lo + 1
+    dense = np.zeros((size, size))
+    for i in range(row_lo, hi + 1):
+        for j in range(lo, i):
+            dense[i - lo, j - lo] = alpha.entry(i, j)
+    return dense
 
 
 # --- neumann series ---------------------------------------------------------
@@ -64,19 +85,19 @@ def test_neumann_divergence_flag():
     assert ns.entry(4, 0) == pytest.approx(1.0)
 
 
-def test_neumann_matches_dense_reference():
+@pytest.mark.parametrize("site_indexed", [False, True], ids=["stationary", "site-indexed"])
+def test_neumann_matches_dense_reference(site_indexed):
     # brute-force reference: dense site-grid matrix powers
     rng = np.random.default_rng(3)
-    alpha = random_sub_dobrushin(rng, depth=2)
+    if site_indexed:
+        alpha = random_site_indexed(rng, 2, (-1, 1, 2, 4))
+    else:
+        alpha = random_sub_dobrushin(rng, depth=2)
     window = Window(0, 5)
     lo = window.lo - alpha.depth
-    size = window.hi - lo + 1
-    dense = np.zeros((size, size))
-    for i in window.sites():
-        for j in range(lo, i):
-            dense[i - lo, j - lo] = alpha.entry(i, j)
+    dense = dense_sensitivity(alpha, lo, window.hi, row_lo=window.lo)
     expected = np.zeros_like(dense)
-    power = np.eye(size)
+    power = np.eye(len(dense))
     for _ in range(len(window) + 2):
         power = power @ dense
         expected += power
@@ -109,13 +130,9 @@ def test_memory_bound_k2_matches_matrix_power_oracle(k2):
     rep = memory_bound_general(alpha, window, h, -1)
     # independent dense reference over the padded site grid
     lo = window.lo - alpha.depth
-    size = window.hi - lo + 1
-    dense = np.zeros((size, size))
-    for i in window.sites():
-        for j in range(lo, i):
-            dense[i - lo, j - lo] = alpha.entry(i, j)
+    dense = dense_sensitivity(alpha, lo, window.hi, row_lo=window.lo)
     acc = np.zeros_like(dense)
-    power = np.eye(size)
+    power = np.eye(len(dense))
     for _ in range(len(window)):
         power = power @ dense
         acc += power
@@ -279,6 +296,42 @@ def test_correlation_bound_validates(k1):
     bad = SensitivityMatrix.from_stationary((1.0,))
     with pytest.raises(BoundNotApplicableError):
         correlation_bound(bad, Window(1, 1), Window(0, 0), h1, h0, 1.0)
+
+
+def test_correlation_bound_site_indexed_matches_dense_inverse():
+    # reference: pair the oscillations through (I - A)^{-1} on the grid
+    # [k_floor, lam.hi]; the certified tail covers everything deeper
+    rng = np.random.default_rng(17)
+    alpha = random_site_indexed(rng, 3, (-6, -2, 0, 1, 4))
+    e = iid_kernel((0.5, 0.5)).alphabet
+    lam, delta = Window(3, 4), Window(-1, 1)
+    h1 = random_observable(lam, e, rng)
+    h2 = random_observable(delta, e, rng)
+    diameter = 2.5
+    rep = correlation_bound(alpha, lam, delta, h1, h2, diameter)
+    k_floor = int(rep.quantities["k_floor"])
+    assert k_floor < delta.lo
+    lo = k_floor
+    inverse = np.linalg.inv(np.eye(lam.hi - lo + 1) - dense_sensitivity(alpha, lo, lam.hi))
+    w1 = np.zeros(lam.hi - lo + 1)
+    w2 = np.zeros(lam.hi - lo + 1)
+    for site, w in oscillation_vector(h1, lam).items():
+        w1[site - lo] = w
+    for site, w in oscillation_vector(h2, delta).items():
+        w2[site - lo] = w
+    g1, g2 = w1 @ inverse, w2 @ inverse
+    expected = diameter**2 / 4.0 * float(g1[: delta.hi - lo + 1] @ g2[: delta.hi - lo + 1])
+    got = rep.quantities["direct_term"] + rep.quantities["coupling_term"]
+    assert got == pytest.approx(expected, rel=1e-12)
+    assert rep.value == pytest.approx(got + rep.quantities["tail_certificate"], rel=1e-15)
+
+
+def test_correlation_bound_zero_matrix_wide_second_window():
+    alpha = SensitivityMatrix.from_stationary((0.0,))
+    e = iid_kernel((0.5, 0.5)).alphabet
+    h2 = random_observable(Window(0, 2), e, np.random.default_rng(5))
+    rep = correlation_bound(alpha, Window(5, 5), Window(0, 2), indicator(5, 1, e), h2, 1.0)
+    assert rep.value == 0.0
 
 
 def test_correlation_semi_exact_between_exact_and_bound(k1):

@@ -165,6 +165,16 @@ def test_bound_correlation_with_verify(k1_path, capsys):
     assert lag3[2] == pytest.approx(0.016, abs=1e-12)
 
 
+def test_bound_correlation_site_budget_leaves_cell_empty(capsys):
+    # row sum 1 - 2e-10: the tail certificate would need ~1e11 sites
+    argv = ["bound", "correlation", "--example", "markov", "--lags", "1"]
+    code = main(argv + ["--p01", "1e-10", "--p11", "0.9999999999"])
+    captured = capsys.readouterr()
+    assert code == 0
+    assert "Traceback" not in captured.err
+    assert json.loads(captured.out)["table"]["rows"] == [[1, "", "", "", ""]]
+
+
 def test_bound_compare(k1_path, tmp_path, capsys):
     other = {
         "alphabet": {"symbols": ["0", "1"]},
