@@ -60,7 +60,7 @@ from .bounds import (
 from .oracle import (
     exact_correlation,
     exact_oscillation_of_average,
-    finite_volume_expectation,
+    stationary_expectations,
     stationary_measure,
     verify_dusting,
 )

@@ -1,21 +1,23 @@
 """Variations, transport distances, sensitivity matrices, and the two
 uniqueness criteria (row-sum contraction and boundary uniformity).
 
-Transport distances between conditional laws are solved exactly: by
-vertex enumeration on the transportation polytope for alphabets of up to
-three symbols, and by the HiGHS simplex (which terminates at a vertex)
-above that; the two solvers are cross-checked in the test suite.
+``vkr_distance`` is the one transport entry point.  It takes conditional
+laws batched on leading axes, so a sensitivity estimate or a kernel gap
+is one call over every past.  It chooses its method from the metric
+alone.  On a star metric (``d(a, b) = l_a + l_b``, which covers every
+metric on two or three symbols and the discrete metric of any size) the
+cost is the closed form of transport on a tree.  Any other metric solves
+one HiGHS transport LP per pair; ``scipy`` is imported only then.
+``oracle._vkr_vertex_enum`` is the independent reference in the tests.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass, field
 from typing import Mapping, Sequence
 
 import numpy as np
-from scipy.optimize import linprog
 
 from .core import (
     DEFAULT_CONFIG_CAP,
@@ -30,10 +32,6 @@ from .kernels import (
     family_order,
     family_row,
 )
-
-#: Alphabet size up to which the transport problem is solved by
-#: enumerating spanning-tree vertices of the transportation polytope.
-VERTEX_ENUM_MAX = 3
 
 
 def variation(f: KernelSpec, i: int, j: int, cap: int = DEFAULT_CONFIG_CAP) -> float:
@@ -55,108 +53,37 @@ def variation(f: KernelSpec, i: int, j: int, cap: int = DEFAULT_CONFIG_CAP) -> f
         # affine dependence: the sup flips every free coordinate at once
         return float(sum(family.coefficients[lag:]))
     n = f.alphabet.size
-    agree = depth - free
     check_cap(n, depth, cap)
     rows = conditional_array(family, f.alphabet, depth)
-    worst = 0.0
-    agree_size = n**agree
-    for shared in range(agree_size):
-        idx = np.arange(n**free, dtype=np.int64) * agree_size + shared
-        block = rows[idx]
-        worst = max(worst, float((block.max(axis=0) - block.min(axis=0)).max()))
-    return worst
+    # axis 1 indexes the last depth - free sites, on which the pasts agree
+    block = rows.reshape(n**free, n ** (depth - free), n)
+    return float((block.max(axis=0) - block.min(axis=0)).max())
 
 
-def _variation_enumerated(f: KernelSpec, i: int, j: int, cap: int = DEFAULT_CONFIG_CAP) -> float:
-    """Enumeration-only path, used to cross-check the closed forms."""
-    if isinstance(f.family_at(i), LinearLongMemory):
-        table = KernelSpec(
-            f.alphabet,
-            f.memory_depth,
-            _as_general_table(f, i),
-            check=f.check,
-        )
-        return variation(table, i, j, cap)
-    return variation(f, i, j, cap)
+def _star_legs(dist: np.ndarray) -> np.ndarray | None:
+    """Legs ``l`` with ``d(a, b) = l_a + l_b`` for all ``a != b``, or None.
 
-
-def _as_general_table(f: KernelSpec, i: int):
-    from .kernels import GeneralTable
-
-    rows = conditional_array(f.family_at(i), f.alphabet, f.memory_depth)
-    return GeneralTable(tuple(tuple(float(x) for x in row) for row in rows))
-
-
-def _solve_tree(
-    edges: tuple[tuple[int, int], ...], p: np.ndarray, q: np.ndarray
-) -> np.ndarray | None:
-    """Flow on a spanning tree of the supply/demand bipartite graph.
-
-    Returns the edge flows (ordered as ``edges``) or None when the basic
-    solution is infeasible.
+    A metric with such legs is the path metric of a star tree whose
+    leaves are the symbols.  Every metric on two or three symbols is one,
+    and so is the discrete metric of any size.  Legs are read off one
+    triple per symbol, clamped at 0 against rounding, and accepted when
+    they reproduce every distance within ``1e-12`` of the diameter.
     """
-    n, m = len(p), len(q)
-    supply = list(p) + list(q)
-    adj: dict[int, list[int]] = {v: [] for v in range(n + m)}
-    for e, (i, j) in enumerate(edges):
-        adj[i].append(e)
-        adj[n + j].append(e)
-    flows = [0.0] * len(edges)
-    done = [False] * len(edges)
-    degrees = {v: len(a) for v, a in adj.items()}
-    leaves = [v for v, d in degrees.items() if d == 1]
-    while leaves:
-        v = leaves.pop()
-        live = [e for e in adj[v] if not done[e]]
-        if not live:
-            continue
-        e = live[0]
-        flows[e] = supply[v]
-        done[e] = True
-        i, j = edges[e]
-        other = n + j if v == i else i
-        supply[other] -= supply[v]
-        supply[v] = 0.0
-        degrees[other] -= 1
-        if degrees[other] == 1:
-            leaves.append(other)
-    if any(x < -1e-12 for x in flows):
-        return None
-    return np.maximum(np.asarray(flows), 0.0)
-
-
-def _vkr_vertex_enum(p: np.ndarray, q: np.ndarray, dist: np.ndarray) -> float:
-    """Exact transport cost by enumerating spanning-tree vertices."""
-    n, m = len(p), len(q)
-    all_edges = [(i, j) for i in range(n) for j in range(m)]
-    best = math.inf
-    for edges in itertools.combinations(all_edges, n + m - 1):
-        parent = list(range(n + m))
-
-        def find(x: int) -> int:
-            while parent[x] != x:
-                parent[x] = parent[parent[x]]
-                x = parent[x]
-            return x
-
-        acyclic = True
-        for i, j in edges:
-            a, b = find(i), find(n + j)
-            if a == b:
-                acyclic = False
-                break
-            parent[a] = b
-        if not acyclic:
-            continue
-        flows = _solve_tree(edges, p, q)
-        if flows is None:
-            continue
-        cost = float(sum(fl * dist[i, j] for fl, (i, j) in zip(flows, edges)))
-        best = min(best, cost)
-    return best
+    n = len(dist)
+    if n == 2:
+        return np.full(2, dist[0, 1] / 2.0)
+    a = np.arange(n)
+    b = np.where(a == 0, 1, 0)
+    c = np.where(a <= 1, 2, 1)
+    legs = np.maximum((dist[a, b] + dist[a, c] - dist[b, c]) / 2.0, 0.0)
+    off_diagonal = ~np.eye(n, dtype=bool)
+    residual = np.abs(legs[:, None] + legs[None, :] - dist)[off_diagonal]
+    return legs if residual.max() <= 1e-12 * dist.max() else None
 
 
 def _vkr_linprog(p: np.ndarray, q: np.ndarray, dist: np.ndarray) -> float:
+    from scipy.optimize import linprog
+
     n, m = len(p), len(q)
     c = dist.reshape(-1)
     a_rows = np.zeros((n, n * m))
@@ -178,19 +105,31 @@ def _vkr_linprog(p: np.ndarray, q: np.ndarray, dist: np.ndarray) -> float:
 
 
 def vkr_distance(
-    p: "FiniteDistribution | Sequence[float]",
-    q: "FiniteDistribution | Sequence[float]",
+    p: "FiniteDistribution | Sequence[float] | np.ndarray",
+    q: "FiniteDistribution | Sequence[float] | np.ndarray",
     alphabet: AlphabetSpec,
-) -> float:
-    """Exact optimal-transport cost between two laws on the alphabet."""
+) -> "float | np.ndarray":
+    """Exact optimal-transport cost between laws on the alphabet.
+
+    Laws lie along the last axis and broadcast on the leading ones: one
+    pair gives a float, a batch gives an array of costs.  On a star
+    metric the cost is ``sum_a l_a * |p_a - q_a|``; on any other metric
+    each pair is one HiGHS transport LP.
+    """
     pa = p.as_array() if isinstance(p, FiniteDistribution) else np.asarray(p, dtype=float)
     qa = q.as_array() if isinstance(q, FiniteDistribution) else np.asarray(q, dtype=float)
-    if len(pa) != alphabet.size or len(qa) != alphabet.size:
+    n = alphabet.size
+    if pa.shape[-1:] != (n,) or qa.shape[-1:] != (n,):
         raise ValueError("distributions must live on the given alphabet")
     dist = alphabet.metric_array()
-    if alphabet.size <= VERTEX_ENUM_MAX:
-        return _vkr_vertex_enum(pa, qa, dist)
-    return _vkr_linprog(pa, qa, dist)
+    legs = _star_legs(dist)
+    if legs is not None:
+        cost = np.abs(pa - qa) @ legs
+    else:
+        pb, qb = np.broadcast_arrays(pa, qa)
+        pairs = zip(pb.reshape(-1, n), qb.reshape(-1, n))
+        cost = np.array([_vkr_linprog(x, y, dist) for x, y in pairs]).reshape(pb.shape[:-1])
+    return float(cost) if cost.ndim == 0 else cost
 
 
 def sensitivity_estimator(f: KernelSpec, i: int, j: int, cap: int = DEFAULT_CONFIG_CAP) -> float:
@@ -214,20 +153,11 @@ def sensitivity_estimator(f: KernelSpec, i: int, j: int, cap: int = DEFAULT_CONF
     n = f.alphabet.size
     check_cap(n, depth, cap)
     rows = conditional_array(family, f.alphabet, depth)
-    pos = depth - lag
-    low_size = n ** (depth - 1 - pos)
-    worst = 0.0
-    for rest in range(n ** (depth - 1)):
-        high, low = divmod(rest, low_size)
-        base = high * n * low_size + low
-        for a in range(n):
-            for b in range(a + 1, n):
-                dab = f.alphabet.distance(a, b)
-                cost = vkr_distance(
-                    rows[base + a * low_size], rows[base + b * low_size], f.alphabet
-                )
-                worst = max(worst, cost / dab)
-    return worst
+    # axes: sites left of j, the symbol at j, sites between j and i, next symbol
+    table = rows.reshape(n ** (depth - lag), n, n ** (lag - 1), n)
+    a, b = np.triu_indices(n, k=1)
+    cost = vkr_distance(table[:, a], table[:, b], f.alphabet)
+    return float((cost / f.alphabet.metric_array()[a, b][:, None]).max())
 
 
 @dataclass(frozen=True)

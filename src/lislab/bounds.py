@@ -36,8 +36,9 @@ from .analysis import (
     SensitivityMatrix,
     build_sensitivity_matrix,
     dobrushin_check,
+    vkr_distance,
 )
-from .kernels import KernelSpec, family_row
+from .kernels import KernelSpec, conditional_array
 
 #: Sites a Neumann sweep may visit before giving up on its tail certificate.
 _SITE_BUDGET = 200000
@@ -469,22 +470,11 @@ def _kernel_gap_sup(
     f: KernelSpec, f_tilde: KernelSpec, site: int, cap: int
 ) -> float:
     """Worst transport distance between the two site conditionals."""
-    from .analysis import vkr_distance
-
     depth = max(f.memory_depth, f_tilde.memory_depth)
-    n = f.alphabet.size
-    size = check_cap(n, depth, cap)
-    fam = f.family_at(site)
-    fam_t = f_tilde.family_at(site)
-    worst = 0.0
-    from .core import code_config
-
-    for code in range(size):
-        past = code_config(code, n, depth)
-        row = family_row(fam, f.alphabet, past)
-        row_t = family_row(fam_t, f_tilde.alphabet, past)
-        worst = max(worst, vkr_distance(row, row_t, f.alphabet))
-    return worst
+    check_cap(f.alphabet.size, depth, cap)
+    rows = conditional_array(f.family_at(site), f.alphabet, depth)
+    rows_t = conditional_array(f_tilde.family_at(site), f.alphabet, depth)
+    return float(vkr_distance(rows, rows_t, f.alphabet).max())
 
 
 def comparison_bound(
@@ -520,32 +510,27 @@ def comparison_bound(
     if not osc:
         return BoundReport(name="comparison", value=0.0, quantities={"row_sum_sup": s})
 
-    gap_cache: dict[int | None, float] = {}
-
-    def gap_at(site: int) -> float:
-        if gap_override is not None:
-            return gap_override
-        # None keys the gap shared by every site without an override
-        key = site if site in f.override_sites or site in f_tilde.override_sites else None
-        if key not in gap_cache:
-            gap_cache[key] = _kernel_gap_sup(f, f_tilde, site, cap)
-        return gap_cache[key]
-
-    override_floor = min(
-        (site for site in f.override_sites + f_tilde.override_sites), default=lam.lo
-    )
+    if gap_override is not None:
+        gaps = {None: gap_override}
+    else:
+        # None keys the gap shared by every site without an override, taken
+        # below all of them; the sweep never visits sites above the window
+        overrides = set(f.override_sites + f_tilde.override_sites)
+        plain = min(overrides, default=0) - 1
+        gaps = {None: _kernel_gap_sup(f, f_tilde, plain, cap)}
+        for site in sorted(overrides):
+            if site <= lam.hi:
+                gaps[site] = _kernel_gap_sup(f, f_tilde, site, cap)
+    gap_sup = max(gaps.values())
     acc = 0.0
     tail = 0.0
     u = _tail_step_base(alpha)
-    gap_sup = 0.0
     for k, osc_factor in _influence(alpha, osc, lam.hi):
-        gap_k = gap_at(k)
-        gap_sup = max(gap_sup, gap_k)
-        acc += gap_k * osc_factor
+        acc += gaps.get(k, gaps[None]) * osc_factor
         if s == 0.0:
             if k <= lam.lo:
                 break
-        elif k < min(lam.lo, override_floor):
+        elif k < lam.lo:
             tail = gap_sup * _tail_mass(osc, u, k) / ((1.0 - s) * (1.0 - u))
             if tail <= tol * max(1.0, acc):
                 break

@@ -3,9 +3,7 @@
 Every report embeds the spec source hash, library version, memory depth,
 caps, tolerances, and seeds, so a report alone identifies its inputs.
 Exit codes: 0 pass, 1 usage or input error, 2 criterion or verification
-failure.  ``LIS_LAB_THREADS`` caps worker parallelism; all current
-computations are deterministic and single-threaded, which trivially
-honours any cap, and the value is recorded in reports.
+failure.
 """
 
 from __future__ import annotations
@@ -112,19 +110,6 @@ def _write_csv(path: str, header: list[str], rows: list[list]) -> None:
     _atomic_write(Path(path), buf.getvalue())
 
 
-def _threads() -> int:
-    raw = os.environ.get("LIS_LAB_THREADS")
-    if raw is None:
-        return 1
-    try:
-        value = int(raw)
-    except ValueError:
-        raise _UsageError(f"LIS_LAB_THREADS must be an integer, got {raw!r}") from None
-    if value < 1:
-        raise _UsageError("LIS_LAB_THREADS must be at least 1")
-    return value
-
-
 def _load_kernel(args) -> tuple[KernelSpec, dict]:
     if args.example:
         if args.example == "paper-powerlaw":
@@ -158,7 +143,6 @@ def _metadata(f: KernelSpec, source: dict, seed: int | None = None) -> dict:
         },
         "caps": {"config_cap": DEFAULT_CONFIG_CAP},
         "tolerances": {"sum_tol": SUM_TOL, "abs_tol": ABS_TOL},
-        "threads": _threads(),
         "seed": seed,
     }
 
@@ -252,23 +236,17 @@ def _correlation_rows(f, alpha, args) -> tuple[list[list], int | None]:
 
 
 def _compare_rows(f, f_other, args) -> list[list]:
-    rows = []
-    for symbol in range(f.alphabet.size):
-        h = indicator(0, symbol, f.alphabet)
-        bound = comparison_bound(f, f_other, Window(0, 0), h).value
-        exact = ""
-        try:
-            mu = oracle.stationary_measure(f)
-            mu_t = oracle.stationary_measure(f_other)
-            k = max(f.effective_order, 1)
-            k_t = max(f_other.effective_order, 1)
-            e1 = oracle._expectation(oracle._markov_view(f)[0], mu, k, h)
-            e2 = oracle._expectation(oracle._markov_view(f_other)[0], mu_t, k_t, h)
-            exact = abs(e1 - e2)
-        except (CapExceededError, ValueError, oracle.ChainStructureError):
-            exact = ""
-        rows.append([f.alphabet.symbols[symbol], bound, exact])
-    return rows
+    observables = [indicator(0, symbol, f.alphabet) for symbol in range(f.alphabet.size)]
+    bounds = [comparison_bound(f, f_other, Window(0, 0), h).value for h in observables]
+    try:
+        expectations = zip(
+            oracle.stationary_expectations(f, observables),
+            oracle.stationary_expectations(f_other, observables),
+        )
+        exact = [abs(e1 - e2) for e1, e2 in expectations]
+    except (CapExceededError, ValueError, oracle.ChainStructureError):
+        exact = [""] * len(observables)
+    return [list(row) for row in zip(f.alphabet.symbols, bounds, exact)]
 
 
 def cmd_bound(args) -> int:

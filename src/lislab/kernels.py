@@ -106,6 +106,9 @@ def _validate_single(family: SingleFamily, alphabet: AlphabetSpec, depth: int, c
                 f"linear kernel declares {len(family.coefficients)} coefficients "
                 f"for memory depth {depth}"
             )
+        values = (family.intercept, *family.coefficients, family.coefficient_tail)
+        if not all(math.isfinite(x) for x in values):
+            raise ValueError("linear kernel parameters must be finite")
         if check:
             if family.intercept < 0.0 or any(a < 0.0 for a in family.coefficients):
                 raise ValueError("linear kernel coefficients must be non-negative")
@@ -124,6 +127,8 @@ def _validate_single(family: SingleFamily, alphabet: AlphabetSpec, depth: int, c
     for p, row in enumerate(family.rows):
         if len(row) != n:
             raise ValueError(f"row {p} has {len(row)} entries, expected {n}")
+        if not all(math.isfinite(x) for x in row):
+            raise ValueError(f"row {p} has a non-finite entry")
         if check:
             if any(x < 0.0 for x in row):
                 raise ValueError(f"row {p} has a negative probability")
@@ -138,7 +143,8 @@ class KernelSpec:
 
     ``check=False`` skips normalisation validation; it exists so that
     deliberately corrupted kernels can be fed to the verification
-    routines as negative controls.
+    routines as negative controls.  Non-finite entries are always
+    rejected.
     """
 
     alphabet: AlphabetSpec

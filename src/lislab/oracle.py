@@ -5,13 +5,17 @@ algebra, never through the bound formulas it is used to validate:
 agreement between the two is evidence, not tautology.  Random value
 tables are drawn i.i.d. uniform on [0, 1) with per-trial seeds derived
 deterministically from the run seed, so parallel and serial runs report
-identically.
+identically.  The transport reference ``_vkr_vertex_enum`` enumerates
+the spanning-tree vertices of the transportation polytope; the
+library's ``vkr_distance`` never calls it.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
@@ -21,6 +25,7 @@ from .core import (
     Observable,
     PastConfig,
     Window,
+    code_config,
     oscillation,
     product_observable,
     random_observable,
@@ -165,11 +170,6 @@ def _markov_view(f: KernelSpec) -> tuple[KernelSpec, int]:
     return KernelSpec(f.alphabet, k_eff, table, label=f.label, check=f.check), k_eff
 
 
-def _block_step(f: KernelSpec, k: int) -> np.ndarray:
-    """Conditional array over depth-``k`` block states."""
-    return conditional_array(f.family_at(0), f.alphabet, k)
-
-
 def stationary_measure(
     f: KernelSpec,
     residual: float = 1e-14,
@@ -186,7 +186,7 @@ def stationary_measure(
     size = n**k
     if size > cap_states:
         raise ValueError(f"block state space of size {size} exceeds the cap {cap_states}")
-    rows = _block_step(g, k)
+    rows = conditional_array(g.family_at(0), g.alphabet, k)
     succ = [
         [((s * n + x) % size) for x in range(n) if rows[s, x] > 0.0] for s in range(size)
     ]
@@ -244,27 +244,21 @@ def _check_irreducible_aperiodic(succ: list[list[int]], size: int) -> None:
         raise ChainStructureError(f"block chain is periodic with period {abs(g)}")
 
 
-def _expectation(f: KernelSpec, mu: FiniteDistribution, k: int, h: Observable) -> float:
-    """Stationary expectation of ``h`` by conditioning on the initial block."""
-    total = 0.0
-    window = h.support
+def stationary_expectations(f: KernelSpec, observables: Sequence[Observable]) -> list[float]:
+    """Stationary expectation of each observable.
+
+    Computes the stationary block law once, then conditions every
+    observable on the initial block.
+    """
+    g, k = _markov_view(f)
+    mu = stationary_measure(f)
     n = f.alphabet.size
-    size = n**k
-    for code in range(size):
-        w = mu.weights[code]
-        if w == 0.0:
-            continue
-        past = PastConfig(tuple(_digits(code, n, k)))
-        total += w * compose_window(f, window, past, h)
-    return total
-
-
-def _digits(code: int, base: int, length: int) -> list[int]:
-    out = []
-    for _ in range(length):
-        out.append(code % base)
-        code //= base
-    return list(reversed(out))
+    blocks = [
+        (w, PastConfig(code_config(code, n, k))) for code, w in enumerate(mu.weights) if w != 0.0
+    ]
+    return [
+        sum(w * compose_window(g, h.support, past, h) for w, past in blocks) for h in observables
+    ]
 
 
 def exact_correlation(
@@ -278,28 +272,76 @@ def exact_correlation(
 
     Exact: stationary block law plus enumeration over the joint window.
     """
-    g, k = _markov_view(f)
-    mu = stationary_measure(f)
     shifted = shift_observable(h2, separation + h1.support.lo - h2.support.lo)
     joint = product_observable(h1, shifted, cap)
-    e_joint = _expectation(g, mu, k, joint)
-    e1 = _expectation(g, mu, k, h1)
-    e2 = _expectation(g, mu, k, h2)
+    e_joint, e1, e2 = stationary_expectations(f, (joint, h1, h2))
     return abs(e_joint - e1 * e2)
 
 
-def finite_volume_expectation(
-    f: KernelSpec,
-    window: Window,
-    past: "PastConfig | list[int] | tuple[int, ...]",
-    h: Observable,
-    cap: int = DEFAULT_CONFIG_CAP,
-) -> float:
-    """Window average of ``h`` from a fixed past.
+def _solve_tree(
+    edges: tuple[tuple[int, int], ...], p: np.ndarray, q: np.ndarray
+) -> np.ndarray | None:
+    """Flow on a spanning tree of the supply/demand bipartite graph.
 
-    Thin alias of the composition primitive, exposed for convergence
-    experiments: sweep the window's left end further into the past and
-    watch the value stabilise (for finite-memory kernels it freezes once
-    the window is deeper than the memory).
+    Returns the edge flows (ordered as ``edges``) or None when the basic
+    solution is infeasible.
     """
-    return compose_window(f, window, past, h, cap)
+    n, m = len(p), len(q)
+    supply = list(p) + list(q)
+    adj: dict[int, list[int]] = {v: [] for v in range(n + m)}
+    for e, (i, j) in enumerate(edges):
+        adj[i].append(e)
+        adj[n + j].append(e)
+    flows = [0.0] * len(edges)
+    done = [False] * len(edges)
+    degrees = {v: len(a) for v, a in adj.items()}
+    leaves = [v for v, d in degrees.items() if d == 1]
+    while leaves:
+        v = leaves.pop()
+        live = [e for e in adj[v] if not done[e]]
+        if not live:
+            continue
+        e = live[0]
+        flows[e] = supply[v]
+        done[e] = True
+        i, j = edges[e]
+        other = n + j if v == i else i
+        supply[other] -= supply[v]
+        supply[v] = 0.0
+        degrees[other] -= 1
+        if degrees[other] == 1:
+            leaves.append(other)
+    if any(x < -1e-12 for x in flows):
+        return None
+    return np.maximum(np.asarray(flows), 0.0)
+
+
+def _vkr_vertex_enum(p: np.ndarray, q: np.ndarray, dist: np.ndarray) -> float:
+    """Exact transport cost by enumerating spanning-tree vertices."""
+    n, m = len(p), len(q)
+    all_edges = [(i, j) for i in range(n) for j in range(m)]
+    best = math.inf
+    for edges in itertools.combinations(all_edges, n + m - 1):
+        parent = list(range(n + m))
+
+        def find(x: int) -> int:
+            while parent[x] != x:
+                parent[x] = parent[parent[x]]
+                x = parent[x]
+            return x
+
+        acyclic = True
+        for i, j in edges:
+            a, b = find(i), find(n + j)
+            if a == b:
+                acyclic = False
+                break
+            parent[a] = b
+        if not acyclic:
+            continue
+        flows = _solve_tree(edges, p, q)
+        if flows is None:
+            continue
+        cost = float(sum(fl * dist[i, j] for fl, (i, j) in zip(flows, edges)))
+        best = min(best, cost)
+    return best

@@ -31,8 +31,6 @@ import hashlib
 import json
 from pathlib import Path
 
-from scipy.special import zeta
-
 from .core import AlphabetSpec
 from .kernels import (
     GeneralTable,
@@ -56,13 +54,26 @@ def _require_keys(doc: dict, allowed: set[str], required: set[str], where: str) 
         raise SpecError(f"missing field(s) {sorted(missing)} in {where}")
 
 
+def _number(x, where: str) -> float:
+    # bool is a subclass of int, but JSON true is not a number
+    if isinstance(x, bool) or not isinstance(x, (int, float)):
+        raise SpecError(f"non-numeric entry {x!r} in {where}")
+    try:
+        return float(x)
+    except OverflowError:
+        raise SpecError(f"entry in {where} is out of range") from None
+
+
+def _integer(x, where: str) -> int:
+    if isinstance(x, bool) or not isinstance(x, int):
+        raise SpecError(f"{where} must be an integer")
+    return x
+
+
 def _as_rows(raw, where: str) -> tuple[tuple[float, ...], ...]:
     if not isinstance(raw, list) or not all(isinstance(r, list) for r in raw):
         raise SpecError(f"{where} must be a list of rows")
-    try:
-        return tuple(tuple(float(x) for x in row) for row in raw)
-    except (TypeError, ValueError) as exc:
-        raise SpecError(f"non-numeric entry in {where}: {exc}") from None
+    return tuple(tuple(_number(x, where) for x in row) for row in raw)
 
 
 def _parse_alphabet(doc, where: str = "alphabet") -> AlphabetSpec:
@@ -87,9 +98,8 @@ def _parse_family(doc, depth: int, where: str = "kernel"):
     kind = doc.get("type")
     if kind == "markov":
         _require_keys(doc, {"type", "range", "rows"}, {"type", "range", "rows"}, where)
-        if not isinstance(doc["range"], int):
-            raise SpecError(f"{where}.range must be an integer")
-        return MarkovTable(doc["range"], _as_rows(doc["rows"], f"{where}.rows"))
+        order = _integer(doc["range"], f"{where}.range")
+        return MarkovTable(order, _as_rows(doc["rows"], f"{where}.rows"))
     if kind == "table":
         _require_keys(doc, {"type", "rows"}, {"type", "rows"}, where)
         return GeneralTable(_as_rows(doc["rows"], f"{where}.rows"))
@@ -101,9 +111,9 @@ def _parse_family(doc, depth: int, where: str = "kernel"):
         if not isinstance(coeffs, list):
             raise SpecError(f"{where}.coefficients must be a list")
         return LinearLongMemory(
-            float(doc.get("intercept", 0.0)),
-            tuple(float(a) for a in coeffs),
-            float(doc.get("tail", 0.0)),
+            _number(doc.get("intercept", 0.0), f"{where}.intercept"),
+            tuple(_number(a, f"{where}.coefficients") for a in coeffs),
+            _number(doc.get("tail", 0.0), f"{where}.tail"),
         )
     if kind == "site_indexed":
         _require_keys(doc, {"type", "default", "overrides"}, {"type", "default", "overrides"}, where)
@@ -131,15 +141,16 @@ def parse_spec(doc) -> KernelSpec:
         {"alphabet", "memory_depth", "kernel"},
         "spec",
     )
-    if not isinstance(doc["memory_depth"], int) or doc["memory_depth"] < 0:
+    depth = _integer(doc["memory_depth"], "memory_depth")
+    if depth < 0:
         raise SpecError("memory_depth must be a non-negative integer")
     label = doc.get("label", "")
     if not isinstance(label, str):
         raise SpecError("label must be a string")
     alphabet = _parse_alphabet(doc["alphabet"])
-    family = _parse_family(doc["kernel"], doc["memory_depth"])
+    family = _parse_family(doc["kernel"], depth)
     try:
-        return KernelSpec(alphabet, doc["memory_depth"], family, label=label)
+        return KernelSpec(alphabet, depth, family, label=label)
     except ValueError as exc:
         raise SpecError(f"invalid kernel: {exc}") from None
 
@@ -233,6 +244,8 @@ def power_law_linear(
         raise ValueError("epsilon must lie strictly between 0 and 1")
     if depth < 1:
         raise ValueError("depth must be at least 1")
+    from scipy.special import zeta
+
     exponent = 1.0 + epsilon
     partial = sum(k ** (-exponent) for k in range(1, depth + 1))
     if normalization == "full":

@@ -21,10 +21,24 @@ from lislab import (
     variation,
     vkr_distance,
 )
-from lislab.analysis import _variation_enumerated, _vkr_linprog, _vkr_vertex_enum
+from lislab.analysis import _vkr_linprog
+from lislab.kernels import GeneralTable, LinearLongMemory, conditional_array
+from lislab.oracle import _vkr_vertex_enum
 from lislab.specio import power_law_linear, two_state_markov
 
 from conftest import random_distribution, random_table_kernel
+
+
+def _as_general_table(f: KernelSpec, i: int) -> GeneralTable:
+    rows = conditional_array(f.family_at(i), f.alphabet, f.memory_depth)
+    return GeneralTable(tuple(tuple(float(x) for x in row) for row in rows))
+
+
+def _variation_enumerated(f: KernelSpec, i: int, j: int) -> float:
+    """Variation of the kernel re-declared as a full table (no closed form)."""
+    if isinstance(f.family_at(i), LinearLongMemory):
+        f = KernelSpec(f.alphabet, f.memory_depth, _as_general_table(f, i))
+    return variation(f, i, j)
 
 
 # --- variations -------------------------------------------------------------
@@ -120,7 +134,118 @@ def test_vkr_discrete_equals_half_l1(seed, n):
     assert vkr_distance(p, q, e) == pytest.approx(half_l1, abs=1e-12)
 
 
+def _metric_alphabet(table) -> AlphabetSpec:
+    return AlphabetSpec(
+        tuple(str(i) for i in range(len(table))), tuple(tuple(float(x) for x in r) for r in table)
+    )
+
+
+def _random_metric(rng: np.random.Generator, n: int) -> AlphabetSpec:
+    # off-diagonal distances in [1, 2] always satisfy the triangle inequality
+    table = np.zeros((n, n))
+    for a in range(n):
+        for b in range(a + 1, n):
+            table[a, b] = table[b, a] = rng.uniform(1.0, 2.0)
+    return _metric_alphabet(table)
+
+
+_PATH4 = _metric_alphabet([[abs(a - b) for b in range(4)] for a in range(4)])
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_vkr_star_form_matches_vertex_enumeration(n):
+    rng = np.random.default_rng(300 + n)
+    for _ in range(20):
+        e = _random_metric(rng, n)
+        for _ in range(10):
+            p = np.array(random_distribution(rng, n))
+            q = np.array(random_distribution(rng, n))
+            assert vkr_distance(p, q, e) == pytest.approx(
+                _vkr_vertex_enum(p, q, e.metric_array()), abs=1e-12
+            )
+
+
+@pytest.mark.parametrize(
+    "e",
+    [
+        AlphabetSpec.discrete(("0", "1", "2", "3")),
+        AlphabetSpec.discrete(("0", "1", "2", "3", "4")),
+        _PATH4,
+    ],
+    ids=["discrete4", "discrete5", "path4"],
+)
+def test_vkr_matches_linprog_beyond_three_symbols(e):
+    rng = np.random.default_rng(e.size)
+    for _ in range(25):
+        p = np.array(random_distribution(rng, e.size))
+        q = np.array(random_distribution(rng, e.size))
+        assert vkr_distance(p, q, e) == pytest.approx(
+            _vkr_linprog(p, q, e.metric_array()), abs=1e-9
+        )
+
+
+def test_vkr_path_metric_equals_cdf_gap():
+    # on points of a line the transport cost is the L1 gap of the two CDFs
+    rng = np.random.default_rng(44)
+    for _ in range(25):
+        p = np.array(random_distribution(rng, 4))
+        q = np.array(random_distribution(rng, 4))
+        cdf_gap = float(np.abs(np.cumsum(p - q))[:-1].sum())
+        assert vkr_distance(p, q, _PATH4) == pytest.approx(cdf_gap, abs=1e-9)
+
+
+@pytest.mark.parametrize(
+    "e", [AlphabetSpec.discrete(("0", "1", "2", "3")), _PATH4], ids=["star", "linprog"]
+)
+def test_vkr_batch_equals_pair_loop(e):
+    rng = np.random.default_rng(45)
+    p = np.array([[random_distribution(rng, 4) for _ in range(3)] for _ in range(2)])
+    q = np.array(random_distribution(rng, 4))
+    batch = vkr_distance(p, q, e)
+    assert batch.shape == (2, 3)
+    for idx in np.ndindex(2, 3):
+        single = vkr_distance(p[idx], q, e)
+        assert isinstance(single, float)
+        assert batch[idx] == pytest.approx(single, abs=1e-15)
+
+
+def test_vkr_rejects_laws_off_the_alphabet():
+    with pytest.raises(ValueError, match="alphabet"):
+        vkr_distance((0.5, 0.5), (0.2, 0.3, 0.5), AlphabetSpec.binary())
+
+
 # --- sensitivity ------------------------------------------------------------
+
+def _sensitivity_pair_loop(f: KernelSpec, lag: int) -> float:
+    """Sensitivity at ``lag`` by one reference transport solve per past and pair."""
+    n, depth = f.alphabet.size, f.memory_depth
+    dist = f.alphabet.metric_array()
+    solve = _vkr_vertex_enum if n <= 3 else _vkr_linprog
+    worst = 0.0
+    for rest in range(n ** (depth - 1)):
+        high, low = divmod(rest, n ** (lag - 1))
+        for a in range(n):
+            for b in range(a + 1, n):
+                past_a = (high * n + a) * n ** (lag - 1) + low
+                past_b = (high * n + b) * n ** (lag - 1) + low
+                p = np.array(f.family.rows[past_a])
+                q = np.array(f.family.rows[past_b])
+                worst = max(worst, solve(p, q, dist) / dist[a, b])
+    return worst
+
+
+@pytest.mark.parametrize("n", [3, 4])
+def test_sensitivity_matches_pair_loop(n):
+    rng = np.random.default_rng(50 + n)
+    for metric in ("discrete", "random"):
+        f = random_table_kernel(rng, n_symbols=n, depth=2)
+        if metric == "random":
+            f = KernelSpec(_random_metric(rng, n), 2, f.family)
+        for lag in (1, 2):
+            assert sensitivity_estimator(f, 0, -lag) == pytest.approx(
+                _sensitivity_pair_loop(f, lag), rel=1e-12, abs=1e-12
+            )
+
 
 def test_sensitivity_markov(k1):
     assert sensitivity_estimator(k1, 0, -1) == pytest.approx(0.4)
@@ -135,8 +260,6 @@ def test_sensitivity_linear_equals_coefficients(k2):
 
 
 def test_sensitivity_linear_fast_path_matches_enumeration(k2):
-    from lislab.analysis import _as_general_table
-
     table_kernel = KernelSpec(k2.alphabet, 4, _as_general_table(k2, 0))
     for lag in range(1, 5):
         assert sensitivity_estimator(k2, 0, -lag) == pytest.approx(

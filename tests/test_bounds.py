@@ -9,7 +9,10 @@ from hypothesis import strategies as st
 
 from lislab import (
     DecaySpec,
+    KernelSpec,
+    MarkovTable,
     SensitivityMatrix,
+    SiteIndexed,
     Window,
     build_sensitivity_matrix,
     comparison_bound,
@@ -375,6 +378,19 @@ def test_comparison_bound_gap_override(k1):
     h = indicator(0, 1, k1.alphabet)
     rep = comparison_bound(k1, k1, Window(0, 0), h, gap_override=0.02)
     assert rep.value == pytest.approx(0.02 / 0.6, abs=1e-6)
+
+
+def test_comparison_bound_deep_override_certifies_near_the_window(k1):
+    # an override far below the window leaves the tail certificate valid
+    # at once, because gap_sup already covers the override's gap
+    quiet = MarkovTable(1, ((0.6, 0.4), (0.4, 0.6)))
+    f = KernelSpec(k1.alphabet, 1, SiteIndexed(k1.family, ((-300000, quiet),)))
+    other = two_state_markov(0.31, 0.7)
+    rep = comparison_bound(f, other, Window(0, 0), indicator(0, 1, k1.alphabet))
+    assert math.isfinite(rep.value)
+    assert rep.quantities["k_floor"] > -1000
+    assert rep.quantities["gap_sup"] == pytest.approx(0.1, abs=1e-12)
+    assert rep.value == pytest.approx(0.01 / 0.6, abs=1e-6)
 
 
 def test_comparison_bound_requires_criterion():

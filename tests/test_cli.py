@@ -1,6 +1,7 @@
 """Spec parsing and the lis-lab command surface."""
 
 import json
+import math
 import subprocess
 import sys
 
@@ -230,14 +231,32 @@ def test_simulate_reproducible(k1_path, tmp_path):
     assert header == "lag,empirical,se,bound"
 
 
-def test_threads_env_var(k1_path, tmp_path, monkeypatch, capsys):
-    monkeypatch.setenv("LIS_LAB_THREADS", "4")
-    assert main(["check", k1_path]) == 0
-    report = json.loads(capsys.readouterr().out)
-    assert report["threads"] == 4
-    monkeypatch.setenv("LIS_LAB_THREADS", "zero")
-    assert main(["check", k1_path]) == 1
-    capsys.readouterr()
+@pytest.mark.parametrize(
+    "command, kernel, depth",
+    [
+        ("verify", {"type": "markov", "range": 1, "rows": [[math.nan, math.nan]] * 2}, 1),
+        ("check", {"type": "linear", "intercept": math.nan, "coefficients": [0.2]}, 1),
+        ("check", {"type": "markov", "range": True, "rows": K1_DOC["kernel"]["rows"]}, 1),
+        ("check", K1_DOC["kernel"], True),
+    ],
+    ids=["nan-rows", "nan-intercept", "bool-range", "bool-depth"],
+)
+def test_rejects_non_finite_and_boolean_input(command, kernel, depth, tmp_path, capsys):
+    doc = dict(K1_DOC, kernel=kernel, memory_depth=depth)
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(doc))  # writes NaN as the bare token Python's json reads back
+    assert main([command, str(path)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error:")
+    assert len(captured.err.strip().splitlines()) == 1
+
+
+def test_cli_import_leaves_scipy_unloaded():
+    code = "import sys, lislab.cli; print([m for m in sys.modules if m.startswith('scipy')])"
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
 
 
 def test_module_entrypoint(k1_path):

@@ -7,11 +7,12 @@ from lislab import (
     SensitivityMatrix,
     Window,
     build_sensitivity_matrix,
+    compose_window,
     exact_correlation,
     exact_oscillation_of_average,
-    finite_volume_expectation,
     indicator,
     memory_bound_general,
+    stationary_expectations,
     stationary_measure,
     verify_dusting,
 )
@@ -139,19 +140,25 @@ def test_exact_correlation_depth_two():
     assert var == pytest.approx(p1 * (1 - p1), abs=1e-12)
 
 
+def test_stationary_expectations_match_block_law(k1):
+    mu = stationary_measure(k1)
+    observables = [indicator(0, s, k1.alphabet) for s in range(2)]
+    assert stationary_expectations(k1, observables) == pytest.approx(mu.weights, abs=1e-12)
+
+
 def test_finite_volume_convergence_gap(k1):
     h = indicator(0, 1, k1.alphabet)
     for n in range(0, 6):
         window = Window(-n, 0)
-        lo = finite_volume_expectation(k1, window, PastConfig.fill(0, 1), h)
-        hi = finite_volume_expectation(k1, window, PastConfig.fill(1, 1), h)
+        lo = compose_window(k1, window, PastConfig.fill(0, 1), h)
+        hi = compose_window(k1, window, PastConfig.fill(1, 1), h)
         assert abs(hi - lo) == pytest.approx(0.4 ** (n + 1), abs=1e-12)
 
 
 def test_finite_volume_iid_constant(k3):
     h = indicator(0, 1, k3.alphabet)
     values = [
-        finite_volume_expectation(k3, Window(-n, 0), PastConfig.fill(0, 0), h)
+        compose_window(k3, Window(-n, 0), PastConfig.fill(0, 0), h)
         for n in range(4)
     ]
     assert values == pytest.approx([0.5] * 4)
@@ -160,7 +167,7 @@ def test_finite_volume_iid_constant(k3):
 def test_finite_volume_stabilizes_at_memory_depth(k2):
     h = indicator(0, 1, k2.alphabet)
     values = [
-        finite_volume_expectation(k2, Window(-n, 0), PastConfig.fill(1, 4 + n), h)
+        compose_window(k2, Window(-n, 0), PastConfig.fill(1, 4 + n), h)
         for n in range(8)
     ]
     # once the window is deeper than the memory, widening from a frozen
