@@ -25,13 +25,7 @@ from .core import (
     FiniteDistribution,
     check_cap,
 )
-from .kernels import (
-    KernelSpec,
-    LinearLongMemory,
-    conditional_array,
-    family_order,
-    family_row,
-)
+from .kernels import KernelSpec, LinearLongMemory, family_order
 
 
 def variation(f: KernelSpec, i: int, j: int, cap: int = DEFAULT_CONFIG_CAP) -> float:
@@ -54,7 +48,7 @@ def variation(f: KernelSpec, i: int, j: int, cap: int = DEFAULT_CONFIG_CAP) -> f
         return float(sum(family.coefficients[lag:]))
     n = f.alphabet.size
     check_cap(n, depth, cap)
-    rows = conditional_array(family, f.alphabet, depth)
+    rows = f.table_at(i)
     # axis 1 indexes the last depth - free sites, on which the pasts agree
     block = rows.reshape(n**free, n ** (depth - free), n)
     return float((block.max(axis=0) - block.min(axis=0)).max())
@@ -152,7 +146,7 @@ def sensitivity_estimator(f: KernelSpec, i: int, j: int, cap: int = DEFAULT_CONF
         return float(family.coefficients[lag - 1])
     n = f.alphabet.size
     check_cap(n, depth, cap)
-    rows = conditional_array(family, f.alphabet, depth)
+    rows = f.table_at(i)
     # axes: sites left of j, the symbol at j, sites between j and i, next symbol
     table = rows.reshape(n ** (depth - lag), n, n ** (lag - 1), n)
     a, b = np.triu_indices(n, k=1)
@@ -171,7 +165,6 @@ class SensitivityMatrix:
     depth: int
     stationary_row: tuple[float, ...]
     site_rows: tuple[tuple[int, tuple[float, ...]], ...] = ()
-    provenance: str = "vkr-estimator"
     truncation_tail: float = 0.0
 
     def __post_init__(self) -> None:
@@ -209,32 +202,23 @@ class SensitivityMatrix:
         return not self.site_rows
 
     @staticmethod
-    def from_stationary(
-        row: Sequence[float], provenance: str = "user-supplied", truncation_tail: float = 0.0
-    ) -> "SensitivityMatrix":
+    def from_stationary(row: Sequence[float], truncation_tail: float = 0.0) -> "SensitivityMatrix":
         row = tuple(float(a) for a in row)
-        return SensitivityMatrix(len(row), row, (), provenance, truncation_tail)
+        return SensitivityMatrix(len(row), row, (), truncation_tail)
 
 
 def build_sensitivity_matrix(f: KernelSpec, cap: int = DEFAULT_CONFIG_CAP) -> SensitivityMatrix:
-    """Canonical transport estimator per lag, stationary or site-indexed."""
-    depth = f.memory_depth
-    anchor = 0
+    """Canonical transport estimator per lag, stationary or site-indexed.
 
-    def row_at(site: int) -> tuple[float, ...]:
-        return tuple(sensitivity_estimator(f, site, site - lag, cap) for lag in range(1, depth + 1))
-
-    stationary_row = row_at(anchor) if f.stationary else None
-    if f.stationary:
-        return SensitivityMatrix(
-            depth, stationary_row, (), "vkr-estimator", f.truncation_tail
-        )
-    default_spec = KernelSpec(f.alphabet, depth, f.family.default, check=f.check)
-    default_row = tuple(
-        sensitivity_estimator(default_spec, 0, -lag, cap) for lag in range(1, depth + 1)
-    )
-    site_rows = tuple((site, row_at(site)) for site in sorted(f.override_sites))
-    return SensitivityMatrix(depth, default_row, site_rows, "vkr-estimator", f.truncation_tail)
+    The stationary row is read one site below every override, where the
+    default family applies.
+    """
+    sites = sorted(f.override_sites)
+    rows = [
+        tuple(sensitivity_estimator(f, i, i - lag, cap) for lag in range(1, f.memory_depth + 1))
+        for i in (min(sites, default=1) - 1, *sites)
+    ]
+    return SensitivityMatrix(f.memory_depth, rows[0], tuple(zip(sites, rows[1:])), f.truncation_tail)
 
 
 @dataclass(frozen=True)
@@ -341,11 +325,9 @@ def ergodic_coefficient(f: KernelSpec) -> float:
     if f.effective_order > 1:
         raise ValueError("ergodic coefficient requires a one-step (or i.i.d.) kernel")
     n = f.alphabet.size
-    fam = f.family_at(0)
-    rows = np.array(
-        [family_row(fam, f.alphabet, (s,) * max(f.memory_depth, 1)) for s in range(n)],
-        dtype=float,
-    )
+    table = f.table_at(0)
+    # one-step family: the leading n pasts differ only in the last symbol
+    rows = table[np.arange(n) % len(table)]
     gamma = 0.0
     for a in range(n):
         for b in range(a + 1, n):

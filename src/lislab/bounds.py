@@ -38,7 +38,7 @@ from .analysis import (
     dobrushin_check,
     vkr_distance,
 )
-from .kernels import KernelSpec, conditional_array
+from .kernels import KernelSpec
 
 #: Sites a Neumann sweep may visit before giving up on its tail certificate.
 _SITE_BUDGET = 200000
@@ -470,11 +470,15 @@ def _kernel_gap_sup(
     f: KernelSpec, f_tilde: KernelSpec, site: int, cap: int
 ) -> float:
     """Worst transport distance between the two site conditionals."""
-    depth = max(f.memory_depth, f_tilde.memory_depth)
-    check_cap(f.alphabet.size, depth, cap)
-    rows = conditional_array(f.family_at(site), f.alphabet, depth)
-    rows_t = conditional_array(f_tilde.family_at(site), f.alphabet, depth)
-    return float(vkr_distance(rows, rows_t, f.alphabet).max())
+    n = f.alphabet.size
+    check_cap(n, max(f.memory_depth, f_tilde.memory_depth), cap)
+    # the shallower table broadcasts over the leading sites of the deeper one,
+    # flattened to one batch of pasts: a 3-d batch sums 4+ symbols in another order
+    shared = n ** min(f.memory_depth, f_tilde.memory_depth)
+    rows, rows_t = np.broadcast_arrays(
+        f.table_at(site).reshape(-1, shared, n), f_tilde.table_at(site).reshape(-1, shared, n)
+    )
+    return float(vkr_distance(rows.reshape(-1, n), rows_t.reshape(-1, n), f.alphabet).max())
 
 
 def comparison_bound(

@@ -13,6 +13,7 @@ import csv
 import hashlib
 import io
 import json
+import math
 import os
 import sys
 import time
@@ -112,14 +113,15 @@ def _write_csv(path: str, header: list[str], rows: list[list]) -> None:
 
 def _load_kernel(args) -> tuple[KernelSpec, dict]:
     if args.example:
-        if args.example == "paper-powerlaw":
-            f = power_law_linear(args.epsilon, args.depth, label="paper-powerlaw")
-            params = {"example": "paper-powerlaw", "epsilon": args.epsilon, "depth": args.depth}
-        elif args.example == "markov":
-            f = two_state_markov(args.p01, args.p11, label="markov")
-            params = {"example": "markov", "p01": args.p01, "p11": args.p11}
-        else:
-            raise _UsageError(f"unknown example {args.example!r}")
+        try:
+            if args.example == "paper-powerlaw":
+                f = power_law_linear(args.epsilon, args.depth, label="paper-powerlaw")
+                params = {"example": "paper-powerlaw", "epsilon": args.epsilon, "depth": args.depth}
+            else:
+                f = two_state_markov(args.p01, args.p11, label="markov")
+                params = {"example": "markov", "p01": args.p01, "p11": args.p11}
+        except ValueError as exc:
+            raise _UsageError(f"--example {args.example}: {exc}") from None
         doc = json.dumps(_canonical(kernel_to_doc(f)), sort_keys=True)
         params["sha256"] = hashlib.sha256(doc.encode()).hexdigest()
         return f, params
@@ -150,14 +152,48 @@ def _metadata(f: KernelSpec, source: dict, seed: int | None = None) -> dict:
 def _indicator_symbol(f: KernelSpec, name: str | None) -> int:
     if name is None:
         return min(1, f.alphabet.size - 1)
-    return f.alphabet.index_of(name)
+    try:
+        return f.alphabet.index_of(name)
+    except ValueError as exc:
+        raise _UsageError(f"--symbol: {exc}") from None
+
+
+def _int_in(lo: float = -math.inf, hi: float = math.inf):
+    """argparse type: an integer in ``[lo, hi]``."""
+
+    def parse(raw: str) -> int:
+        value = int(raw)  # argparse reports a ValueError as an invalid int value
+        if not lo <= value <= hi:
+            limit = f">= {lo}" if value < lo else f"<= {hi}"
+            raise argparse.ArgumentTypeError(f"expected an integer {limit}, got {value}")
+        return value
+
+    parse.__name__ = "int"
+    return parse
 
 
 def _parse_lags(raw: str) -> list[int]:
-    if ":" in raw:
-        lo, hi = raw.split(":", 1)
-        return list(range(int(lo), int(hi) + 1))
-    return [int(x) for x in raw.split(",")]
+    """argparse type for ``--lags``: ``lo:hi`` or a comma list, every lag >= 0."""
+    try:
+        if ":" in raw:
+            lo, hi = raw.split(":", 1)
+            lags = list(range(int(lo), int(hi) + 1))
+        else:
+            lags = [int(x) for x in raw.split(",")]
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected lo:hi or a comma list, got {raw!r}") from None
+    if any(lag < 0 for lag in lags):
+        raise argparse.ArgumentTypeError(f"lags must be non-negative, got {raw!r}")
+    return lags
+
+
+def _estimates(f: KernelSpec, path, h, lags: list[int], burn: int | None):
+    """Burn-in and empirical correlation per lag; a path too short is an input error."""
+    try:
+        burn = sim.default_burn_in(f) if burn is None else burn
+        return burn, [sim.estimate_correlation(path, h, h, lag, burn) for lag in lags]
+    except ValueError as exc:
+        raise _UsageError(str(exc)) from None
 
 
 def cmd_check(args) -> int:
@@ -202,14 +238,12 @@ def _memory_rows(f, alpha, args) -> list[list]:
 def _correlation_rows(f, alpha, args) -> tuple[list[list], int | None]:
     symbol = _indicator_symbol(f, args.symbol)
     h0 = indicator(0, symbol, f.alphabet)
-    lags = _parse_lags(args.lags)
-    path = None
-    burn = None
+    estimates = [None] * len(args.lags)
     if args.length:
         path = sim.sample_path(f, args.length, args.seed)
-        burn = sim.default_burn_in(f)
+        _, estimates = _estimates(f, path, h0, args.lags, None)
     rows = []
-    for lag in lags:
+    for lag, est in zip(args.lags, estimates):
         h_lag = indicator(lag, symbol, f.alphabet)
         try:
             bound = (
@@ -227,10 +261,7 @@ def _correlation_rows(f, alpha, args) -> tuple[list[list], int | None]:
                 exact = oracle.exact_correlation(f, h0, h0, lag)
             except (CapExceededError, ValueError, oracle.ChainStructureError):
                 exact = ""
-        empirical = se = ""
-        if path is not None:
-            est = sim.estimate_correlation(path, h0, h0, lag, burn)
-            empirical, se = est.estimate, est.standard_error
+        empirical, se = (est.estimate, est.standard_error) if est else ("", "")
         rows.append([lag, bound, exact, empirical, se])
     return rows, args.seed if args.length else None
 
@@ -266,6 +297,8 @@ def cmd_bound(args) -> int:
         if not args.other:
             raise _UsageError("bound compare requires --other SPEC")
         f_other, other_source = load_spec_file(args.other)
+        if f_other.alphabet != f.alphabet:
+            raise SpecError(f"{args.other} is on another alphabet than the reference spec")
         report["other_spec"] = other_source
         header = ["symbol", "bound", "exact"]
         rows = _compare_rows(f, f_other, args)
@@ -392,11 +425,10 @@ def cmd_simulate(args) -> int:
     symbol = _indicator_symbol(f, args.symbol)
     h = indicator(0, symbol, f.alphabet)
     path = sim.sample_path(f, args.length, args.seed)
-    burn = args.burn_in if args.burn_in is not None else sim.default_burn_in(f)
+    burn, estimates = _estimates(f, path, h, args.lags, args.burn_in)
     alpha = build_sensitivity_matrix(f)
     rows = []
-    for lag in _parse_lags(args.lags):
-        est = sim.estimate_correlation(path, h, h, lag, burn)
+    for lag, est in zip(args.lags, estimates):
         try:
             bound = (
                 correlation_bound(
@@ -453,28 +485,34 @@ def build_parser() -> _Parser:
     p_bound = sub.add_parser("bound", help="evaluate decay bounds")
     p_bound.add_argument("mode", choices=["memory", "correlation", "compare"])
     _add_common(p_bound)
-    p_bound.add_argument("--site", type=int, default=-1, help="past site probed by memory bounds")
+    p_bound.add_argument(
+        "--site", type=_int_in(hi=-1), default=-1, help="past site probed by memory bounds"
+    )
     p_bound.add_argument("--symbol", help="indicator symbol (defaults to the second one)")
     p_bound.add_argument("--max-n", type=int, default=8, help="memory sweep window size")
-    p_bound.add_argument("--lags", default="1:8", help="lag list fragment, e.g. 1:8 or 1,2,5")
+    p_bound.add_argument(
+        "--lags", type=_parse_lags, default="1:8", help="lag list fragment, e.g. 1:8 or 1,2,5"
+    )
     p_bound.add_argument("--verify", action="store_true", help="add exact oracle columns")
-    p_bound.add_argument("--length", type=int, help="add empirical columns from a sampled path")
-    p_bound.add_argument("--seed", type=int, default=1, help="sampling seed")
+    p_bound.add_argument(
+        "--length", type=_int_in(lo=1), help="add empirical columns from a sampled path"
+    )
+    p_bound.add_argument("--seed", type=_int_in(lo=0), default=1, help="sampling seed")
     p_bound.add_argument("--other", help="second spec file for compare mode")
     p_bound.set_defaults(func=cmd_bound)
 
     p_verify = sub.add_parser("verify", help="run the exact property suite")
     _add_common(p_verify)
     p_verify.add_argument("--trials", type=int, default=200, help="randomised trial budget")
-    p_verify.add_argument("--seed", type=int, default=0)
+    p_verify.add_argument("--seed", type=_int_in(lo=0), default=0)
     p_verify.set_defaults(func=cmd_verify)
 
     p_sim = sub.add_parser("simulate", help="sample a path and estimate correlations")
     _add_common(p_sim)
-    p_sim.add_argument("--length", type=int, default=100000)
-    p_sim.add_argument("--seed", type=int, default=1)
-    p_sim.add_argument("--lags", default="1:5")
-    p_sim.add_argument("--burn-in", type=int, help="override the heuristic burn-in")
+    p_sim.add_argument("--length", type=_int_in(lo=1), default=100000)
+    p_sim.add_argument("--seed", type=_int_in(lo=0), default=1)
+    p_sim.add_argument("--lags", type=_parse_lags, default="1:5")
+    p_sim.add_argument("--burn-in", type=_int_in(lo=0), help="override the heuristic burn-in")
     p_sim.add_argument("--symbol", help="indicator symbol (defaults to the second one)")
     p_sim.set_defaults(func=cmd_simulate)
     return parser
@@ -485,10 +523,7 @@ def main(argv=None) -> int:
     try:
         args = parser.parse_args(argv)
         return args.func(args)
-    except _UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except (SpecError, CapExceededError, OSError) as exc:
+    except (_UsageError, SpecError, CapExceededError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except BoundNotApplicableError as exc:

@@ -19,6 +19,7 @@ Conventions used throughout the package:
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Callable, Iterator, Sequence
 
@@ -216,8 +217,8 @@ class FiniteDistribution:
     weights: tuple[float, ...]
 
     def __post_init__(self) -> None:
-        if any(w < 0.0 for w in self.weights):
-            raise ValueError("distribution weights must be non-negative")
+        if not all(math.isfinite(w) and w >= 0.0 for w in self.weights):
+            raise ValueError("distribution weights must be finite and non-negative")
         total = sum(self.weights)
         if abs(total - 1.0) > SUM_TOL:
             raise ValueError(f"distribution weights sum to {total!r}, expected 1")
@@ -251,6 +252,8 @@ class Observable:
             raise ValueError(
                 f"observable table has {len(self.table)} entries, expected {expected}"
             )
+        if not all(math.isfinite(v) for v in self.table):
+            raise ValueError("observable values must be finite")
 
     def value_at(self, config: Sequence[int]) -> float:
         if len(config) != len(self.support):
@@ -259,9 +262,6 @@ class Observable:
 
     def table_array(self) -> np.ndarray:
         return np.asarray(self.table, dtype=float)
-
-    def max_abs(self) -> float:
-        return max(abs(v) for v in self.table)
 
 
 def oscillation(h: Observable, j: int, alphabet: AlphabetSpec | None = None) -> float:

@@ -2,17 +2,21 @@
 
 A kernel specification declares a memory depth ``R`` and one of four
 families of conditional laws for the symbol at a site given the ``R``
-preceding symbols.  Interval kernels are products of singletons swept
-left to right; composition against an observable is an exact enumeration
-over the window, vectorised over pasts so that tabulating a kernel
-average over every relevant past costs about as much as one evaluation.
+preceding symbols.  The spec owns the dense conditional table of each of
+its families: ``KernelSpec.table_at(site)`` builds the read-only
+``(|E|**R, |E|)`` array of the site's family on first use, keeps it for
+the life of the spec, and is where every criterion, bound, oracle and
+the tabulated sampler read conditional laws.  Interval kernels are
+products of singletons swept left to right; composition against an
+observable is an exact enumeration over the window, vectorised over
+pasts so that tabulating a kernel average over every relevant past costs
+about as much as one evaluation.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import Sequence, Union
 
 import numpy as np
@@ -97,6 +101,8 @@ def family_order(family: SingleFamily) -> int:
 
 
 def _validate_single(family: SingleFamily, alphabet: AlphabetSpec, depth: int, check: bool) -> None:
+    if isinstance(family, SiteIndexed):
+        raise ValueError("site-indexed families cannot be nested")
     n = alphabet.size
     if isinstance(family, LinearLongMemory):
         if n != 2:
@@ -121,9 +127,9 @@ def _validate_single(family: SingleFamily, alphabet: AlphabetSpec, depth: int, c
     order = family.order if isinstance(family, MarkovTable) else depth
     if not 0 <= order <= depth:
         raise ValueError(f"table order {order} outside 0..{depth}")
-    expected = n**order
-    if len(family.rows) != expected:
-        raise ValueError(f"table has {len(family.rows)} rows, expected {expected}")
+    # n**order > len(rows) once order passes its bit length: skip the power
+    if order > len(family.rows).bit_length() or len(family.rows) != n**order:
+        raise ValueError(f"table has {len(family.rows)} rows, expected {n}**{order}")
     for p, row in enumerate(family.rows):
         if len(row) != n:
             raise ValueError(f"row {p} has {len(row)} entries, expected {n}")
@@ -137,6 +143,27 @@ def _validate_single(family: SingleFamily, alphabet: AlphabetSpec, depth: int, c
                 raise ValueError(f"row {p} sums to {total!r}, expected 1")
 
 
+def _dense_table(family: SingleFamily, n: int, depth: int) -> np.ndarray:
+    """Read-only ``(n**depth, n)`` conditional table, rows by big-endian past code."""
+    if n**depth > TABLE_CAP:
+        raise CapExceededError(
+            f"conditional table over {n}**{depth} pasts exceeds the table cap"
+        )
+    if isinstance(family, LinearLongMemory):
+        codes = np.arange(n**depth, dtype=np.int64)
+        p1 = np.full(len(codes), family.intercept, dtype=float)
+        for k, a in enumerate(family.coefficients, start=1):
+            p1 += a * ((codes >> (k - 1)) & 1)
+        out = np.column_stack([1.0 - p1, p1])
+    else:
+        base = np.asarray(family.rows, dtype=float)
+        # the family reads the trailing sites, the low digits of the code
+        reps = n ** (depth - family_order(family))
+        out = np.tile(base, (reps, 1)) if reps > 1 else base.copy()
+    out.setflags(write=False)
+    return out
+
+
 @dataclass(frozen=True)
 class KernelSpec:
     """A stationary or site-indexed family of singleton kernels.
@@ -144,7 +171,9 @@ class KernelSpec:
     ``check=False`` skips normalisation validation; it exists so that
     deliberately corrupted kernels can be fed to the verification
     routines as negative controls.  Non-finite entries are always
-    rejected.
+    rejected.  The dense tables behind ``table_at`` live on the instance,
+    outside the dataclass fields, so equality, hashing and ``repr`` see
+    only the declaration.
     """
 
     alphabet: AlphabetSpec
@@ -157,15 +186,19 @@ class KernelSpec:
         if self.memory_depth < 0:
             raise ValueError("memory depth must be non-negative")
         if isinstance(self.family, SiteIndexed):
-            _validate_single(self.family.default, self.alphabet, self.memory_depth, self.check)
-            seen = set()
-            for site, fam in self.family.overrides:
-                if site in seen:
-                    raise ValueError(f"duplicate override for site {site}")
-                seen.add(site)
-                _validate_single(fam, self.alphabet, self.memory_depth, self.check)
+            default, overrides = self.family.default, self.family.overrides
         else:
-            _validate_single(self.family, self.alphabet, self.memory_depth, self.check)
+            default, overrides = self.family, ()
+        # position in ``families`` of each override site; 0 is the default
+        sites = {site: index for index, (site, _) in enumerate(overrides, start=1)}
+        if len(sites) < len(overrides):
+            raise ValueError("duplicate override site")
+        families = (default, *(fam for _, fam in overrides))
+        for fam in families:
+            _validate_single(fam, self.alphabet, self.memory_depth, self.check)
+        object.__setattr__(self, "_families", families)
+        object.__setattr__(self, "_site_index", sites)
+        object.__setattr__(self, "_tables", [None] * len(families))
 
     @property
     def stationary(self) -> bool:
@@ -173,22 +206,26 @@ class KernelSpec:
 
     @property
     def override_sites(self) -> tuple[int, ...]:
-        if isinstance(self.family, SiteIndexed):
-            return tuple(site for site, _ in self.family.overrides)
-        return ()
+        return tuple(self._site_index)
 
     def family_at(self, site: int) -> SingleFamily:
-        if isinstance(self.family, SiteIndexed):
-            for s, fam in self.family.overrides:
-                if s == site:
-                    return fam
-            return self.family.default
-        return self.family
+        return self._families[self._site_index.get(site, 0)]
+
+    def table_at(self, site: int) -> np.ndarray:
+        """Dense read-only ``(|E|**R, |E|)`` conditional table of the site's family.
+
+        Built on first use at the spec's memory depth and kept for the
+        life of the spec; rows are indexed by big-endian past code.
+        """
+        index = self._site_index.get(site, 0)
+        table = self._tables[index]
+        if table is None:
+            table = _dense_table(self._families[index], self.alphabet.size, self.memory_depth)
+            self._tables[index] = table
+        return table
 
     def families(self) -> tuple[SingleFamily, ...]:
-        if isinstance(self.family, SiteIndexed):
-            return (self.family.default,) + tuple(f for _, f in self.family.overrides)
-        return (self.family,)
+        return self._families
 
     @property
     def effective_order(self) -> int:
@@ -213,29 +250,6 @@ def family_row(family: SingleFamily, alphabet: AlphabetSpec, past: Sequence[int]
     order = family_order(family)
     trailing = past[len(past) - order :] if order else ()
     return family.rows[config_code(trailing, alphabet.size)]
-
-
-@lru_cache(maxsize=256)
-def conditional_array(family: SingleFamily, alphabet: AlphabetSpec, depth: int) -> np.ndarray:
-    """Dense ``(|E|**depth, |E|)`` conditional table, rows by past code."""
-    n = alphabet.size
-    if n**depth > TABLE_CAP:
-        raise CapExceededError(
-            f"conditional table over {n}**{depth} pasts exceeds the table cap"
-        )
-    if isinstance(family, LinearLongMemory):
-        codes = np.arange(n**depth, dtype=np.int64)
-        p1 = np.full(len(codes), family.intercept, dtype=float)
-        for k, a in enumerate(family.coefficients, start=1):
-            p1 += a * ((codes >> (k - 1)) & 1)
-        out = np.column_stack([1.0 - p1, p1])
-    else:
-        base = np.asarray(family.rows, dtype=float)
-        order = family_order(family)
-        reps = n ** (depth - order)
-        out = np.tile(base, (reps, 1)) if reps > 1 else base.copy()
-    out.setflags(write=False)
-    return out
 
 
 def eval_singleton(f: KernelSpec, i: int, past: "PastConfig | Sequence[int]") -> FiniteDistribution:
@@ -285,7 +299,7 @@ def window_weights(
     tail_codes = past_codes % state_mod
     w = np.ones((past_codes.size, 1), dtype=float)
     for t, site in enumerate(window.sites()):
-        kernel = conditional_array(f.family_at(site), f.alphabet, depth)
+        kernel = f.table_at(site)
         c = np.arange(n**t, dtype=np.int64)
         if depth == 0:
             states = np.zeros((past_codes.size, c.size), dtype=np.int64)

@@ -35,7 +35,6 @@ from .kernels import (
     KernelSpec,
     MarkovTable,
     compose_window,
-    conditional_array,
     kernel_average_observable,
 )
 from .analysis import SensitivityMatrix
@@ -164,8 +163,8 @@ def _markov_view(f: KernelSpec) -> tuple[KernelSpec, int]:
         raise ValueError("exact chain computations require a stationary kernel")
     order = f.effective_order
     k_eff = max(order, 1)
-    fam = f.family_at(0)
-    rows = conditional_array(fam, f.alphabet, order)
+    # big-endian codes: the leading n**order rows run over the trailing sites
+    rows = f.table_at(0)[: f.alphabet.size**order]
     table = MarkovTable(order, tuple(tuple(float(x) for x in row) for row in rows))
     return KernelSpec(f.alphabet, k_eff, table, label=f.label, check=f.check), k_eff
 
@@ -186,7 +185,7 @@ def stationary_measure(
     size = n**k
     if size > cap_states:
         raise ValueError(f"block state space of size {size} exceeds the cap {cap_states}")
-    rows = conditional_array(g.family_at(0), g.alphabet, k)
+    rows = g.table_at(0)
     succ = [
         [((s * n + x) % size) for x in range(n) if rows[s, x] > 0.0] for s in range(size)
     ]

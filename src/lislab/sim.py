@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import Observable, PastConfig, as_symbols
-from .kernels import KernelSpec, LinearLongMemory, conditional_array
+from .kernels import KernelSpec, LinearLongMemory, family_row
 from .analysis import build_sensitivity_matrix
 
 #: Number of batches used for batch-means standard errors.
@@ -69,31 +69,22 @@ def sample_path(
 
 def _sample_tabulated(f: KernelSpec, length: int, u: np.ndarray, past: tuple[int, ...]) -> np.ndarray:
     n = f.alphabet.size
-    depth = f.memory_depth
-    size = n**depth
-    tables: dict = {}
+    size = n**f.memory_depth
 
-    def table_for(site: int) -> list[tuple[float, ...]]:
-        fam = f.family_at(site)
-        cached = tables.get(fam)
-        if cached is None:
-            rows = conditional_array(fam, f.alphabet, depth)
-            cached = [tuple(np.cumsum(row)) for row in rows]
-            tables[fam] = cached
-        return cached
+    def cdf(site: int) -> list[list[float]]:
+        return np.cumsum(f.table_at(site), axis=1).tolist()
 
-    stationary = f.stationary
-    rows = table_for(0) if stationary else None
+    rows = cdf(min(f.override_sites, default=1) - 1)
+    overrides = {site: cdf(site) for site in f.override_sites if 0 <= site < length}
     state = 0
     for s in past:
         state = state * n + s
     state %= size
     out = []
     append = out.append
-    for t in range(length):
-        table = rows if stationary else table_for(t)
-        row = table[state]
-        x = bisect_right(row, u[t])
+    for t, u_t in enumerate(u.tolist()):
+        row = (overrides.get(t, rows) if overrides else rows)[state]
+        x = bisect_right(row, u_t)
         x = min(x, n - 1)  # cumsum may fall epsilon short of 1
         append(x)
         state = (state * n + x) % size
@@ -112,8 +103,6 @@ def _sample_direct(f: KernelSpec, length: int, u: np.ndarray, past: tuple[int, .
                 p1 += a * buf[-k]
             x = 1 if u[t] < p1 else 0
         else:
-            from .kernels import family_row
-
             row = family_row(fam, f.alphabet, tuple(buf[-depth:]) if depth else ())
             acc = 0.0
             x = len(row) - 1

@@ -83,10 +83,10 @@ def _parse_alphabet(doc, where: str = "alphabet") -> AlphabetSpec:
     symbols = doc["symbols"]
     if not isinstance(symbols, list) or not all(isinstance(s, str) for s in symbols):
         raise SpecError(f"{where}.symbols must be a list of strings")
-    if "metric" not in doc:
-        return AlphabetSpec.discrete(tuple(symbols))
-    metric = _as_rows(doc["metric"], f"{where}.metric")
+    metric = _as_rows(doc["metric"], f"{where}.metric") if "metric" in doc else None
     try:
+        if metric is None:
+            return AlphabetSpec.discrete(tuple(symbols))
         return AlphabetSpec(tuple(symbols), metric)
     except ValueError as exc:
         raise SpecError(f"invalid {where}: {exc}") from None
@@ -126,7 +126,10 @@ def _parse_family(doc, depth: int, where: str = "kernel"):
             try:
                 site = int(key)
             except ValueError:
-                raise SpecError(f"{where}.overrides key {key!r} is not a site index") from None
+                site = None
+            # only the canonical spelling: int() also reads "1_0", " 5" and "+5"
+            if str(site) != key:
+                raise SpecError(f"{where}.overrides key {key!r} is not a site index")
             pairs.append((site, _parse_family(sub, depth, f"{where}.overrides[{key}]")))
         return SiteIndexed(default, tuple(sorted(pairs)))
     raise SpecError(f"{where}.type must be markov|table|linear|site_indexed, got {kind!r}")

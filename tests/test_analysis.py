@@ -22,7 +22,7 @@ from lislab import (
     vkr_distance,
 )
 from lislab.analysis import _vkr_linprog
-from lislab.kernels import GeneralTable, LinearLongMemory, conditional_array
+from lislab.kernels import GeneralTable, LinearLongMemory
 from lislab.oracle import _vkr_vertex_enum
 from lislab.specio import power_law_linear, two_state_markov
 
@@ -30,7 +30,7 @@ from conftest import random_distribution, random_table_kernel
 
 
 def _as_general_table(f: KernelSpec, i: int) -> GeneralTable:
-    rows = conditional_array(f.family_at(i), f.alphabet, f.memory_depth)
+    rows = f.table_at(i)
     return GeneralTable(tuple(tuple(float(x) for x in row) for row in rows))
 
 

@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from lislab import (
+    AlphabetSpec,
     DecaySpec,
     KernelSpec,
     MarkovTable,
@@ -25,6 +26,7 @@ from lislab import (
     memory_bound_general,
     neumann_series,
     series_decay_bound,
+    vkr_distance,
 )
 from lislab.bounds import BoundNotApplicableError
 from lislab.core import oscillation_vector, random_observable
@@ -391,6 +393,31 @@ def test_comparison_bound_deep_override_certifies_near_the_window(k1):
     assert rep.quantities["k_floor"] > -1000
     assert rep.quantities["gap_sup"] == pytest.approx(0.1, abs=1e-12)
     assert rep.value == pytest.approx(0.01 / 0.6, abs=1e-6)
+
+
+@pytest.mark.parametrize("markov_is_reference", [True, False], ids=["markov-ref", "table-ref"])
+def test_comparison_bound_mixed_depths_matches_per_past_loop(markov_is_reference):
+    e = AlphabetSpec.discrete(("a", "b", "c"))
+    markov_rows = ((0.5, 0.3, 0.2), (0.3, 0.4, 0.3), (0.25, 0.25, 0.5))
+    rng = np.random.default_rng(17)
+    noise = rng.random((9, 3)) + 0.1
+    noise = noise / noise.sum(axis=1, keepdims=True)
+    # weak dependence on the older site keeps the table's row sum below 1
+    table_rows = tuple(
+        tuple(float(x) for x in 0.9 * np.array(markov_rows[code % 3]) + 0.1 * noise[code])
+        for code in range(9)
+    )
+    markov = KernelSpec(e, 1, MarkovTable(1, markov_rows))
+    table = KernelSpec(e, 2, MarkovTable(2, table_rows))
+    # the depth-1 rows tiled by hand over the older of the two past sites
+    tiled = [markov_rows[code % 3] for code in range(9)]
+    gap = max(vkr_distance(tiled[code], table_rows[code], e) for code in range(9))
+    f, g = (markov, table) if markov_is_reference else (table, markov)
+    h = indicator(0, 1, e)
+    rep = comparison_bound(f, g, Window(0, 0), h)
+    assert rep.quantities["gap_sup"] == pytest.approx(gap, rel=1e-15, abs=0.0)
+    reference = comparison_bound(f, g, Window(0, 0), h, gap_override=gap)
+    assert rep.value == pytest.approx(reference.value, rel=1e-15, abs=0.0)
 
 
 def test_comparison_bound_requires_criterion():

@@ -1,12 +1,17 @@
 """Spec parsing and the lis-lab command surface."""
 
+import copy
 import json
 import math
 import subprocess
 import sys
+import time
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from lislab import KernelSpec
 from lislab.cli import main
 from lislab.specio import SpecError, kernel_to_doc, load_spec_file, parse_spec
 
@@ -66,6 +71,98 @@ def test_parse_site_indexed():
     }
     f = parse_spec(doc)
     assert f.override_sites == (5,)
+
+
+def _site_indexed_doc(key: str) -> dict:
+    rows = K1_DOC["kernel"]["rows"]
+    return {
+        "alphabet": {"symbols": ["0", "1"]},
+        "memory_depth": 1,
+        "kernel": {
+            "type": "site_indexed",
+            "default": {"type": "markov", "range": 1, "rows": rows},
+            "overrides": {key: {"type": "markov", "range": 0, "rows": [[0.5, 0.5]]}},
+        },
+    }
+
+
+@pytest.mark.parametrize("key", ["1_0", " 5", "5 ", "+5", "05", "-0", "\u0663", "x"])
+def test_parse_rejects_non_canonical_override_keys(key):
+    with pytest.raises(SpecError, match="site index"):
+        parse_spec(_site_indexed_doc(key))
+
+
+def test_parse_accepts_negative_override_key():
+    assert parse_spec(_site_indexed_doc("-5")).override_sites == (-5,)
+
+
+def test_parse_rejects_nested_site_indexed():
+    doc = _site_indexed_doc("0")
+    doc["kernel"]["default"] = copy.deepcopy(doc["kernel"])
+    with pytest.raises(SpecError, match="nested"):
+        parse_spec(doc)
+
+
+def test_parse_rejects_huge_table_order_without_the_power():
+    doc = dict(K1_DOC, memory_depth=10**9)
+    doc["kernel"] = dict(K1_DOC["kernel"], range=10**9)
+    started = time.perf_counter()
+    with pytest.raises(SpecError, match=r"expected 2\*\*1000000000"):
+        parse_spec(doc)
+    assert time.perf_counter() - started < 1.0
+
+
+_JSON = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=4),
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(max_size=8), inner, max_size=4),
+    max_leaves=12,
+)
+
+_VALID_DOCS = [
+    K1_DOC,
+    _site_indexed_doc("-2"),
+    {
+        "alphabet": {"symbols": ["a", "b", "c"], "metric": [[0, 1, 2], [1, 0, 1], [2, 1, 0]]},
+        "memory_depth": 1,
+        "kernel": {"type": "table", "rows": [[0.2, 0.3, 0.5]] * 3},
+    },
+    {
+        "label": "lin",
+        "alphabet": {"symbols": ["0", "1"]},
+        "memory_depth": 2,
+        "kernel": {"type": "linear", "intercept": 0.1, "coefficients": [0.3, 0.2], "tail": 0.0},
+    },
+]
+
+
+def _paths(doc, prefix=()):
+    yield prefix
+    children = doc.items() if isinstance(doc, dict) else enumerate(doc) if isinstance(doc, list) else ()
+    for key, value in children:
+        yield from _paths(value, prefix + (key,))
+
+
+@given(data=st.data())
+@settings(max_examples=300, deadline=None)
+def test_parse_spec_returns_a_spec_or_raises_spec_error(data):
+    if data.draw(st.booleans()):
+        doc = data.draw(_JSON)
+    else:
+        # a near miss: one value of a valid document replaced or removed
+        doc = copy.deepcopy(data.draw(st.sampled_from(_VALID_DOCS)))
+        path = data.draw(st.sampled_from(list(_paths(doc))[1:]))
+        parent = doc
+        for key in path[:-1]:
+            parent = parent[key]
+        if data.draw(st.booleans()):
+            del parent[path[-1]]
+        else:
+            parent[path[-1]] = data.draw(_JSON)
+    try:
+        spec = parse_spec(doc)
+    except SpecError:
+        return
+    assert isinstance(spec, KernelSpec)
 
 
 def test_parse_linear():
@@ -176,6 +273,21 @@ def test_bound_correlation_site_budget_leaves_cell_empty(capsys):
     assert json.loads(captured.out)["table"]["rows"] == [[1, "", "", "", ""]]
 
 
+def test_bound_compare_rejects_another_alphabet(k1_path, tmp_path, capsys):
+    other = {
+        "alphabet": {"symbols": ["a", "b", "c"]},
+        "memory_depth": 0,
+        "kernel": {"type": "markov", "range": 0, "rows": [[0.2, 0.3, 0.5]]},
+    }
+    other_path = tmp_path / "other.json"
+    other_path.write_text(json.dumps(other))
+    assert main(["bound", "compare", k1_path, "--other", str(other_path)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error:") and "alphabet" in captured.err
+    assert len(captured.err.strip().splitlines()) == 1
+
+
 def test_bound_compare(k1_path, tmp_path, capsys):
     other = {
         "alphabet": {"symbols": ["0", "1"]},
@@ -250,6 +362,32 @@ def test_rejects_non_finite_and_boolean_input(command, kernel, depth, tmp_path, 
     assert captured.out == ""
     assert captured.err.startswith("error:")
     assert len(captured.err.strip().splitlines()) == 1
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        "check --example markov --p01 1.5",
+        "check --example paper-powerlaw --depth 0",
+        "check --example paper-powerlaw --epsilon 0",
+        "simulate --example markov --p01 1 --p11 0 --length 1000",
+        "simulate --example markov --length 10",
+        "simulate --example markov --length 0",
+        "simulate --example markov --length 1000 --burn-in=-5",
+        "simulate --example markov --length 1000 --seed=-1",
+        "bound correlation --example markov --lags x",
+        "bound correlation --example markov --lags=-1 --length 1000",
+        "bound correlation --example markov --lags 1 --length 10",
+        "bound memory --example markov --site 5",
+        "bound memory --example markov --symbol z",
+    ],
+)
+def test_input_errors_exit_one_with_one_line(argv, capsys):
+    assert main(argv.split()) == 1
+    captured = capsys.readouterr()
+    assert "Traceback" not in captured.err
+    lines = captured.err.strip().splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error:")
 
 
 def test_cli_import_leaves_scipy_unloaded():

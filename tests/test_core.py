@@ -1,5 +1,7 @@
 """Alphabets, windows, enumeration, and oscillations."""
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -80,6 +82,13 @@ def test_finite_distribution_invariants():
         FiniteDistribution((-0.1, 1.1))
 
 
+@pytest.mark.parametrize("weights", [(math.nan, math.nan), (0.5, math.nan), (math.inf, 0.0)])
+def test_finite_distribution_rejects_non_finite(weights):
+    # NaN fails every comparison, so neither the sign nor the sum test saw it
+    with pytest.raises(ValueError, match="finite"):
+        FiniteDistribution(weights)
+
+
 def test_oscillation_single_site_indicator():
     e = AlphabetSpec.binary()
     h = indicator(0, 1, e)
@@ -111,6 +120,13 @@ def test_observable_table_size_checked():
     e = AlphabetSpec.binary()
     with pytest.raises(ValueError, match="entries"):
         Observable(Window(0, 1), e, (1.0, 2.0))
+
+
+@pytest.mark.parametrize("table", [(math.nan, 1.0), (0.0, -math.inf)])
+def test_observable_rejects_non_finite(table):
+    # a NaN value read as oscillation 0 and made every bound on it 0
+    with pytest.raises(ValueError, match="finite"):
+        Observable(Window(0, 0), AlphabetSpec.binary(), table)
 
 
 def test_shift_and_product():

@@ -1,5 +1,8 @@
 """Kernel families, window composition, marginals, and consistency."""
 
+import importlib
+import pkgutil
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -22,7 +25,11 @@ from lislab import (
     marginal_distribution,
     verify_consistency,
 )
-from lislab.core import random_observable
+import lislab
+from lislab.analysis import build_sensitivity_matrix, variation
+from lislab.core import code_config, random_observable
+from lislab.kernels import family_row
+from lislab.specio import power_law_linear, two_state_markov
 
 from conftest import random_table_kernel
 
@@ -191,3 +198,64 @@ def test_general_table_roundtrip():
     f = KernelSpec(e, 2, GeneralTable(rows))
     assert eval_singleton(f, 0, [0, 1]).weights == (0.2, 0.8)
     assert eval_singleton(f, 0, [1, 1]).weights == (0.4, 0.6)
+
+
+# --- dense tables owned by the spec ------------------------------------------
+
+def test_table_at_is_built_once_and_read_only():
+    f = two_state_markov(0.3, 0.7)
+    table = f.table_at(0)
+    assert f.table_at(7) is table
+    assert not table.flags.writeable
+    with pytest.raises(ValueError):
+        table[0, 0] = 0.5
+    assert table.tolist() == [list(row) for row in f.family.rows]
+
+
+def test_table_at_is_not_shared_between_equal_specs():
+    f = two_state_markov(0.3, 0.7)
+    g = two_state_markov(0.3, 0.7)
+    table = f.table_at(0)
+    # the tables sit outside the dataclass fields
+    assert f == g and hash(f) == hash(g) and repr(f) == repr(g)
+    assert g.table_at(0) is not table
+    assert np.array_equal(g.table_at(0), table)
+
+
+def test_table_at_rows_match_family_row():
+    e = AlphabetSpec.discrete(("a", "b", "c"))
+    rng = np.random.default_rng(3)
+    rows = [tuple(float(x) for x in w / w.sum()) for w in rng.random((9, 3)) + 0.1]
+    default = MarkovTable(1, tuple(rows[:3]))
+    override = GeneralTable(tuple(rows))
+    f = KernelSpec(e, 2, SiteIndexed(default, ((4, override),)))
+    assert f.family_at(4) is override and f.family_at(3) is default
+    assert f.table_at(3) is f.table_at(-10)
+    assert f.table_at(4) is not f.table_at(3)
+    for site in (3, 4):
+        for code in range(9):
+            past = code_config(code, 3, 2)
+            assert tuple(f.table_at(site)[code]) == family_row(f.family_at(site), e, past)
+    lin = power_law_linear(0.5, 3)
+    for code in range(8):
+        past = code_config(code, 2, 3)
+        assert tuple(lin.table_at(0)[code]) == family_row(lin.family, lin.alphabet, past)
+
+
+def test_deep_linear_kernel_keeps_its_closed_forms():
+    f = power_law_linear(0.5, 64)
+    with pytest.raises(CapExceededError):
+        f.table_at(0)  # 2**64 pasts
+    assert build_sensitivity_matrix(f).stationary_row == f.family.coefficients
+    assert variation(f, 0, -1) == pytest.approx(sum(f.family.coefficients[1:]))
+
+
+def test_no_process_wide_caches():
+    for info in pkgutil.iter_modules(lislab.__path__, "lislab."):
+        module = importlib.import_module(info.name)
+        cached = [
+            name
+            for name, value in vars(module).items()
+            if callable(value) and hasattr(value, "cache_clear")
+        ]
+        assert cached == [], info.name
