@@ -24,6 +24,7 @@ from .core import (
     AlphabetSpec,
     FiniteDistribution,
     check_cap,
+    worse,
 )
 from .kernels import KernelSpec, LinearLongMemory, family_order
 
@@ -267,12 +268,14 @@ def _min_probability(f: KernelSpec, cap: int) -> float:
     for fam in f.families():
         if isinstance(fam, LinearLongMemory):
             top = fam.intercept + sum(fam.coefficients)
-            worst = min(worst, fam.intercept, 1.0 - top)
+            candidates = (fam.intercept, 1.0 - top)
         else:
-            order = family_order(fam)
-            check_cap(f.alphabet.size, order, cap)
-            worst = min(worst, min(min(row) for row in fam.rows))
-    return max(worst, 0.0)
+            check_cap(f.alphabet.size, family_order(fam), cap)
+            candidates = (x for row in fam.rows for x in row)
+        for x in candidates:
+            if worse(-x, -worst):
+                worst = x
+    return 0.0 if worst < 0.0 else worst  # keeps a NaN
 
 
 def boundary_uniformity_check(

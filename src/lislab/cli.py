@@ -29,9 +29,10 @@ from .core import (
     CapExceededError,
     Window,
     constant_observable,
+    exceeds_cap,
     indicator,
-    oscillation,
     random_observable,
+    worse,
 )
 from .kernels import (
     KernelSpec,
@@ -187,10 +188,10 @@ def _parse_lags(raw: str) -> list[int]:
     return lags
 
 
-def _estimates(f: KernelSpec, path, h, lags: list[int], burn: int | None):
+def _estimates(alpha, path, h, lags: list[int], burn: int | None):
     """Burn-in and empirical correlation per lag; a path too short is an input error."""
     try:
-        burn = sim.default_burn_in(f) if burn is None else burn
+        burn = sim.default_burn_in(alpha) if burn is None else burn
         return burn, [sim.estimate_correlation(path, h, h, lag, burn) for lag in lags]
     except ValueError as exc:
         raise _UsageError(str(exc)) from None
@@ -241,7 +242,7 @@ def _correlation_rows(f, alpha, args) -> tuple[list[list], int | None]:
     estimates = [None] * len(args.lags)
     if args.length:
         path = sim.sample_path(f, args.length, args.seed)
-        _, estimates = _estimates(f, path, h0, args.lags, None)
+        _, estimates = _estimates(alpha, path, h0, args.lags, None)
     rows = []
     for lag, est in zip(args.lags, estimates):
         h_lag = indicator(lag, symbol, f.alphabet)
@@ -325,7 +326,9 @@ def _verify_suite(f: KernelSpec, trials: int, seed: int) -> list[dict]:
         one = constant_observable(window, f.alphabet, 1.0)
         for _ in range(5):
             past = tuple(int(s) for s in rng.integers(0, n, max(depth, 1)))
-            worst = max(worst, abs(compose_window(f, window, past, one) - 1.0))
+            residual = abs(compose_window(f, window, past, one) - 1.0)
+            if worse(residual, worst):
+                worst = residual
     results.append(
         {"property": "normalization", "worst_residual": worst, "passed": worst <= 1e-12}
     )
@@ -340,7 +343,8 @@ def _verify_suite(f: KernelSpec, trials: int, seed: int) -> list[dict]:
                     f, delta, Window(lo_in, hi_in), trials=max(trials // 10, 5),
                     seed=int(rng.integers(2**31)),
                 )
-                worst = max(worst, rep.max_residual)
+                if worse(rep.max_residual, worst):
+                    worst = rep.max_residual
     results.append(
         {"property": "consistency", "worst_residual": worst, "passed": worst <= 1e-12}
     )
@@ -356,7 +360,8 @@ def _verify_suite(f: KernelSpec, trials: int, seed: int) -> list[dict]:
                 past = tuple(int(s) for s in rng.integers(0, n, max(depth, 1)))
                 lhs = compose_window(f, window, past, h)
                 rhs = compose_window(f, Window(0, split), past, right)
-                worst = max(worst, abs(lhs - rhs))
+                if worse(abs(lhs - rhs), worst):
+                    worst = abs(lhs - rhs)
     results.append(
         {"property": "factorization", "worst_residual": worst, "passed": worst <= 1e-12}
     )
@@ -386,14 +391,15 @@ def _verify_suite(f: KernelSpec, trials: int, seed: int) -> list[dict]:
         exact = oracle.exact_oscillation_of_average(f, window, h, j)
         bound = memory_bound_general(alpha, window, h, j).value
         slack = bound - exact
-        worst = max(worst, -slack)
-        if slack < -1e-9:
+        if worse(-slack, worst):
+            worst = -slack
+        if worse(-slack, 1e-9):
             violations += 1
     results.append(
         {
             "property": "memory-domination",
             "violations": violations,
-            "worst_excess": max(worst, 0.0),
+            "worst_excess": 0.0 if worst < 0.0 else worst,
             "passed": violations == 0,
         }
     )
@@ -402,7 +408,7 @@ def _verify_suite(f: KernelSpec, trials: int, seed: int) -> list[dict]:
 
 def cmd_verify(args) -> int:
     f, source = _load_kernel(args)
-    if f.alphabet.size ** f.memory_depth > DEFAULT_CONFIG_CAP:
+    if exceeds_cap(f.alphabet.size, f.memory_depth, DEFAULT_CONFIG_CAP):
         raise SpecError(
             "memory depth too large for the exact verification suite "
             f"({f.alphabet.size}**{f.memory_depth} pasts)"
@@ -425,8 +431,8 @@ def cmd_simulate(args) -> int:
     symbol = _indicator_symbol(f, args.symbol)
     h = indicator(0, symbol, f.alphabet)
     path = sim.sample_path(f, args.length, args.seed)
-    burn, estimates = _estimates(f, path, h, args.lags, args.burn_in)
     alpha = build_sensitivity_matrix(f)
+    burn, estimates = _estimates(alpha, path, h, args.lags, args.burn_in)
     rows = []
     for lag, est in zip(args.lags, estimates):
         try:

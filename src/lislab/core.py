@@ -44,14 +44,30 @@ class CapExceededError(ValueError):
     """An enumeration would exceed the configured cap."""
 
 
+def exceeds_cap(n_symbols: int, length: int, cap: int) -> bool:
+    """Whether ``n_symbols**length > cap``, without forming a huge power."""
+    # with two or more symbols the power passes cap once length passes its bit length
+    return n_symbols > 1 and (length > cap.bit_length() or n_symbols**length > cap)
+
+
 def check_cap(n_symbols: int, length: int, cap: int = DEFAULT_CONFIG_CAP) -> int:
     """Return ``n_symbols**length`` or raise if it exceeds ``cap``."""
-    size = n_symbols**length
-    if size > cap:
+    if exceeds_cap(n_symbols, length, cap):
+        # the power is written out only while it is short (at most 78 digits)
+        size = f" = {n_symbols**length}" if length <= 64 else ""
         raise CapExceededError(
-            f"{n_symbols}**{length} = {size} configurations exceeds the cap of {cap}"
+            f"{n_symbols}**{length}{size} configurations exceeds the cap of {cap}"
         )
-    return size
+    return n_symbols**length
+
+
+def worse(x: float, than: float) -> bool:
+    """Whether residual ``x`` is worse (larger) than ``than``; NaN is worse than any number.
+
+    Residual folds and tolerance tests go through this, so that a NaN
+    residual fails its check: ``max`` and ``<`` both drop NaN silently.
+    """
+    return x > than or (x != x and than == than)
 
 
 @dataclass(frozen=True)

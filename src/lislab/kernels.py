@@ -34,7 +34,9 @@ from .core import (
     as_symbols,
     check_cap,
     config_code,
+    exceeds_cap,
     random_observable,
+    worse,
 )
 
 #: Largest conditional table that may be materialised as a dense array.
@@ -145,7 +147,7 @@ def _validate_single(family: SingleFamily, alphabet: AlphabetSpec, depth: int, c
 
 def _dense_table(family: SingleFamily, n: int, depth: int) -> np.ndarray:
     """Read-only ``(n**depth, n)`` conditional table, rows by big-endian past code."""
-    if n**depth > TABLE_CAP:
+    if exceeds_cap(n, depth, TABLE_CAP):
         raise CapExceededError(
             f"conditional table over {n}**{depth} pasts exceeds the table cap"
         )
@@ -470,5 +472,6 @@ def verify_consistency(
         past = tuple(int(s) for s in rng.integers(0, n, past_len))
         lhs = compose_window(f, delta, past, g, cap)
         rhs = compose_window(f, delta, past, h, cap)
-        worst = max(worst, abs(lhs - rhs))
+        if worse(abs(lhs - rhs), worst):
+            worst = abs(lhs - rhs)
     return ConsistencyReport(trials, worst, tol)

@@ -7,7 +7,9 @@ tables are drawn i.i.d. uniform on [0, 1) with per-trial seeds derived
 deterministically from the run seed, so parallel and serial runs report
 identically.  The transport reference ``_vkr_vertex_enum`` enumerates
 the spanning-tree vertices of the transportation polytope; the
-library's ``vkr_distance`` never calls it.
+library's ``vkr_distance`` never calls it.  ``sample_path_stepwise`` is
+the per-step sampling loop the library's samplers are held to, bit for
+bit.
 """
 
 from __future__ import annotations
@@ -30,11 +32,14 @@ from .core import (
     product_observable,
     random_observable,
     shift_observable,
+    worse,
 )
 from .kernels import (
     KernelSpec,
+    LinearLongMemory,
     MarkovTable,
     compose_window,
+    family_row,
     kernel_average_observable,
 )
 from .analysis import SensitivityMatrix
@@ -148,10 +153,10 @@ def verify_dusting(
             if osc_k > 0.0 and j >= lo_col:
                 rhs += osc_k * float(spread[k - window.lo, j - lo_col])
         slack = rhs - lhs
-        if slack < min_slack:
+        if worse(-slack, -min_slack):
             min_slack = slack
             worst_case = (trial - 1, j)
-        if slack < -tol:
+        if worse(-slack, tol):
             violations += 1
         instances += 1
     return DustingReport(instances, violations, min_slack, worst_case)
@@ -344,3 +349,38 @@ def _vkr_vertex_enum(p: np.ndarray, q: np.ndarray, dist: np.ndarray) -> float:
         cost = float(sum(fl * dist[i, j] for fl, (i, j) in zip(flows, edges)))
         best = min(best, cost)
     return best
+
+
+def sample_path_stepwise(f: KernelSpec, u: Sequence[float], past: Sequence[int]) -> np.ndarray:
+    """Per-step sampling reference: site ``t`` is decided by ``u[t]``.
+
+    A linear family takes 1 iff ``u[t] < P(1)``, with ``P(1)`` summed from
+    the intercept, nearest lag first; any other family takes the first
+    symbol whose cumulative mass exceeds ``u[t]``.  ``sim.sample_path``
+    must give this path bit for bit on the same uniforms wherever it does
+    not read a tabulated CDF.
+    """
+    depth = f.memory_depth
+    buf = list(past)
+    out = []
+    for t, u_t in enumerate(u):
+        fam = f.family_at(t)
+        if isinstance(fam, LinearLongMemory):
+            p1 = fam.intercept
+            for k, a in enumerate(fam.coefficients, start=1):
+                p1 += a * buf[-k]
+            x = 1 if u_t < p1 else 0
+        else:
+            row = family_row(fam, f.alphabet, tuple(buf[-depth:]) if depth else ())
+            acc = 0.0
+            x = len(row) - 1
+            for i, p in enumerate(row):
+                acc += p
+                if u_t < acc:
+                    x = i
+                    break
+        out.append(x)
+        buf.append(x)
+        if len(buf) > depth + 1:
+            del buf[0]
+    return np.asarray(out, dtype=np.int8)

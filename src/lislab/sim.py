@@ -18,9 +18,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import Observable, PastConfig, as_symbols
+from .core import Observable, PastConfig, as_symbols, exceeds_cap
 from .kernels import KernelSpec, LinearLongMemory, family_row
-from .analysis import build_sensitivity_matrix
+from .analysis import SensitivityMatrix
 
 #: Number of batches used for batch-means standard errors.
 BATCH_COUNT = 32
@@ -28,17 +28,25 @@ BATCH_COUNT = 32
 #: State spaces up to this size sample from a precomputed CDF table.
 SAMPLER_TABLE_CAP = 4096
 
+#: Lags a linear kernel reads from its table of partial sums.
+_NEAR_LAGS = SAMPLER_TABLE_CAP.bit_length() - 1
 
-def default_burn_in(f: KernelSpec) -> int:
+#: Uniforms converted to Python floats at a time by the per-site loops
+#: that have no block of their own.
+_CHUNK = 1024
+
+
+def default_burn_in(alpha: SensitivityMatrix) -> int:
     """Crude mixing heuristic: 10 * depth / (1 - row sum), else explicit.
 
-    This is a heuristic default, not a theorem; kernels at or above row
-    sum 1 must supply their own burn-in.
+    Takes the kernel's sensitivity matrix, which callers build once for
+    the bounds too.  This is a heuristic default, not a theorem; kernels
+    at or above row sum 1 must supply their own burn-in.
     """
-    gamma = build_sensitivity_matrix(f).sup_row_sum()
+    gamma = alpha.sup_row_sum()
     if gamma >= 1.0:
         raise ValueError("no default burn-in at row sum >= 1, pass one explicitly")
-    return int(10 * max(f.memory_depth, 1) / (1.0 - gamma)) + 1
+    return int(10 * max(alpha.depth, 1) / (1.0 - gamma)) + 1
 
 
 def sample_path(
@@ -50,6 +58,11 @@ def sample_path(
     """Draw ``length`` symbols site by site from sites 0, 1, ....
 
     The initial past defaults to the all-first-symbol configuration.
+    Site ``t`` is decided by the ``t``-th uniform of the seeded generator.
+    Kernels with a linear family at site 0 or more than
+    ``SAMPLER_TABLE_CAP`` pasts decide every site as the per-step
+    reference ``oracle.sample_path_stepwise`` does; the others read
+    cumulative rows of their dense tables.
     """
     if length < 1:
         raise ValueError("path length must be at least 1")
@@ -62,9 +75,13 @@ def sample_path(
         raise ValueError(f"initial past has length {len(past)}, expected {depth}")
     rng = np.random.default_rng(seed)
     u = rng.random(length)
-    if n**depth <= SAMPLER_TABLE_CAP and not isinstance(f.family_at(0), LinearLongMemory):
+    if not isinstance(f.family_at(0), LinearLongMemory) and not exceeds_cap(
+        n, depth, SAMPLER_TABLE_CAP
+    ):
         return _sample_tabulated(f, length, u, past)
-    return _sample_direct(f, length, u, past)
+    if isinstance(f.families()[0], LinearLongMemory):
+        return _sample_linear(f, u, past)
+    return _sample_direct(f, u, past)
 
 
 def _sample_tabulated(f: KernelSpec, length: int, u: np.ndarray, past: tuple[int, ...]) -> np.ndarray:
@@ -91,31 +108,98 @@ def _sample_tabulated(f: KernelSpec, length: int, u: np.ndarray, past: tuple[int
     return np.asarray(out, dtype=np.int8)
 
 
-def _sample_direct(f: KernelSpec, length: int, u: np.ndarray, past: tuple[int, ...]) -> np.ndarray:
-    depth = f.memory_depth
-    buf = list(past)
+def _decide(f: KernelSpec, t: int, trailing, u_t: float) -> int:
+    """Symbol at site ``t`` from its own family, given at least its order of trailing symbols.
+
+    A linear family takes 1 iff ``u_t`` is below ``P(1)``, summed from the
+    intercept, nearest lag first; any other family takes the first symbol
+    whose cumulative mass passes ``u_t``.
+    """
+    fam = f.family_at(t)
+    if isinstance(fam, LinearLongMemory):
+        return 1 if u_t < family_row(fam, f.alphabet, trailing)[1] else 0
+    acc = 0.0
+    for i, p in enumerate(family_row(fam, f.alphabet, trailing)):
+        acc += p
+        if u_t < acc:
+            return i
+    return f.alphabet.size - 1
+
+
+def _sample_direct(f: KernelSpec, u: np.ndarray, past: tuple[int, ...]) -> np.ndarray:
+    """Per-step sampler; keeps only the trailing symbols the families read."""
+    buf = list(past[len(past) - f.effective_order :])
     out = []
-    for t in range(length):
-        fam = f.family_at(t)
-        if isinstance(fam, LinearLongMemory):
-            p1 = fam.intercept
-            for k, a in enumerate(fam.coefficients, start=1):
-                p1 += a * buf[-k]
-            x = 1 if u[t] < p1 else 0
-        else:
-            row = family_row(fam, f.alphabet, tuple(buf[-depth:]) if depth else ())
-            acc = 0.0
-            x = len(row) - 1
-            for i, p in enumerate(row):
-                acc += p
-                if u[t] < acc:
-                    x = i
-                    break
-        out.append(x)
-        buf.append(x)
-        if len(buf) > depth + 1:
+    for t0 in range(0, len(u), _CHUNK):
+        for t, u_t in enumerate(u[t0 : t0 + _CHUNK].tolist(), start=t0):
+            x = _decide(f, t, buf, u_t)
+            out.append(x)
+            buf.append(x)
             del buf[0]
     return np.asarray(out, dtype=np.int8)
+
+
+def _sample_linear(f: KernelSpec, u: np.ndarray, past: tuple[int, ...]) -> np.ndarray:
+    """Exact block sampler for a linear default family.
+
+    ``P(1)`` at a site is the intercept plus the coefficients of the past
+    ones.  Blocks of ``K + 1`` sites, ``K = min(R, 12)``: the ``K`` nearest
+    lags come from a table of ``2**K`` partial sums indexed by the last
+    ``K`` symbols, and the farther lags of the whole block from one
+    product of their coefficients with symbols drawn before the block.
+    That sum rounds differently from the reference sum (intercept first,
+    nearest lag first), but both add the same ``R + 1`` terms, so each
+    lies within ``gamma_R * (|c| + sum |a_k|)`` of the exact value, with
+    ``gamma_n = n u / (1 - n u)`` and ``u = 2**-53``.  So ``u_t < p`` is
+    taken from the block sum unless ``u_t`` lies within
+    ``2 gamma_{R+2} * (|c| + sum |a_k|)`` of it (the two extra terms
+    cover the rounding of the bound itself); there the reference sum is
+    recomputed, and every path equals the per-step one bit for bit.
+    Override sites inside the path are decided from their own family.
+    """
+    fam = f.families()[0]
+    depth = f.memory_depth
+    length = len(u)
+    coeffs = np.asarray(fam.coefficients, dtype=float)
+    near = min(depth, _NEAR_LAGS)
+    codes = np.arange(1 << near)
+    table = np.full(len(codes), fam.intercept)
+    for k in range(near):
+        table += coeffs[k] * ((codes >> k) & 1)
+    table = table.tolist()
+    far = coeffs[near:]
+    unit = 2.0**-53
+    gamma = (depth + 2) * unit / (1.0 - (depth + 2) * unit)
+    tol = 2.0 * gamma * (abs(fam.intercept) + float(np.abs(coeffs).sum()))
+    overrides = {site for site in f.override_sites if 0 <= site < length}
+    # hist[depth + t] is the symbol at site t
+    hist = np.empty(depth + length, dtype=np.int8)
+    hist[:depth] = past
+    state = 0
+    for k in range(near):
+        state |= past[depth - 1 - k] << k
+    mask = (1 << near) - 1
+    step = near + 1 if len(far) else _CHUNK
+    for t0 in range(0, length, step):
+        stop = min(t0 + step, length)
+        if len(far):
+            # site t0 + j reads lags near + 1 .. depth, sites t0 + j - depth .. t0 + j - near - 1
+            far_sums = np.convolve(hist[t0 : t0 + depth], far, "valid").tolist()
+        else:
+            far_sums = [0.0] * step
+        block = []
+        for u_t, far_t in zip(u[t0:stop].tolist(), far_sums):
+            t = t0 + len(block)
+            p = table[state] + far_t
+            if t in overrides or -tol <= u_t - p <= tol:
+                hist[depth + t0 : depth + t] = block
+                x = _decide(f, t, hist[t:depth + t].tolist(), u_t)
+            else:
+                x = 1 if u_t < p else 0
+            block.append(x)
+            state = ((state << 1) | x) & mask
+        hist[depth + t0 : depth + stop] = block
+    return hist[depth:]
 
 
 def evaluate_along(path: np.ndarray, h: Observable) -> np.ndarray:

@@ -29,6 +29,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 from pathlib import Path
 
 from .core import AlphabetSpec
@@ -229,6 +230,87 @@ def iid_kernel(probabilities, symbols=None, label: str = "") -> KernelSpec:
     return KernelSpec(alphabet, 0, MarkovTable(0, (probs,)), label=label)
 
 
+# Cephes' rational approximation of zeta(x) - 1 on 1 < x <= 10 (zetac.c)
+_ZETAC_P = (
+    5.85746514569725319540e11, 2.57534127756102572888e11, 4.87781159567948256438e10,
+    5.15399538023885770696e9, 3.41646073514754094281e8, 1.60837006880656492731e7,
+    5.92785467342109522998e5, 1.51129169964938823117e4, 2.01822444485997955865e2,
+)
+_ZETAC_Q = (
+    1.0, 3.90497676373371157516e11, 5.22858235368272161797e10, 5.64451517271280543351e9,
+    3.39006746015350418834e8, 1.79410371500126453702e7, 5.66666825131384797029e5,
+    1.60382976810944131506e4, 1.96436237223387314144e2,
+)
+# divisors of the Euler-Maclaurin correction terms of Cephes' zeta.c
+_HURWITZ_A = (
+    12.0, -720.0, 30240.0, -1209600.0, 47900160.0, -1.8924375803183791606e9,
+    7.47242496e10, -2.950130727918164224e12, 1.1646782814350067249e14,
+    -4.5979787224074726105e15, 1.8152105401943546773e17, -7.1661652561756670113e18,
+)
+_MACHEP = 1.11022302462515654042e-16
+
+
+def _horner(coefficients: tuple[float, ...], w: float) -> float:
+    acc = coefficients[0]
+    for c in coefficients[1:]:
+        acc = acc * w + c
+    return acc
+
+
+def _riemann_zeta(x: float) -> float:
+    """Riemann zeta for non-integer ``1 < x <= 10``, the Cephes rational form.
+
+    Same operations in the same order as Cephes, so the result equals
+    scipy's ``zeta(x)`` bit for bit; integers are left out because Cephes
+    reads them from a table instead.
+    """
+    if not 1.0 < x <= 10.0 or x == math.floor(x):
+        raise ValueError(f"riemann zeta is implemented for non-integer 1 < x <= 10, got {x!r}")
+    w = 1.0 / x
+    return 1.0 + (x * _horner(_ZETAC_P, w)) / (2.0**x * (x - 1.0) * _horner(_ZETAC_Q, w))
+
+
+def _hurwitz_zeta(x: float, q: float) -> float:
+    """Hurwitz zeta ``sum_{k >= 0} (k + q)**-x`` for ``x > 1``, ``q > 0``.
+
+    Cephes' Euler-Maclaurin summation with its asymptotic branch for
+    ``q > 1e8``, step for step, so the result equals
+    scipy's ``zeta(x, q)`` bit for bit.
+    """
+    if not (x > 1.0 and q > 0.0):
+        raise ValueError(f"hurwitz zeta needs x > 1 and q > 0, got {x!r}, {q!r}")
+    if q > 1e8:
+        return (1 / (x - 1) + 1 / (2 * q)) * q ** (1 - x)
+    s = q**-x
+    a = q
+    i = 0
+    b = 0.0
+    while i < 9 or a <= 9.0:
+        i += 1
+        a += 1.0
+        b = a**-x
+        s += b
+        if abs(b / s) < _MACHEP:
+            return s
+    w = a
+    s += b * w / (x - 1.0)
+    s -= 0.5 * b
+    a = 1.0
+    k = 0.0
+    for divisor in _HURWITZ_A:
+        a *= x + k
+        b /= w
+        t = a * b / divisor
+        s = s + t
+        if abs(t / s) < _MACHEP:
+            return s
+        k += 1.0
+        a *= x + k
+        b /= w
+        k += 1.0
+    return s
+
+
 def power_law_linear(
     epsilon: float,
     depth: int,
@@ -238,22 +320,25 @@ def power_law_linear(
     """Binary long-memory family with power-law coefficients.
 
     Coefficient at lag k is ``(1 - epsilon) / (M * k**(1 + epsilon))``.
-    With ``normalization="full"`` M is the full series sum (so the
-    truncation leaves a reported tail); with ``"partial"`` M is the sum
-    of the first ``depth`` terms (so the kept coefficients sum to exactly
-    ``1 - epsilon``).
+    With ``normalization="full"`` M is the full series sum, the Riemann
+    zeta at ``1 + epsilon``, so the truncation leaves a reported tail,
+    ``(1 - epsilon)`` times the Hurwitz zeta at ``(1 + epsilon, depth + 1)``
+    over M; with ``"partial"`` M is the sum of the first ``depth`` terms
+    (so the kept coefficients sum to exactly ``1 - epsilon``).  Both zeta
+    values come from pure-Python ports of the Cephes routines behind
+    scipy's ``zeta``, equal to it bit for bit: building the kernel imports
+    no scipy module, and every coefficient, and so the spec hash over
+    them, is the one scipy's values give.
     """
     if not 0.0 < epsilon < 1.0:
         raise ValueError("epsilon must lie strictly between 0 and 1")
     if depth < 1:
         raise ValueError("depth must be at least 1")
-    from scipy.special import zeta
-
     exponent = 1.0 + epsilon
     partial = sum(k ** (-exponent) for k in range(1, depth + 1))
     if normalization == "full":
-        m = float(zeta(exponent))
-        tail = (1.0 - epsilon) * float(zeta(exponent, depth + 1)) / m
+        m = _riemann_zeta(exponent)
+        tail = (1.0 - epsilon) * _hurwitz_zeta(exponent, float(depth + 1)) / m
     elif normalization == "partial":
         m = partial
         tail = 0.0

@@ -318,7 +318,7 @@ def test_criterion_11_simulation_concordance(k1):
     started = time.monotonic()
     h = indicator(0, 1, k1.alphabet)
     exact = {lag: exact_correlation(k1, h, h, lag) for lag in range(1, 6)}
-    burn = default_burn_in(k1)
+    burn = default_burn_in(build_sensitivity_matrix(k1))
     good_runs = 0
     for seed in range(1, 21):
         path = sample_path(k1, 10**6, seed)

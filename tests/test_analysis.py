@@ -388,3 +388,15 @@ def test_ergodic_equals_lag_one_sensitivity():
         assert ergodic_coefficient(f) == pytest.approx(
             build_sensitivity_matrix(f).stationary_row[0], abs=1e-12
         )
+
+
+def test_min_probability_nan_fails_the_boundary_check(k1, monkeypatch):
+    from lislab import KernelSpec, MarkovTable
+    from lislab.analysis import _min_probability
+
+    # min() keeps the 1.0 and drops the NaN behind it
+    rows = ((0.5, 0.5), (1.0, math.nan))
+    monkeypatch.setattr(KernelSpec, "families", lambda self: (MarkovTable(1, rows),))
+    assert math.isnan(_min_probability(k1, 4096))
+    with pytest.raises(ValueError, match="min_probability"):
+        boundary_uniformity_check(k1)

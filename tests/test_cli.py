@@ -390,11 +390,111 @@ def test_input_errors_exit_one_with_one_line(argv, capsys):
     assert len(lines) == 1 and lines[0].startswith("error:")
 
 
-def test_cli_import_leaves_scipy_unloaded():
-    code = "import sys, lislab.cli; print([m for m in sys.modules if m.startswith('scipy')])"
+def _scipy_modules_after(argv: list[str] | None) -> list[str]:
+    """scipy modules loaded by ``import lislab.cli`` and, if given, one ``main(argv)``."""
+    run = f"lislab.cli.main({argv!r}); " if argv else ""
+    code = (
+        "import contextlib, io, json, sys, lislab.cli\n"
+        f"with contextlib.redirect_stdout(io.StringIO()): {run or 'pass'}\n"
+        "print(json.dumps([m for m in sys.modules if m.startswith('scipy')]))"
+    )
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "[]"
+    return json.loads(proc.stdout)
+
+
+def test_cli_import_leaves_scipy_unloaded():
+    assert _scipy_modules_after(None) == []
+    assert _scipy_modules_after(["check", "--example", "paper-powerlaw", "--depth", "8"]) == []
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        "bound correlation --example paper-powerlaw --depth 8 --lags 1:2 --length 2000",
+        "bound memory --example paper-powerlaw --depth 8 --max-n 2 --verify",
+        "verify --example paper-powerlaw --depth 4 --trials 20",
+        "simulate --example paper-powerlaw --depth 24 --length 5000 --lags 1",
+    ],
+)
+def test_powerlaw_commands_leave_scipy_unloaded(argv):
+    assert _scipy_modules_after(argv.split()) == []
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        "simulate --example markov --length 2000 --lags 1",
+        "bound correlation --example markov --length 2000 --lags 1",
+    ],
+)
+def test_one_sensitivity_matrix_per_command(argv, monkeypatch, capsys):
+    import lislab.analysis
+    import lislab.cli
+
+    calls = []
+    build = lislab.analysis.build_sensitivity_matrix
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return build(*args, **kwargs)
+
+    for module in (lislab.analysis, lislab.cli, lislab.sim):
+        if hasattr(module, "build_sensitivity_matrix"):
+            monkeypatch.setattr(module, "build_sensitivity_matrix", counting)
+    assert main(argv.split()) == 0
+    assert len(calls) == 1
+
+
+@pytest.mark.parametrize("command", ["check", "simulate --length 1000"])
+def test_huge_memory_depth_exits_fast_without_a_traceback(command, tmp_path, capsys):
+    doc = {
+        "alphabet": {"symbols": ["a", "b", "c"]},
+        "memory_depth": 3_000_000,
+        "kernel": {"type": "markov", "range": 0, "rows": [[0.2, 0.3, 0.5]]},
+    }
+    path = tmp_path / "deep.json"
+    path.write_text(json.dumps(doc))
+    started = time.monotonic()
+    code = main([*command.split()[:1], str(path), *command.split()[1:]])
+    assert time.monotonic() - started < 5.0
+    captured = capsys.readouterr()
+    assert "Traceback" not in captured.err
+    assert code in (0, 1)
+    if code == 1:
+        lines = captured.err.strip().splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error:")
+        assert "3**3000000" in lines[0]
+
+
+def _nan_verify_suite(monkeypatch, target: str) -> dict[str, bool]:
+    """Verdicts of the verify suite on K1 with ``target`` patched to return NaN."""
+    import lislab.cli
+    import lislab.oracle
+    from lislab.kernels import ConsistencyReport
+
+    if target == "verify_consistency":
+        monkeypatch.setattr(
+            lislab.cli, target, lambda *a, **k: ConsistencyReport(5, math.nan, 1e-12)
+        )
+    else:
+        module = lislab.oracle if target == "exact_oscillation_of_average" else lislab.cli
+        monkeypatch.setattr(module, target, lambda *a, **k: math.nan)
+    f = parse_spec(K1_DOC)
+    return {r["property"]: r["passed"] for r in lislab.cli._verify_suite(f, trials=20, seed=0)}
+
+
+@pytest.mark.parametrize(
+    "target, failing",
+    [
+        ("compose_window", {"normalization", "factorization"}),
+        ("verify_consistency", {"consistency"}),
+        ("exact_oscillation_of_average", {"dusting", "memory-domination"}),
+    ],
+)
+def test_verify_suite_nan_residuals_fail(target, failing, monkeypatch):
+    verdicts = _nan_verify_suite(monkeypatch, target)
+    assert {name for name, passed in verdicts.items() if not passed} == failing
 
 
 def test_module_entrypoint(k1_path):

@@ -259,3 +259,12 @@ def test_no_process_wide_caches():
             if callable(value) and hasattr(value, "cache_clear")
         ]
         assert cached == [], info.name
+
+
+def test_verify_consistency_nan_residual_fails(k1, monkeypatch):
+    import lislab.kernels
+
+    monkeypatch.setattr(lislab.kernels, "compose_window", lambda *a, **k: float("nan"))
+    rep = verify_consistency(k1, Window(0, 2), Window(1, 1), trials=5)
+    assert np.isnan(rep.max_residual)
+    assert not rep.passed

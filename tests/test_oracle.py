@@ -1,5 +1,7 @@
 """Brute-force oracles: exact oscillations, dusting, stationary measures."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -189,3 +191,14 @@ def test_memory_domination_random(k1, k2):
             exact = exact_oscillation_of_average(f, window, h, j)
             bound = memory_bound_general(alpha, window, h, j).value
             assert exact <= bound + 1e-12, f"{f.label}: {exact} > {bound}"
+
+
+def test_verify_dusting_nan_slack_fails(k1, monkeypatch):
+    import lislab.oracle
+
+    monkeypatch.setattr(lislab.oracle, "exact_oscillation_of_average", lambda *a: math.nan)
+    rep = verify_dusting(k1, Window(0, 1), build_sensitivity_matrix(k1), trials=10)
+    assert rep.violations == 10
+    assert math.isnan(rep.min_slack)
+    assert rep.worst_case == (0, rep.worst_case[1])
+    assert not rep.passed

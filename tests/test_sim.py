@@ -1,11 +1,15 @@
 """Path sampling reproducibility and correlation estimation."""
 
+import time
+
 import numpy as np
 import pytest
 
-from lislab import Window, estimate_correlation, indicator, sample_path
-from lislab.core import PastConfig
-from lislab.oracle import exact_correlation
+from lislab import Window, build_sensitivity_matrix, estimate_correlation, indicator, sample_path
+from lislab import sim
+from lislab.core import AlphabetSpec, PastConfig
+from lislab.kernels import KernelSpec, LinearLongMemory, MarkovTable, SiteIndexed
+from lislab.oracle import exact_correlation, sample_path_stepwise
 from lislab.sim import default_burn_in, evaluate_along
 from lislab.specio import power_law_linear, two_state_markov
 
@@ -46,8 +50,8 @@ def test_linear_kernel_sampling_direct_path():
 
 
 def test_default_burn_in(k1, k3):
-    assert default_burn_in(k1) == int(10 / 0.6) + 1
-    assert default_burn_in(k3) == 11
+    assert default_burn_in(build_sensitivity_matrix(k1)) == int(10 / 0.6) + 1
+    assert default_burn_in(build_sensitivity_matrix(k3)) == 11
 
 
 def test_evaluate_along_multisite(k1):
@@ -63,7 +67,7 @@ def test_evaluate_along_multisite(k1):
 def test_estimate_matches_exact_within_3se(k1):
     h = indicator(0, 1, k1.alphabet)
     path = sample_path(k1, 10**5, seed=11)
-    burn = default_burn_in(k1)
+    burn = default_burn_in(build_sensitivity_matrix(k1))
     for lag in (1, 3):
         est = estimate_correlation(path, h, h, lag, burn)
         exact = exact_correlation(k1, h, h, lag)
@@ -73,7 +77,7 @@ def test_estimate_matches_exact_within_3se(k1):
 def test_estimate_lag0_variance(k1):
     h = indicator(0, 1, k1.alphabet)
     path = sample_path(k1, 10**5, seed=13)
-    est = estimate_correlation(path, h, h, 0, default_burn_in(k1))
+    est = estimate_correlation(path, h, h, 0, default_burn_in(build_sensitivity_matrix(k1)))
     assert est.estimate == pytest.approx(0.25, abs=0.01)
 
 
@@ -89,3 +93,92 @@ def test_estimate_rejects_short_path(k1):
     path = sample_path(k1, 100, seed=1)
     with pytest.raises(ValueError, match="too short"):
         estimate_correlation(path, h, h, 1, 90)
+
+
+def _linear_kernel(depth: int, intercept: float, seed: int) -> LinearLongMemory:
+    """Random coefficients of spread magnitudes, summing with the intercept to below 1."""
+    rng = np.random.default_rng(seed)
+    raw = rng.random(depth) * 10.0 ** rng.integers(-3, 1, depth)
+    coeffs = raw * (0.97 * (1.0 - intercept) / raw.sum())
+    return LinearLongMemory(intercept, tuple(float(a) for a in coeffs))
+
+
+@pytest.mark.parametrize("intercept", [0.0, 0.05, 0.3, 0.6])
+@pytest.mark.parametrize("depth", [1, 2, 11, 12, 13, 24, 64])
+def test_linear_block_sampler_matches_stepwise(depth, intercept):
+    fam = _linear_kernel(depth, intercept, seed=depth)
+    f = KernelSpec(AlphabetSpec.binary(), depth, fam)
+    rng = np.random.default_rng(100 + depth)
+    for seed in (1, 2):
+        past = tuple(int(s) for s in rng.integers(0, 2, depth))
+        path = sample_path(f, 3000, seed, initial_past=PastConfig.of(past))
+        u = np.random.default_rng(seed).random(3000)
+        assert np.array_equal(path, sample_path_stepwise(f, u, past))
+
+
+@pytest.mark.parametrize("depth", [12, 24])
+def test_linear_block_sampler_with_overrides_inside_the_path(depth):
+    default = _linear_kernel(depth, 0.1, seed=7)
+    overrides = (
+        (-4, _linear_kernel(depth, 0.6, seed=8)),
+        (0, _linear_kernel(depth, 0.0, seed=9)),
+        (5, MarkovTable(2, ((0.1, 0.9), (0.8, 0.2), (0.4, 0.6), (0.5, 0.5)))),
+        (13, _linear_kernel(depth, 0.3, seed=10)),
+        (14, MarkovTable(0, ((0.0, 1.0),))),
+        (999, _linear_kernel(depth, 0.5, seed=11)),
+        (5000, MarkovTable(0, ((1.0, 0.0),))),
+    )
+    f = KernelSpec(AlphabetSpec.binary(), depth, SiteIndexed(default, overrides))
+    past = tuple(int(s) for s in np.random.default_rng(depth).integers(0, 2, depth))
+    path = sample_path(f, 1000, 4, initial_past=PastConfig.of(past))
+    u = np.random.default_rng(4).random(1000)
+    assert np.array_equal(path, sample_path_stepwise(f, u, past))
+    assert path[14] == 1
+
+
+def test_linear_block_sampler_decides_ties_exactly(monkeypatch):
+    depth = 24
+    fam = _linear_kernel(depth, 0.05, seed=3)
+    f = KernelSpec(AlphabetSpec.binary(), depth, fam)
+    past = tuple(int(s) for s in np.random.default_rng(5).integers(0, 2, depth))
+    # u_t equal to the stepwise P(1) or one ulp below it, alternating
+    history = list(past)
+    u = []
+    for t in range(600):
+        p1 = fam.intercept
+        for k, a in enumerate(fam.coefficients, start=1):
+            p1 += a * history[-k]
+        u.append(p1 if t % 2 else float(np.nextafter(p1, -np.inf)))
+        history.append(1 if u[-1] < p1 else 0)
+    u = np.array(u)
+    calls = []
+    decide = sim._decide
+    monkeypatch.setattr(sim, "_decide", lambda *args: calls.append(args[1]) or decide(*args))
+    path = sim._sample_linear(f, u, past)
+    assert path.tolist() == history[depth:]
+    assert np.array_equal(path, sample_path_stepwise(f, u, past))
+    assert calls == list(range(600))
+
+
+def test_direct_sampler_matches_stepwise_on_deep_tables():
+    # 2**13 pasts exceed the sampler table cap, so sites are decided one by one
+    rows = ((0.2, 0.8), (0.7, 0.3), (0.5, 0.5), (0.9, 0.1))
+    linear = _linear_kernel(13, 0.2, seed=12)
+    default = MarkovTable(2, rows)
+    for family in (default, SiteIndexed(default, ((3, linear), (40, linear)))):
+        f = KernelSpec(AlphabetSpec.binary(), 13, family)
+        past = tuple(int(s) for s in np.random.default_rng(6).integers(0, 2, 13))
+        path = sample_path(f, 2000, 8, initial_past=PastConfig.of(past))
+        u = np.random.default_rng(8).random(2000)
+        assert np.array_equal(path, sample_path_stepwise(f, u, past))
+
+
+def test_huge_memory_depth_samples_without_the_power():
+    spec = KernelSpec(
+        AlphabetSpec.discrete(("a", "b", "c")), 3_000_000, MarkovTable(0, ((0.2, 0.3, 0.5),))
+    )
+    started = time.monotonic()
+    path = sample_path(spec, 1000, 1)
+    assert time.monotonic() - started < 5.0
+    u = np.random.default_rng(1).random(1000)
+    assert path.tolist() == [0 if x < 0.2 else 1 if x < 0.5 else 2 for x in u]
