@@ -19,17 +19,11 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .core import (
-    DEFAULT_CONFIG_CAP,
-    AlphabetSpec,
-    FiniteDistribution,
-    check_cap,
-    worse,
-)
+from .core import AlphabetSpec, FiniteDistribution, check_cap, worse
 from .kernels import KernelSpec, LinearLongMemory, family_order
 
 
-def variation(f: KernelSpec, i: int, j: int, cap: int = DEFAULT_CONFIG_CAP) -> float:
+def variation(f: KernelSpec, i: int, j: int) -> float:
     """Worst change of the site-``i`` conditional over pasts agreeing on ``[j, i]``.
 
     The agreement region includes the evaluated site itself, so ``j == i``
@@ -48,7 +42,7 @@ def variation(f: KernelSpec, i: int, j: int, cap: int = DEFAULT_CONFIG_CAP) -> f
         # affine dependence: the sup flips every free coordinate at once
         return float(sum(family.coefficients[lag:]))
     n = f.alphabet.size
-    check_cap(n, depth, cap)
+    check_cap(n, depth)
     rows = f.table_at(i)
     # axis 1 indexes the last depth - free sites, on which the pasts agree
     block = rows.reshape(n**free, n ** (depth - free), n)
@@ -127,7 +121,7 @@ def vkr_distance(
     return float(cost) if cost.ndim == 0 else cost
 
 
-def sensitivity_estimator(f: KernelSpec, i: int, j: int, cap: int = DEFAULT_CONFIG_CAP) -> float:
+def sensitivity_estimator(f: KernelSpec, i: int, j: int) -> float:
     """Transport sensitivity of the site-``i`` conditional to site ``j``.
 
     Maximum over pasts equal off ``j`` of the transport distance between
@@ -146,7 +140,7 @@ def sensitivity_estimator(f: KernelSpec, i: int, j: int, cap: int = DEFAULT_CONF
         # flipping the lag-k coordinate moves p by exactly a_{-k}
         return float(family.coefficients[lag - 1])
     n = f.alphabet.size
-    check_cap(n, depth, cap)
+    check_cap(n, depth)
     rows = f.table_at(i)
     # axes: sites left of j, the symbol at j, sites between j and i, next symbol
     table = rows.reshape(n ** (depth - lag), n, n ** (lag - 1), n)
@@ -203,12 +197,12 @@ class SensitivityMatrix:
         return not self.site_rows
 
     @staticmethod
-    def from_stationary(row: Sequence[float], truncation_tail: float = 0.0) -> "SensitivityMatrix":
+    def from_stationary(row: Sequence[float]) -> "SensitivityMatrix":
         row = tuple(float(a) for a in row)
-        return SensitivityMatrix(len(row), row, (), truncation_tail)
+        return SensitivityMatrix(len(row), row)
 
 
-def build_sensitivity_matrix(f: KernelSpec, cap: int = DEFAULT_CONFIG_CAP) -> SensitivityMatrix:
+def build_sensitivity_matrix(f: KernelSpec) -> SensitivityMatrix:
     """Canonical transport estimator per lag, stationary or site-indexed.
 
     The stationary row is read one site below every override, where the
@@ -216,7 +210,7 @@ def build_sensitivity_matrix(f: KernelSpec, cap: int = DEFAULT_CONFIG_CAP) -> Se
     """
     sites = sorted(f.override_sites)
     rows = [
-        tuple(sensitivity_estimator(f, i, i - lag, cap) for lag in range(1, f.memory_depth + 1))
+        tuple(sensitivity_estimator(f, i, i - lag) for lag in range(1, f.memory_depth + 1))
         for i in (min(sites, default=1) - 1, *sites)
     ]
     return SensitivityMatrix(f.memory_depth, rows[0], tuple(zip(sites, rows[1:])), f.truncation_tail)
@@ -263,14 +257,14 @@ def dobrushin_check(alpha: SensitivityMatrix) -> CriterionVerdict:
     )
 
 
-def _min_probability(f: KernelSpec, cap: int) -> float:
+def _min_probability(f: KernelSpec) -> float:
     worst = math.inf
     for fam in f.families():
         if isinstance(fam, LinearLongMemory):
             top = fam.intercept + sum(fam.coefficients)
             candidates = (fam.intercept, 1.0 - top)
         else:
-            check_cap(f.alphabet.size, family_order(fam), cap)
+            check_cap(f.alphabet.size, family_order(fam))
             candidates = (x for row in fam.rows for x in row)
         for x in candidates:
             if worse(-x, -worst):
@@ -278,9 +272,7 @@ def _min_probability(f: KernelSpec, cap: int) -> float:
     return 0.0 if worst < 0.0 else worst  # keeps a NaN
 
 
-def boundary_uniformity_check(
-    f: KernelSpec, horizon: int | None = None, cap: int = DEFAULT_CONFIG_CAP
-) -> CriterionVerdict:
+def boundary_uniformity_check(f: KernelSpec, horizon: int | None = None) -> CriterionVerdict:
     """Uniform non-nullness plus summable variations.
 
     Reports the minimal conditional probability m, the variation sum V
@@ -292,10 +284,10 @@ def boundary_uniformity_check(
     horizon = depth if horizon is None else horizon
     if horizon < depth:
         raise ValueError(f"horizon {horizon} must cover the memory depth {depth}")
-    m = _min_probability(f, cap)
+    m = _min_probability(f)
 
     def v_from(n: int) -> float:
-        return sum(variation(f, i, n, cap) for i in range(n, n + horizon + 1))
+        return sum(variation(f, i, n) for i in range(n, n + horizon + 1))
 
     if f.stationary:
         v = v_from(0)

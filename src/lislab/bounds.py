@@ -24,24 +24,16 @@ from typing import Iterator, Mapping
 
 import numpy as np
 
-from .core import (
-    DEFAULT_CONFIG_CAP,
-    Observable,
-    Window,
-    check_cap,
-    oscillation,
-    oscillation_vector,
-)
-from .analysis import (
-    SensitivityMatrix,
-    build_sensitivity_matrix,
-    dobrushin_check,
-    vkr_distance,
-)
+from .core import CapExceededError, Observable, Window, check_cap, oscillation, oscillation_vector
+from .analysis import SensitivityMatrix, dobrushin_check, vkr_distance
 from .kernels import KernelSpec
 
 #: Sites a Neumann sweep may visit before giving up on its tail certificate.
 _SITE_BUDGET = 200000
+
+#: A sweep stops once its tail certificate is at most this fraction of the
+#: value so far (or of 1, whichever is larger).
+_TAIL_TOL = 1e-12
 
 
 class BoundNotApplicableError(RuntimeError):
@@ -248,17 +240,11 @@ def memory_bound_exponential(
     )
 
 
-def fit_decay_rate(
-    alpha: SensitivityMatrix,
-    family: str = "exponential",
-    slack: float = 1e-6,
-    hi: float = 50.0,
-    steps: int = 40,
-) -> DecaySpec:
-    """Largest decay rate keeping every tilted row sum below 1 - slack.
+def fit_decay_rate(alpha: SensitivityMatrix, family: str = "exponential") -> DecaySpec:
+    """Largest decay rate keeping every tilted row sum below 1 - 1e-6.
 
-    Deterministic bisection on [0, hi]; returns the grid maximum when
-    even that is feasible, and raises when no positive rate is.
+    Deterministic 40-step bisection on [0, 50]; returns 50 when even that
+    is feasible, and raises when no positive rate is.
     """
 
     def sup_gamma(rate: float) -> float:
@@ -267,15 +253,15 @@ def fit_decay_rate(
         stationary, by_site = _gammas(alpha, DecaySpec(family, rate))
         return max([stationary, *by_site.values()])
 
-    target = 1.0 - slack
+    target = 1.0 - 1e-6
     if sup_gamma(0.0) > target:
         raise BoundNotApplicableError(
             "row sums leave no room for a positive decay rate", gamma=sup_gamma(0.0)
         )
-    if sup_gamma(hi) <= target:
-        return DecaySpec(family, hi)
-    lo_rate, hi_rate = 0.0, hi
-    for _ in range(steps):
+    if sup_gamma(50.0) <= target:
+        return DecaySpec(family, 50.0)
+    lo_rate, hi_rate = 0.0, 50.0
+    for _ in range(40):
         mid = 0.5 * (lo_rate + hi_rate)
         if sup_gamma(mid) <= target:
             lo_rate = mid
@@ -340,7 +326,6 @@ def correlation_bound(
     h1: Observable,
     h2: Observable,
     diameter: float,
-    tol: float = 1e-12,
 ) -> BoundReport:
     """Covariance bound for observables on two ordered windows.
 
@@ -383,7 +368,7 @@ def correlation_bound(
             continue
         acc += g1 * (g2 - osc2.get(k, 0.0))
         tail = _pair_tail(osc1, osc2, s, u, k)
-        if tail <= tol * max(1.0, term1 + acc):
+        if tail <= _TAIL_TOL * max(1.0, term1 + acc):
             break
     value = base * (term1 + acc + tail)
     return BoundReport(
@@ -406,25 +391,22 @@ def correlation_bound_semi_exact(
     delta: Window,
     h1: Observable,
     h2: Observable,
-    diameter: float | None = None,
-    tol: float = 1e-12,
-    cap: int = DEFAULT_CONFIG_CAP,
 ) -> BoundReport:
     """Variant using exact oscillations of the second window's averages.
 
     The oscillation factor for ``h2`` is taken from the brute-force
     oracle while it fits under the cap; deeper sites fall back to the
-    Neumann product with the same geometric certificate.
+    Neumann product with the same geometric certificate.  The metric
+    enters through the diameter of the kernel's alphabet.
     """
     from . import oracle as _oracle
-    from .core import CapExceededError
 
     if delta.hi >= lam.lo:
         raise ValueError("the second window must end strictly left of the first")
     s = alpha.sup_row_sum()
     if s >= 1.0:
         raise BoundNotApplicableError("row-sum criterion unsatisfied", gamma=s)
-    diameter = f.alphabet.diameter if diameter is None else diameter
+    diameter = f.alphabet.diameter
     base = diameter * diameter / 4.0
     osc1 = oscillation_vector(h1, h1.support)
     osc2 = oscillation_vector(h2, h2.support)
@@ -443,7 +425,7 @@ def correlation_bound_semi_exact(
             else:
                 try:
                     factor = _oracle.exact_oscillation_of_average(
-                        f, Window(k + 1, delta.hi), h2, k, cap=cap
+                        f, Window(k + 1, delta.hi), h2, k
                     )
                     exact_terms += 1
                 except CapExceededError:
@@ -455,7 +437,7 @@ def correlation_bound_semi_exact(
         value += g1 * g2
         if k < delta.lo:
             cert = _pair_tail(osc1, osc2, s, u, k)
-            if cert <= tol * max(1.0, value):
+            if cert <= _TAIL_TOL * max(1.0, value):
                 value += cert
                 break
     return BoundReport(
@@ -466,12 +448,10 @@ def correlation_bound_semi_exact(
     )
 
 
-def _kernel_gap_sup(
-    f: KernelSpec, f_tilde: KernelSpec, site: int, cap: int
-) -> float:
+def _kernel_gap_sup(f: KernelSpec, f_tilde: KernelSpec, site: int) -> float:
     """Worst transport distance between the two site conditionals."""
     n = f.alphabet.size
-    check_cap(n, max(f.memory_depth, f_tilde.memory_depth), cap)
+    check_cap(n, max(f.memory_depth, f_tilde.memory_depth))
     # the shallower table broadcasts over the leading sites of the deeper one,
     # flattened to one batch of pasts: a 3-d batch sums 4+ symbols in another order
     shared = n ** min(f.memory_depth, f_tilde.memory_depth)
@@ -482,16 +462,16 @@ def _kernel_gap_sup(
 
 
 def comparison_bound(
+    alpha: SensitivityMatrix,
     f: KernelSpec,
     f_tilde: KernelSpec,
     lam: Window,
     h: Observable,
-    tol: float = 1e-12,
     gap_override: float | None = None,
-    cap: int = DEFAULT_CONFIG_CAP,
 ) -> BoundReport:
     """Bound on the expectation gap between the chains of two kernels.
 
+    ``alpha`` is the sensitivity matrix of the reference kernel ``f``.
     The per-site transport gap is maximised over pasts (a valid stand-in
     for its unknown average under the second chain), and each site's gap
     is weighted by how strongly the window average still depends on that
@@ -501,7 +481,6 @@ def comparison_bound(
     """
     if f.alphabet != f_tilde.alphabet:
         raise ValueError("kernels must share one alphabet")
-    alpha = build_sensitivity_matrix(f, cap)
     verdict = dobrushin_check(alpha)
     if not verdict.satisfied:
         raise BoundNotApplicableError(
@@ -521,10 +500,10 @@ def comparison_bound(
         # below all of them; the sweep never visits sites above the window
         overrides = set(f.override_sites + f_tilde.override_sites)
         plain = min(overrides, default=0) - 1
-        gaps = {None: _kernel_gap_sup(f, f_tilde, plain, cap)}
+        gaps = {None: _kernel_gap_sup(f, f_tilde, plain)}
         for site in sorted(overrides):
             if site <= lam.hi:
-                gaps[site] = _kernel_gap_sup(f, f_tilde, site, cap)
+                gaps[site] = _kernel_gap_sup(f, f_tilde, site)
     gap_sup = max(gaps.values())
     acc = 0.0
     tail = 0.0
@@ -536,7 +515,7 @@ def comparison_bound(
                 break
         elif k < lam.lo:
             tail = gap_sup * _tail_mass(osc, u, k) / ((1.0 - s) * (1.0 - u))
-            if tail <= tol * max(1.0, acc):
+            if tail <= _TAIL_TOL * max(1.0, acc):
                 break
     value = acc + tail
     return BoundReport(

@@ -32,6 +32,7 @@ from .core import (
     exceeds_cap,
     indicator,
     random_observable,
+    shift_observable,
     worse,
 )
 from .kernels import (
@@ -236,26 +237,31 @@ def _memory_rows(f, alpha, args) -> list[list]:
     return rows
 
 
+def _lag_bound(alpha, h0, lag: int):
+    """Correlation bound of the site-0 indicator ``h0`` and its copy ``lag`` sites on.
+
+    An empty cell at lag 0 and where the row-sum criterion fails.
+    """
+    if lag < 1:
+        return ""
+    h_lag = shift_observable(h0, lag)
+    try:
+        return correlation_bound(
+            alpha, h_lag.support, h0.support, h_lag, h0, h0.alphabet.diameter
+        ).value
+    except BoundNotApplicableError:
+        return ""
+
+
 def _correlation_rows(f, alpha, args) -> tuple[list[list], int | None]:
-    symbol = _indicator_symbol(f, args.symbol)
-    h0 = indicator(0, symbol, f.alphabet)
+    h0 = indicator(0, _indicator_symbol(f, args.symbol), f.alphabet)
     estimates = [None] * len(args.lags)
     if args.length:
         path = sim.sample_path(f, args.length, args.seed)
         _, estimates = _estimates(alpha, path, h0, args.lags, None)
     rows = []
     for lag, est in zip(args.lags, estimates):
-        h_lag = indicator(lag, symbol, f.alphabet)
-        try:
-            bound = (
-                correlation_bound(
-                    alpha, Window(lag, lag), Window(0, 0), h_lag, h0, f.alphabet.diameter
-                ).value
-                if lag >= 1
-                else ""
-            )
-        except BoundNotApplicableError:
-            bound = ""
+        bound = _lag_bound(alpha, h0, lag)
         exact = ""
         if args.verify:
             try:
@@ -269,7 +275,8 @@ def _correlation_rows(f, alpha, args) -> tuple[list[list], int | None]:
 
 def _compare_rows(f, f_other, args) -> list[list]:
     observables = [indicator(0, symbol, f.alphabet) for symbol in range(f.alphabet.size)]
-    bounds = [comparison_bound(f, f_other, Window(0, 0), h).value for h in observables]
+    alpha = build_sensitivity_matrix(f)
+    bounds = [comparison_bound(alpha, f, f_other, Window(0, 0), h).value for h in observables]
     try:
         expectations = zip(
             oracle.stationary_expectations(f, observables),
@@ -428,29 +435,14 @@ def cmd_verify(args) -> int:
 
 def cmd_simulate(args) -> int:
     f, source = _load_kernel(args)
-    symbol = _indicator_symbol(f, args.symbol)
-    h = indicator(0, symbol, f.alphabet)
+    h = indicator(0, _indicator_symbol(f, args.symbol), f.alphabet)
     path = sim.sample_path(f, args.length, args.seed)
     alpha = build_sensitivity_matrix(f)
     burn, estimates = _estimates(alpha, path, h, args.lags, args.burn_in)
-    rows = []
-    for lag, est in zip(args.lags, estimates):
-        try:
-            bound = (
-                correlation_bound(
-                    alpha,
-                    Window(lag, lag),
-                    Window(0, 0),
-                    indicator(lag, symbol, f.alphabet),
-                    h,
-                    f.alphabet.diameter,
-                ).value
-                if lag >= 1
-                else ""
-            )
-        except BoundNotApplicableError:
-            bound = ""
-        rows.append([lag, est.estimate, est.standard_error, bound])
+    rows = [
+        [lag, est.estimate, est.standard_error, _lag_bound(alpha, h, lag)]
+        for lag, est in zip(args.lags, estimates)
+    ]
     header = ["lag", "empirical", "se", "bound"]
     report = _metadata(f, source, seed=args.seed)
     report["command"] = "simulate"
@@ -495,7 +487,7 @@ def build_parser() -> _Parser:
         "--site", type=_int_in(hi=-1), default=-1, help="past site probed by memory bounds"
     )
     p_bound.add_argument("--symbol", help="indicator symbol (defaults to the second one)")
-    p_bound.add_argument("--max-n", type=int, default=8, help="memory sweep window size")
+    p_bound.add_argument("--max-n", type=_int_in(lo=1), default=8, help="memory sweep window size")
     p_bound.add_argument(
         "--lags", type=_parse_lags, default="1:8", help="lag list fragment, e.g. 1:8 or 1,2,5"
     )
@@ -509,7 +501,9 @@ def build_parser() -> _Parser:
 
     p_verify = sub.add_parser("verify", help="run the exact property suite")
     _add_common(p_verify)
-    p_verify.add_argument("--trials", type=int, default=200, help="randomised trial budget")
+    p_verify.add_argument(
+        "--trials", type=_int_in(lo=1), default=200, help="randomised trial budget"
+    )
     p_verify.add_argument("--seed", type=_int_in(lo=0), default=0)
     p_verify.set_defaults(func=cmd_verify)
 

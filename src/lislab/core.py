@@ -44,19 +44,19 @@ class CapExceededError(ValueError):
     """An enumeration would exceed the configured cap."""
 
 
-def exceeds_cap(n_symbols: int, length: int, cap: int) -> bool:
-    """Whether ``n_symbols**length > cap``, without forming a huge power."""
-    # with two or more symbols the power passes cap once length passes its bit length
-    return n_symbols > 1 and (length > cap.bit_length() or n_symbols**length > cap)
+def exceeds_cap(n_symbols: int, length: int, limit: int) -> bool:
+    """Whether ``n_symbols**length > limit``, without forming a huge power."""
+    # with two or more symbols the power passes limit once length passes its bit length
+    return n_symbols > 1 and (length > limit.bit_length() or n_symbols**length > limit)
 
 
-def check_cap(n_symbols: int, length: int, cap: int = DEFAULT_CONFIG_CAP) -> int:
-    """Return ``n_symbols**length`` or raise if it exceeds ``cap``."""
-    if exceeds_cap(n_symbols, length, cap):
+def check_cap(n_symbols: int, length: int) -> int:
+    """Return ``n_symbols**length`` or raise if it exceeds ``DEFAULT_CONFIG_CAP``."""
+    if exceeds_cap(n_symbols, length, DEFAULT_CONFIG_CAP):
         # the power is written out only while it is short (at most 78 digits)
         size = f" = {n_symbols**length}" if length <= 64 else ""
         raise CapExceededError(
-            f"{n_symbols}**{length}{size} configurations exceeds the cap of {cap}"
+            f"{n_symbols}**{length}{size} configurations exceeds the cap of {DEFAULT_CONFIG_CAP}"
         )
     return n_symbols**length
 
@@ -216,11 +216,9 @@ def code_config(code: int, n_symbols: int, length: int) -> tuple[int, ...]:
     return tuple(reversed(out))
 
 
-def enumerate_configs(
-    window: Window, alphabet: AlphabetSpec, cap: int = DEFAULT_CONFIG_CAP
-) -> Iterator[tuple[int, ...]]:
+def enumerate_configs(window: Window, alphabet: AlphabetSpec) -> Iterator[tuple[int, ...]]:
     """Yield every configuration of ``window`` once, in lexicographic order."""
-    size = check_cap(alphabet.size, len(window), cap)
+    size = check_cap(alphabet.size, len(window))
     length = len(window)
     for code in range(size):
         yield code_config(code, alphabet.size, length)
@@ -254,7 +252,7 @@ class Observable:
     """Local function on a finite window, stored as a value table.
 
     ``table[code]`` is the value at the configuration with that code.
-    Oscillations are computed on demand and cached per (site, alphabet).
+    Oscillations are computed on demand and cached per site.
     """
 
     support: Window
@@ -280,22 +278,19 @@ class Observable:
         return np.asarray(self.table, dtype=float)
 
 
-def oscillation(h: Observable, j: int, alphabet: AlphabetSpec | None = None) -> float:
+def oscillation(h: Observable, j: int) -> float:
     """Worst change of ``h`` per unit metric distance at site ``j``.
 
     Exhaustive maximum over configuration pairs equal off ``j``; sites
     outside the support contribute 0 by definition (and 0/0 counts as 0,
     which never arises since the metric is positive off-diagonal).
     """
-    alphabet = h.alphabet if alphabet is None else alphabet
-    if alphabet.size != h.alphabet.size:
-        raise ValueError("alphabet size does not match the observable table")
     if not h.support.contains(j):
         return 0.0
-    key = (j, alphabet)
-    cached = h._osc_cache.get(key)
+    cached = h._osc_cache.get(j)
     if cached is not None:
         return cached
+    alphabet = h.alphabet
     n = alphabet.size
     arr = h.table_array().reshape((n,) * len(h.support))
     axis = j - h.support.lo
@@ -305,7 +300,7 @@ def oscillation(h: Observable, j: int, alphabet: AlphabetSpec | None = None) -> 
         for b in range(a + 1, n):
             gap = float(np.max(np.abs(flat[:, a] - flat[:, b])))
             best = max(best, gap / alphabet.distance(a, b))
-    h._osc_cache[key] = best
+    h._osc_cache[j] = best
     return best
 
 
@@ -333,23 +328,17 @@ def indicator(site: int, symbol: int, alphabet: AlphabetSpec) -> Observable:
 
 
 def tabulate(
-    window: Window,
-    alphabet: AlphabetSpec,
-    fn: Callable[[tuple[int, ...]], float],
-    cap: int = DEFAULT_CONFIG_CAP,
+    window: Window, alphabet: AlphabetSpec, fn: Callable[[tuple[int, ...]], float]
 ) -> Observable:
-    table = tuple(float(fn(cfg)) for cfg in enumerate_configs(window, alphabet, cap))
+    table = tuple(float(fn(cfg)) for cfg in enumerate_configs(window, alphabet))
     return Observable(window, alphabet, table)
 
 
 def random_observable(
-    window: Window,
-    alphabet: AlphabetSpec,
-    rng: np.random.Generator,
-    cap: int = DEFAULT_CONFIG_CAP,
+    window: Window, alphabet: AlphabetSpec, rng: np.random.Generator
 ) -> Observable:
     """Value table drawn i.i.d. uniform on [0, 1)."""
-    size = check_cap(alphabet.size, len(window), cap)
+    size = check_cap(alphabet.size, len(window))
     return Observable(window, alphabet, tuple(rng.random(size).tolist()))
 
 
@@ -357,7 +346,7 @@ def shift_observable(h: Observable, offset: int) -> Observable:
     return Observable(h.support.shifted(offset), h.alphabet, h.table)
 
 
-def product_observable(h1: Observable, h2: Observable, cap: int = DEFAULT_CONFIG_CAP) -> Observable:
+def product_observable(h1: Observable, h2: Observable) -> Observable:
     """Pointwise product on the hull of the two supports."""
     if h1.alphabet != h2.alphabet:
         raise ValueError("observables live on different alphabets")
@@ -368,4 +357,4 @@ def product_observable(h1: Observable, h2: Observable, cap: int = DEFAULT_CONFIG
         sub2 = cfg[h2.support.lo - hull.lo : h2.support.hi - hull.lo + 1]
         return h1.value_at(sub1) * h2.value_at(sub2)
 
-    return tabulate(hull, h1.alphabet, value, cap)
+    return tabulate(hull, h1.alphabet, value)

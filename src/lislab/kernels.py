@@ -22,7 +22,6 @@ from typing import Sequence, Union
 import numpy as np
 
 from .core import (
-    DEFAULT_CONFIG_CAP,
     SUM_TOL,
     WORK_CAP,
     AlphabetSpec,
@@ -280,7 +279,6 @@ def window_weights(
     window: Window,
     past_codes: np.ndarray,
     past_len: int,
-    cap: int = DEFAULT_CONFIG_CAP,
 ) -> np.ndarray:
     """Product-of-singletons weights over the window, one row per past.
 
@@ -289,7 +287,7 @@ def window_weights(
     """
     n = f.alphabet.size
     length = len(window)
-    size = check_cap(n, length, cap)
+    size = check_cap(n, length)
     if past_codes.size * size > WORK_CAP:
         raise CapExceededError(
             f"{past_codes.size} pasts x {size} configurations exceeds the work cap"
@@ -360,7 +358,6 @@ def compose_window(
     window: Window,
     past: "PastConfig | Sequence[int]",
     h: Observable,
-    cap: int = DEFAULT_CONFIG_CAP,
 ) -> float:
     """Exact kernel average of ``h`` over the window given ``past``.
 
@@ -378,16 +375,13 @@ def compose_window(
     if any(not 0 <= s < n for s in symbols):
         raise ValueError("past contains a symbol outside the alphabet")
     codes = np.array([config_code(symbols, n)], dtype=np.int64)
-    w = window_weights(f, window, codes, len(symbols), cap)
+    w = window_weights(f, window, codes, len(symbols))
     vals = _observable_values(h, window, codes, len(symbols))
     return float((w * vals).sum(axis=1)[0])
 
 
 def marginal_distribution(
-    f: KernelSpec,
-    window: Window,
-    past: "PastConfig | Sequence[int]",
-    cap: int = DEFAULT_CONFIG_CAP,
+    f: KernelSpec, window: Window, past: "PastConfig | Sequence[int]"
 ) -> FiniteDistribution:
     """Law of the window configuration given ``past`` (lexicographic order)."""
     symbols = as_symbols(past)
@@ -396,7 +390,7 @@ def marginal_distribution(
             f"past has length {len(symbols)}, kernel memory depth is {f.memory_depth}"
         )
     codes = np.array([config_code(symbols, f.alphabet.size)], dtype=np.int64)
-    w = window_weights(f, window, codes, len(symbols), cap)[0]
+    w = window_weights(f, window, codes, len(symbols))[0]
     return FiniteDistribution(tuple(w.tolist()))
 
 
@@ -405,7 +399,6 @@ def kernel_average_observable(
     window: Window,
     h: Observable,
     depth: int | None = None,
-    cap: int = DEFAULT_CONFIG_CAP,
 ) -> Observable:
     """Tabulate the kernel average of ``h`` as an observable on the past.
 
@@ -420,9 +413,9 @@ def kernel_average_observable(
     elif depth < need:
         raise ValueError(f"depth {depth} is below the required past depth {need}")
     n = f.alphabet.size
-    n_pasts = check_cap(n, depth, cap)
+    n_pasts = check_cap(n, depth)
     codes = np.arange(n_pasts, dtype=np.int64)
-    w = window_weights(f, window, codes, depth, cap)
+    w = window_weights(f, window, codes, depth)
     vals = _observable_values(h, window, codes, depth)
     table = (w * vals).sum(axis=1)
     support = Window(window.lo - depth, window.lo - 1)
@@ -449,7 +442,6 @@ def verify_consistency(
     trials: int = 100,
     tol: float = 1e-12,
     seed: int = 0,
-    cap: int = DEFAULT_CONFIG_CAP,
 ) -> ConsistencyReport:
     """Check that averaging over ``lam`` inside ``delta`` changes nothing.
 
@@ -466,12 +458,12 @@ def verify_consistency(
     for _ in range(trials):
         lo = int(rng.integers(delta.lo - max(depth, 2), lam.hi + 1))
         hi = int(min(lam.hi, lo + rng.integers(0, 3)))
-        h = random_observable(Window(lo, hi), f.alphabet, rng, cap)
-        g = kernel_average_observable(f, lam, h, cap=cap)
+        h = random_observable(Window(lo, hi), f.alphabet, rng)
+        g = kernel_average_observable(f, lam, h)
         past_len = max(depth, delta.lo - min(h.support.lo, g.support.lo), 1)
         past = tuple(int(s) for s in rng.integers(0, n, past_len))
-        lhs = compose_window(f, delta, past, g, cap)
-        rhs = compose_window(f, delta, past, h, cap)
+        lhs = compose_window(f, delta, past, g)
+        rhs = compose_window(f, delta, past, h)
         if worse(abs(lhs - rhs), worst):
             worst = abs(lhs - rhs)
     return ConsistencyReport(trials, worst, tol)

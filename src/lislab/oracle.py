@@ -8,8 +8,8 @@ deterministically from the run seed, so parallel and serial runs report
 identically.  The transport reference ``_vkr_vertex_enum`` enumerates
 the spanning-tree vertices of the transportation polytope; the
 library's ``vkr_distance`` never calls it.  ``sample_path_stepwise`` is
-the per-step sampling loop the library's samplers are held to, bit for
-bit.
+the per-step sampling loop every branch of the library's sampler is held
+to, bit for bit.
 """
 
 from __future__ import annotations
@@ -22,11 +22,12 @@ from typing import Sequence
 import numpy as np
 
 from .core import (
-    DEFAULT_CONFIG_CAP,
+    ABS_TOL,
     FiniteDistribution,
     Observable,
     PastConfig,
     Window,
+    check_cap,
     code_config,
     oscillation,
     product_observable,
@@ -53,13 +54,7 @@ class ConvergenceError(RuntimeError):
     """Power iteration missed its residual target within the budget."""
 
 
-def exact_oscillation_of_average(
-    f: KernelSpec,
-    window: Window,
-    h: Observable,
-    j: int,
-    cap: int = DEFAULT_CONFIG_CAP,
-) -> float:
+def exact_oscillation_of_average(f: KernelSpec, window: Window, h: Observable, j: int) -> float:
     """Exact oscillation at site ``j`` of the window average of ``h``.
 
     Tabulates the average over every past deep enough to leave site ``j``
@@ -72,7 +67,7 @@ def exact_oscillation_of_average(
     if j >= window.lo:
         raise ValueError("the probed site must lie left of the window or inside it")
     depth = max(f.memory_depth, window.lo - j, window.lo - h.support.lo, 1)
-    g = kernel_average_observable(f, window, h, depth=depth, cap=cap)
+    g = kernel_average_observable(f, window, h, depth=depth)
     return oscillation(g, j)
 
 
@@ -117,21 +112,16 @@ def verify_dusting(
     alpha: SensitivityMatrix,
     trials: int = 500,
     seed: int = 0,
-    strip: int | None = None,
-    tol: float = 1e-9,
-    cap: int = DEFAULT_CONFIG_CAP,
 ) -> DustingReport:
     """Check that averaging spreads oscillations no further than ``alpha`` says.
 
-    For random observables on the window plus a strip of past sites, and
-    every site of the strip, compares the exact oscillation of the
-    average against the direct term plus the window-limited spread of the
-    support oscillations.  Reports the worst slack; negative slack beyond
-    ``tol`` counts as a violation.
+    For random observables on the window plus a strip of ``max(R, 1) + 1``
+    past sites, and every site of the strip, compares the exact
+    oscillation of the average against the direct term plus the
+    window-limited spread of the support oscillations.  Reports the worst
+    slack; negative slack beyond ``ABS_TOL`` counts as a violation.
     """
-    depth = f.memory_depth
-    strip = max(depth, 1) + 1 if strip is None else strip
-    strip_lo = window.lo - strip
+    strip_lo = window.lo - max(f.memory_depth, 1) - 1
     spread = _dusting_matrix(alpha, window)
     lo_col = window.lo - alpha.depth
     min_slack = math.inf
@@ -144,9 +134,9 @@ def verify_dusting(
         trial += 1
         lo = int(rng.integers(strip_lo, window.lo + 1))
         hi = int(rng.integers(window.lo, window.hi + 1))
-        h = random_observable(Window(lo, hi), f.alphabet, rng, cap)
+        h = random_observable(Window(lo, hi), f.alphabet, rng)
         j = int(rng.integers(strip_lo, window.lo))
-        lhs = exact_oscillation_of_average(f, window, h, j, cap)
+        lhs = exact_oscillation_of_average(f, window, h, j)
         rhs = oscillation(h, j)
         for k in window.sites():
             osc_k = oscillation(h, k)
@@ -156,7 +146,7 @@ def verify_dusting(
         if worse(-slack, -min_slack):
             min_slack = slack
             worst_case = (trial - 1, j)
-        if worse(-slack, tol):
+        if worse(-slack, ABS_TOL):
             violations += 1
         instances += 1
     return DustingReport(instances, violations, min_slack, worst_case)
@@ -174,22 +164,16 @@ def _markov_view(f: KernelSpec) -> tuple[KernelSpec, int]:
     return KernelSpec(f.alphabet, k_eff, table, label=f.label, check=f.check), k_eff
 
 
-def stationary_measure(
-    f: KernelSpec,
-    residual: float = 1e-14,
-    max_iter: int = 100000,
-    cap_states: int = 4096,
-) -> FiniteDistribution:
+def stationary_measure(f: KernelSpec) -> FiniteDistribution:
     """Unique stationary law on blocks of the kernel's effective order.
 
-    Exact power iteration on the induced block chain; the chain must be
-    irreducible and aperiodic, both of which are checked first.
+    Exact power iteration on the induced block chain, until one step moves
+    the law by at most 1e-14 in l1 (at most 100000 steps); the chain must
+    be irreducible and aperiodic, both of which are checked first.
     """
     g, k = _markov_view(f)
     n = f.alphabet.size
-    size = n**k
-    if size > cap_states:
-        raise ValueError(f"block state space of size {size} exceeds the cap {cap_states}")
+    size = check_cap(n, k)
     rows = g.table_at(0)
     succ = [
         [((s * n + x) % size) for x in range(n) if rows[s, x] > 0.0] for s in range(size)
@@ -199,16 +183,16 @@ def stationary_measure(
     next_states = np.array(
         [[(s * n + x) % size for x in range(n)] for s in range(size)], dtype=np.int64
     )
-    for _ in range(max_iter):
+    for _ in range(100000):
         nxt = np.zeros(size)
         np.add.at(nxt, next_states, mu[:, None] * rows)
         gap = float(np.abs(nxt - mu).sum())
         mu = nxt
-        if gap <= residual:
+        if gap <= 1e-14:
             mu = mu / mu.sum()
             return FiniteDistribution(tuple(mu.tolist()))
     raise ConvergenceError(
-        f"power iteration residual {gap!r} above {residual} after {max_iter} steps"
+        f"power iteration residual {gap!r} above 1e-14 after 100000 steps"
     )
 
 
@@ -270,14 +254,13 @@ def exact_correlation(
     h1: Observable,
     h2: Observable,
     separation: int,
-    cap: int = DEFAULT_CONFIG_CAP,
 ) -> float:
     """|Cov| of ``h1`` and ``h2`` shifted ``separation`` sites to the right.
 
     Exact: stationary block law plus enumeration over the joint window.
     """
     shifted = shift_observable(h2, separation + h1.support.lo - h2.support.lo)
-    joint = product_observable(h1, shifted, cap)
+    joint = product_observable(h1, shifted)
     e_joint, e1, e2 = stationary_expectations(f, (joint, h1, h2))
     return abs(e_joint - e1 * e2)
 
@@ -357,8 +340,9 @@ def sample_path_stepwise(f: KernelSpec, u: Sequence[float], past: Sequence[int])
     A linear family takes 1 iff ``u[t] < P(1)``, with ``P(1)`` summed from
     the intercept, nearest lag first; any other family takes the first
     symbol whose cumulative mass exceeds ``u[t]``.  ``sim.sample_path``
-    must give this path bit for bit on the same uniforms wherever it does
-    not read a tabulated CDF.
+    must give this path bit for bit on the same uniforms in each of its
+    three branches: the tabulated CDF, the linear block sampler and the
+    direct per-step loop.
     """
     depth = f.memory_depth
     buf = list(past)

@@ -3,7 +3,7 @@
 Paths are drawn with numpy's default PCG64 generator seeded explicitly,
 so identical (seed, kernel, length, initial past) inputs reproduce the
 path bit for bit.  Correlation estimates use global-mean-centred products
-with batch-means standard errors (32 batches by default).
+with batch-means standard errors over ``BATCH_COUNT`` (32) batches.
 
 Finite-volume averages from two extreme pasts (see the oracle module)
 converge toward the stationary expectation as the window deepens; the
@@ -32,7 +32,7 @@ SAMPLER_TABLE_CAP = 4096
 _NEAR_LAGS = SAMPLER_TABLE_CAP.bit_length() - 1
 
 #: Uniforms converted to Python floats at a time by the per-site loops
-#: that have no block of their own.
+#: that have no block of their own, so a long path never becomes one list.
 _CHUNK = 1024
 
 
@@ -59,10 +59,11 @@ def sample_path(
 
     The initial past defaults to the all-first-symbol configuration.
     Site ``t`` is decided by the ``t``-th uniform of the seeded generator.
-    Kernels with a linear family at site 0 or more than
-    ``SAMPLER_TABLE_CAP`` pasts decide every site as the per-step
-    reference ``oracle.sample_path_stepwise`` does; the others read
-    cumulative rows of their dense tables.
+    Every branch gives the path of the per-step reference
+    ``oracle.sample_path_stepwise`` bit for bit: kernels whose site-0
+    family is not linear and that have at most ``SAMPLER_TABLE_CAP``
+    pasts read cumulative rows of their dense tables, a linear default
+    family takes the block sampler, and the rest the direct loop.
     """
     if length < 1:
         raise ValueError("path length must be at least 1")
@@ -78,13 +79,13 @@ def sample_path(
     if not isinstance(f.family_at(0), LinearLongMemory) and not exceeds_cap(
         n, depth, SAMPLER_TABLE_CAP
     ):
-        return _sample_tabulated(f, length, u, past)
+        return _sample_tabulated(f, u, past)
     if isinstance(f.families()[0], LinearLongMemory):
         return _sample_linear(f, u, past)
     return _sample_direct(f, u, past)
 
 
-def _sample_tabulated(f: KernelSpec, length: int, u: np.ndarray, past: tuple[int, ...]) -> np.ndarray:
+def _sample_tabulated(f: KernelSpec, u: np.ndarray, past: tuple[int, ...]) -> np.ndarray:
     n = f.alphabet.size
     size = n**f.memory_depth
 
@@ -92,20 +93,23 @@ def _sample_tabulated(f: KernelSpec, length: int, u: np.ndarray, past: tuple[int
         return np.cumsum(f.table_at(site), axis=1).tolist()
 
     rows = cdf(min(f.override_sites, default=1) - 1)
-    overrides = {site: cdf(site) for site in f.override_sites if 0 <= site < length}
+    overrides = {site: cdf(site) for site in f.override_sites if 0 <= site < len(u)}
     state = 0
     for s in past:
         state = state * n + s
     state %= size
-    out = []
-    append = out.append
-    for t, u_t in enumerate(u.tolist()):
-        row = (overrides.get(t, rows) if overrides else rows)[state]
-        x = bisect_right(row, u_t)
-        x = min(x, n - 1)  # cumsum may fall epsilon short of 1
-        append(x)
-        state = (state * n + x) % size
-    return np.asarray(out, dtype=np.int8)
+    out = np.empty(len(u), dtype=np.int8)
+    for t0 in range(0, len(u), _CHUNK):
+        block = []
+        append = block.append
+        for t, u_t in enumerate(u[t0 : t0 + _CHUNK].tolist(), start=t0):
+            row = (overrides.get(t, rows) if overrides else rows)[state]
+            x = bisect_right(row, u_t)
+            x = min(x, n - 1)  # cumsum may fall epsilon short of 1
+            append(x)
+            state = (state * n + x) % size
+        out[t0 : t0 + len(block)] = block
+    return out
 
 
 def _decide(f: KernelSpec, t: int, trailing, u_t: float) -> int:
@@ -229,26 +233,25 @@ def estimate_correlation(
     h2: Observable,
     lag: int,
     burn_in: int,
-    batches: int = BATCH_COUNT,
 ) -> CorrelationEstimate:
     """Time-average covariance of ``h1`` and ``h2`` shifted ``lag`` sites.
 
-    Centred with global means; the standard error comes from batch means
-    over the centred product stream.
+    Centred with global means; the standard error comes from the means of
+    ``BATCH_COUNT`` batches of the centred product stream.
     """
     if lag < 0:
         raise ValueError("lag must be non-negative")
     y1 = evaluate_along(path, h1)
     y2 = evaluate_along(path, h2)
     t_max = min(len(y1), len(y2) - lag)
-    if t_max - burn_in < batches * 2:
+    if t_max - burn_in < BATCH_COUNT * 2:
         raise ValueError("path too short for the requested burn-in and batches")
     w1 = y1[burn_in:t_max]
     w2 = y2[burn_in + lag : t_max + lag]
     z = (w1 - w1.mean()) * (w2 - w2.mean())
-    usable = (len(z) // batches) * batches
+    usable = (len(z) // BATCH_COUNT) * BATCH_COUNT
     z = z[:usable]
-    means = z.reshape(batches, -1).mean(axis=1)
+    means = z.reshape(BATCH_COUNT, -1).mean(axis=1)
     estimate = float(z.mean())
-    se = float(means.std(ddof=1) / np.sqrt(batches))
-    return CorrelationEstimate(lag, estimate, se, usable, batches)
+    se = float(means.std(ddof=1) / np.sqrt(BATCH_COUNT))
+    return CorrelationEstimate(lag, estimate, se, usable, BATCH_COUNT)

@@ -77,20 +77,20 @@ def _as_rows(raw, where: str) -> tuple[tuple[float, ...], ...]:
     return tuple(tuple(_number(x, where) for x in row) for row in raw)
 
 
-def _parse_alphabet(doc, where: str = "alphabet") -> AlphabetSpec:
+def _parse_alphabet(doc) -> AlphabetSpec:
     if not isinstance(doc, dict):
-        raise SpecError(f"{where} must be an object")
-    _require_keys(doc, {"symbols", "metric"}, {"symbols"}, where)
+        raise SpecError("alphabet must be an object")
+    _require_keys(doc, {"symbols", "metric"}, {"symbols"}, "alphabet")
     symbols = doc["symbols"]
     if not isinstance(symbols, list) or not all(isinstance(s, str) for s in symbols):
-        raise SpecError(f"{where}.symbols must be a list of strings")
-    metric = _as_rows(doc["metric"], f"{where}.metric") if "metric" in doc else None
+        raise SpecError("alphabet.symbols must be a list of strings")
+    metric = _as_rows(doc["metric"], "alphabet.metric") if "metric" in doc else None
     try:
         if metric is None:
             return AlphabetSpec.discrete(tuple(symbols))
         return AlphabetSpec(tuple(symbols), metric)
     except ValueError as exc:
-        raise SpecError(f"invalid {where}: {exc}") from None
+        raise SpecError(f"invalid alphabet: {exc}") from None
 
 
 def _parse_family(doc, depth: int, where: str = "kernel"):
@@ -220,13 +220,10 @@ def two_state_markov(p1_given_0: float, p1_given_1: float, label: str = "") -> K
     return KernelSpec(alphabet, 1, MarkovTable(1, rows), label=label)
 
 
-def iid_kernel(probabilities, symbols=None, label: str = "") -> KernelSpec:
+def iid_kernel(probabilities, label: str = "") -> KernelSpec:
+    """Memoryless kernel on the symbols ``"0"``, ``"1"``, ... with the given law."""
     probs = tuple(float(p) for p in probabilities)
-    alphabet = (
-        AlphabetSpec.discrete(tuple(symbols))
-        if symbols is not None
-        else AlphabetSpec.discrete(tuple(str(i) for i in range(len(probs))))
-    )
+    alphabet = AlphabetSpec.discrete(tuple(str(i) for i in range(len(probs))))
     return KernelSpec(alphabet, 0, MarkovTable(0, (probs,)), label=label)
 
 

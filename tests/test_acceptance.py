@@ -303,12 +303,13 @@ def test_criterion_10_comparison_bound(k1):
     from lislab.oracle import stationary_measure
 
     mu = stationary_measure(k1)
+    alpha = build_sensitivity_matrix(k1)
     for d0, d1 in shifts:
         other = two_state_markov(0.3 + d0, 0.7 + d1)
         mu_t = stationary_measure(other)
         for symbol in (0, 1):
             h = indicator(0, symbol, k1.alphabet)
-            bound = comparison_bound(k1, other, Window(0, 0), h).value
+            bound = comparison_bound(alpha, k1, other, Window(0, 0), h).value
             exact = abs(mu.weights[symbol] - mu_t.weights[symbol])
             worst_slack = min(worst_slack, bound - exact)
     _report(10, "comparison bound", worst_slack >= -1e-12, f"min slack {worst_slack:.3e}")

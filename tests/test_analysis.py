@@ -397,6 +397,6 @@ def test_min_probability_nan_fails_the_boundary_check(k1, monkeypatch):
     # min() keeps the 1.0 and drops the NaN behind it
     rows = ((0.5, 0.5), (1.0, math.nan))
     monkeypatch.setattr(KernelSpec, "families", lambda self: (MarkovTable(1, rows),))
-    assert math.isnan(_min_probability(k1, 4096))
+    assert math.isnan(_min_probability(k1))
     with pytest.raises(ValueError, match="min_probability"):
         boundary_uniformity_check(k1)

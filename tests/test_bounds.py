@@ -353,21 +353,22 @@ def test_correlation_semi_exact_between_exact_and_bound(k1):
 
 def test_comparison_bound_same_kernel(k1):
     h = indicator(0, 1, k1.alphabet)
-    assert comparison_bound(k1, k1, Window(0, 0), h).value == pytest.approx(0.0, abs=1e-12)
+    rep = comparison_bound(build_sensitivity_matrix(k1), k1, k1, Window(0, 0), h)
+    assert rep.value == pytest.approx(0.0, abs=1e-12)
 
 
 def test_comparison_bound_iid_pair():
     f = iid_kernel((0.6, 0.4))
     g = iid_kernel((0.5, 0.5))
     h = indicator(0, 1, f.alphabet)
-    rep = comparison_bound(f, g, Window(0, 0), h)
+    rep = comparison_bound(build_sensitivity_matrix(f), f, g, Window(0, 0), h)
     assert rep.value == pytest.approx(0.1, abs=1e-12)  # exact gap for i.i.d.
 
 
 def test_comparison_bound_markov_perturbation(k1):
     other = two_state_markov(0.31, 0.7)
     h = indicator(0, 1, k1.alphabet)
-    rep = comparison_bound(k1, other, Window(0, 0), h)
+    rep = comparison_bound(build_sensitivity_matrix(k1), k1, other, Window(0, 0), h)
     mu = stationary_measure(k1)
     mu_t = stationary_measure(other)
     gap = abs(mu.weights[1] - mu_t.weights[1])
@@ -378,7 +379,8 @@ def test_comparison_bound_markov_perturbation(k1):
 
 def test_comparison_bound_gap_override(k1):
     h = indicator(0, 1, k1.alphabet)
-    rep = comparison_bound(k1, k1, Window(0, 0), h, gap_override=0.02)
+    alpha = build_sensitivity_matrix(k1)
+    rep = comparison_bound(alpha, k1, k1, Window(0, 0), h, gap_override=0.02)
     assert rep.value == pytest.approx(0.02 / 0.6, abs=1e-6)
 
 
@@ -388,7 +390,8 @@ def test_comparison_bound_deep_override_certifies_near_the_window(k1):
     quiet = MarkovTable(1, ((0.6, 0.4), (0.4, 0.6)))
     f = KernelSpec(k1.alphabet, 1, SiteIndexed(k1.family, ((-300000, quiet),)))
     other = two_state_markov(0.31, 0.7)
-    rep = comparison_bound(f, other, Window(0, 0), indicator(0, 1, k1.alphabet))
+    h = indicator(0, 1, k1.alphabet)
+    rep = comparison_bound(build_sensitivity_matrix(f), f, other, Window(0, 0), h)
     assert math.isfinite(rep.value)
     assert rep.quantities["k_floor"] > -1000
     assert rep.quantities["gap_sup"] == pytest.approx(0.1, abs=1e-12)
@@ -414,9 +417,10 @@ def test_comparison_bound_mixed_depths_matches_per_past_loop(markov_is_reference
     gap = max(vkr_distance(tiled[code], table_rows[code], e) for code in range(9))
     f, g = (markov, table) if markov_is_reference else (table, markov)
     h = indicator(0, 1, e)
-    rep = comparison_bound(f, g, Window(0, 0), h)
+    alpha = build_sensitivity_matrix(f)
+    rep = comparison_bound(alpha, f, g, Window(0, 0), h)
     assert rep.quantities["gap_sup"] == pytest.approx(gap, rel=1e-15, abs=0.0)
-    reference = comparison_bound(f, g, Window(0, 0), h, gap_override=gap)
+    reference = comparison_bound(alpha, f, g, Window(0, 0), h, gap_override=gap)
     assert rep.value == pytest.approx(reference.value, rel=1e-15, abs=0.0)
 
 
@@ -424,7 +428,7 @@ def test_comparison_bound_requires_criterion():
     flip = two_state_markov(1.0, 0.0)
     h = indicator(0, 1, flip.alphabet)
     with pytest.raises(BoundNotApplicableError):
-        comparison_bound(flip, flip, Window(0, 0), h)
+        comparison_bound(build_sensitivity_matrix(flip), flip, flip, Window(0, 0), h)
 
 
 # --- linearity of bounds in the oscillation vector ---------------------------

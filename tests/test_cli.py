@@ -380,6 +380,8 @@ def test_rejects_non_finite_and_boolean_input(command, kernel, depth, tmp_path, 
         "bound correlation --example markov --lags 1 --length 10",
         "bound memory --example markov --site 5",
         "bound memory --example markov --symbol z",
+        "bound memory --example markov --max-n 0",
+        "verify --example markov --trials -5",
     ],
 )
 def test_input_errors_exit_one_with_one_line(argv, capsys):
@@ -426,9 +428,10 @@ def test_powerlaw_commands_leave_scipy_unloaded(argv):
     [
         "simulate --example markov --length 2000 --lags 1",
         "bound correlation --example markov --length 2000 --lags 1",
+        "bound compare {k1} --other {k1}",
     ],
 )
-def test_one_sensitivity_matrix_per_command(argv, monkeypatch, capsys):
+def test_one_sensitivity_matrix_per_command(argv, k1_path, monkeypatch, capsys):
     import lislab.analysis
     import lislab.cli
 
@@ -442,7 +445,7 @@ def test_one_sensitivity_matrix_per_command(argv, monkeypatch, capsys):
     for module in (lislab.analysis, lislab.cli, lislab.sim):
         if hasattr(module, "build_sensitivity_matrix"):
             monkeypatch.setattr(module, "build_sensitivity_matrix", counting)
-    assert main(argv.split()) == 0
+    assert main(argv.format(k1=k1_path).split()) == 0
     assert len(calls) == 1
 
 

@@ -1,6 +1,7 @@
 """Kernel families, window composition, marginals, and consistency."""
 
 import importlib
+import inspect
 import pkgutil
 
 import numpy as np
@@ -259,6 +260,17 @@ def test_no_process_wide_caches():
             if callable(value) and hasattr(value, "cache_clear")
         ]
         assert cached == [], info.name
+
+
+def test_no_function_takes_a_cap():
+    # every enumeration reads the one DEFAULT_CONFIG_CAP that reports state
+    for info in pkgutil.iter_modules(lislab.__path__, "lislab."):
+        members = list(vars(importlib.import_module(info.name)).values())
+        for cls in [v for v in members if inspect.isclass(v)]:
+            members.extend(getattr(cls, name) for name in vars(cls))
+        for fn in members:
+            if inspect.isfunction(fn) and fn.__module__.startswith("lislab"):
+                assert "cap" not in inspect.signature(fn).parameters, fn.__qualname__
 
 
 def test_verify_consistency_nan_residual_fails(k1, monkeypatch):

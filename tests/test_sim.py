@@ -8,10 +8,12 @@ import pytest
 from lislab import Window, build_sensitivity_matrix, estimate_correlation, indicator, sample_path
 from lislab import sim
 from lislab.core import AlphabetSpec, PastConfig
-from lislab.kernels import KernelSpec, LinearLongMemory, MarkovTable, SiteIndexed
+from lislab.kernels import GeneralTable, KernelSpec, LinearLongMemory, MarkovTable, SiteIndexed
 from lislab.oracle import exact_correlation, sample_path_stepwise
 from lislab.sim import default_burn_in, evaluate_along
 from lislab.specio import power_law_linear, two_state_markov
+
+from conftest import random_distribution
 
 
 def test_reproducible_paths(k1):
@@ -158,6 +160,43 @@ def test_linear_block_sampler_decides_ties_exactly(monkeypatch):
     assert path.tolist() == history[depth:]
     assert np.array_equal(path, sample_path_stepwise(f, u, past))
     assert calls == list(range(600))
+
+
+def _random_rows(rng: np.random.Generator, n: int, order: int) -> tuple[tuple[float, ...], ...]:
+    return tuple(random_distribution(rng, n) for _ in range(n**order))
+
+
+def test_tabulated_sampler_matches_stepwise(k1, monkeypatch):
+    rng = np.random.default_rng(31)
+    kernels = [k1]
+    for n in (3, 4, 5):
+        e = AlphabetSpec.discrete(tuple("abcde"[:n]))
+        for depth in range(4):
+            order = int(rng.integers(0, depth + 1))
+            kernels.append(KernelSpec(e, depth, GeneralTable(_random_rows(rng, n, depth))))
+            kernels.append(KernelSpec(e, depth, MarkovTable(order, _random_rows(rng, n, order))))
+    e = AlphabetSpec.discrete(("a", "b", "c"))
+    # overrides before the path, at its first site, across block boundaries and past its end
+    overrides = (
+        (-1, GeneralTable(_random_rows(rng, 3, 3))),
+        (0, MarkovTable(0, ((0.0, 0.0, 1.0),))),
+        (1023, GeneralTable(_random_rows(rng, 3, 3))),
+        (1024, MarkovTable(1, _random_rows(rng, 3, 1))),
+        (2999, MarkovTable(3, _random_rows(rng, 3, 3))),
+        (5000, MarkovTable(0, ((1.0, 0.0, 0.0),))),
+    )
+    default = MarkovTable(2, _random_rows(rng, 3, 2))
+    kernels.append(KernelSpec(e, 3, SiteIndexed(default, overrides)))
+    calls = []
+    tabulated = sim._sample_tabulated
+    monkeypatch.setattr(sim, "_sample_tabulated", lambda *args: calls.append(1) or tabulated(*args))
+    for seed, f in enumerate(kernels):
+        past = tuple(int(s) for s in rng.integers(0, f.alphabet.size, f.memory_depth))
+        path = sample_path(f, 3000, seed, initial_past=PastConfig.of(past))
+        u = np.random.default_rng(seed).random(3000)
+        assert np.array_equal(path, sample_path_stepwise(f, u, past)), seed
+    assert len(calls) == len(kernels) == 26
+    assert path[0] == 2
 
 
 def test_direct_sampler_matches_stepwise_on_deep_tables():
