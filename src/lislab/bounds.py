@@ -354,6 +354,10 @@ def correlation_bound(
             value=0.0,
             quantities={"row_sum_sup": s, "tail_certificate": 0.0, "k_floor": float(delta.hi)},
         )
+    if lam.hi - delta.lo > _SITE_BUDGET:
+        raise BoundNotApplicableError(
+            f"windows span {lam.hi - delta.lo + 1} sites, beyond the site budget", gamma=s
+        )
     # G1 has no direct part left of lam, so the sum of G1 * G2 over
     # k <= delta.hi splits into the pairing with osc2 itself (term1) and
     # the coupling through deeper sites (acc); every tail test reads the

@@ -175,7 +175,7 @@ def _int_in(lo: float = -math.inf, hi: float = math.inf):
 
 
 def _parse_lags(raw: str) -> list[int]:
-    """argparse type for ``--lags``: ``lo:hi`` or a comma list, every lag >= 0."""
+    """argparse type for ``--lags``: ``lo:hi`` with ``lo <= hi`` or a comma list, every lag >= 0."""
     try:
         if ":" in raw:
             lo, hi = raw.split(":", 1)
@@ -184,6 +184,8 @@ def _parse_lags(raw: str) -> list[int]:
             lags = [int(x) for x in raw.split(",")]
     except ValueError:
         raise argparse.ArgumentTypeError(f"expected lo:hi or a comma list, got {raw!r}") from None
+    if not lags:
+        raise argparse.ArgumentTypeError(f"lag range is empty, got {raw!r}")
     if any(lag < 0 for lag in lags):
         raise argparse.ArgumentTypeError(f"lags must be non-negative, got {raw!r}")
     return lags

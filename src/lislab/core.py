@@ -218,8 +218,8 @@ def code_config(code: int, n_symbols: int, length: int) -> tuple[int, ...]:
 
 def enumerate_configs(window: Window, alphabet: AlphabetSpec) -> Iterator[tuple[int, ...]]:
     """Yield every configuration of ``window`` once, in lexicographic order."""
-    size = check_cap(alphabet.size, len(window))
-    length = len(window)
+    length = window.hi - window.lo + 1  # len() overflows before the cap check past sys.maxsize
+    size = check_cap(alphabet.size, length)
     for code in range(size):
         yield code_config(code, alphabet.size, length)
 

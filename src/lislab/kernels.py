@@ -5,12 +5,12 @@ families of conditional laws for the symbol at a site given the ``R``
 preceding symbols.  The spec owns the dense conditional table of each of
 its families: ``KernelSpec.table_at(site)`` builds the read-only
 ``(|E|**R, |E|)`` array of the site's family on first use, keeps it for
-the life of the spec, and is where every criterion, bound, oracle and
-the tabulated sampler read conditional laws.  Interval kernels are
-products of singletons swept left to right; composition against an
-observable is an exact enumeration over the window, vectorised over
-pasts so that tabulating a kernel average over every relevant past costs
-about as much as one evaluation.
+the life of the spec, and is where every criterion, bound and oracle
+reads conditional laws.  Interval kernels are products of singletons
+swept left to right; composition against an observable is an exact
+enumeration over the window, vectorised over pasts so that tabulating a
+kernel average over every relevant past costs about as much as one
+evaluation.
 """
 
 from __future__ import annotations

@@ -8,8 +8,8 @@ deterministically from the run seed, so parallel and serial runs report
 identically.  The transport reference ``_vkr_vertex_enum`` enumerates
 the spanning-tree vertices of the transportation polytope; the
 library's ``vkr_distance`` never calls it.  ``sample_path_stepwise`` is
-the per-step sampling loop every branch of the library's sampler is held
-to, bit for bit.
+the per-step sampling loop both of the library's samplers are held to,
+bit for bit.
 """
 
 from __future__ import annotations
@@ -340,9 +340,9 @@ def sample_path_stepwise(f: KernelSpec, u: Sequence[float], past: Sequence[int])
     A linear family takes 1 iff ``u[t] < P(1)``, with ``P(1)`` summed from
     the intercept, nearest lag first; any other family takes the first
     symbol whose cumulative mass exceeds ``u[t]``.  ``sim.sample_path``
-    must give this path bit for bit on the same uniforms in each of its
-    three branches: the tabulated CDF, the linear block sampler and the
-    direct per-step loop.
+    must give this path bit for bit on the same uniforms with both of its
+    samplers: the cumulative rows of a table default family and the block
+    sampler of a linear one.
     """
     depth = f.memory_depth
     buf = list(past)

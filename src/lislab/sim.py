@@ -2,8 +2,10 @@
 
 Paths are drawn with numpy's default PCG64 generator seeded explicitly,
 so identical (seed, kernel, length, initial past) inputs reproduce the
-path bit for bit.  Correlation estimates use global-mean-centred products
-with batch-means standard errors over ``BATCH_COUNT`` (32) batches.
+path bit for bit.  Two samplers, picked by the kernel's default family,
+both give the path of ``oracle.sample_path_stepwise``.  Correlation
+estimates use global-mean-centred products with batch-means standard
+errors over ``BATCH_COUNT`` (32) batches.
 
 Finite-volume averages from two extreme pasts (see the oracle module)
 converge toward the stationary expectation as the window deepens; the
@@ -18,18 +20,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import Observable, PastConfig, as_symbols, exceeds_cap
-from .kernels import KernelSpec, LinearLongMemory, family_row
+from .core import Observable, PastConfig, as_symbols
+from .kernels import KernelSpec, LinearLongMemory, family_order, family_row
 from .analysis import SensitivityMatrix
 
 #: Number of batches used for batch-means standard errors.
 BATCH_COUNT = 32
 
-#: State spaces up to this size sample from a precomputed CDF table.
-SAMPLER_TABLE_CAP = 4096
-
 #: Lags a linear kernel reads from its table of partial sums.
-_NEAR_LAGS = SAMPLER_TABLE_CAP.bit_length() - 1
+_NEAR_LAGS = 12
 
 #: Uniforms converted to Python floats at a time by the per-site loops
 #: that have no block of their own, so a long path never becomes one list.
@@ -59,16 +58,15 @@ def sample_path(
 
     The initial past defaults to the all-first-symbol configuration.
     Site ``t`` is decided by the ``t``-th uniform of the seeded generator.
-    Every branch gives the path of the per-step reference
-    ``oracle.sample_path_stepwise`` bit for bit: kernels whose site-0
-    family is not linear and that have at most ``SAMPLER_TABLE_CAP``
-    pasts read cumulative rows of their dense tables, a linear default
-    family takes the block sampler, and the rest the direct loop.
+    The default family picks the sampler: a linear one takes the block
+    sampler, any other reads cumulative rows of its own table.  Override
+    sites inside the path are decided from their own family, so both
+    give the path of the per-step reference
+    ``oracle.sample_path_stepwise`` bit for bit.
     """
     if length < 1:
         raise ValueError("path length must be at least 1")
     depth = f.memory_depth
-    n = f.alphabet.size
     if initial_past is None:
         initial_past = PastConfig.fill(0, depth)
     past = as_symbols(initial_past)
@@ -76,40 +74,47 @@ def sample_path(
         raise ValueError(f"initial past has length {len(past)}, expected {depth}")
     rng = np.random.default_rng(seed)
     u = rng.random(length)
-    if not isinstance(f.family_at(0), LinearLongMemory) and not exceeds_cap(
-        n, depth, SAMPLER_TABLE_CAP
-    ):
-        return _sample_tabulated(f, u, past)
     if isinstance(f.families()[0], LinearLongMemory):
         return _sample_linear(f, u, past)
-    return _sample_direct(f, u, past)
+    return _sample_tabulated(f, u, past)
 
 
 def _sample_tabulated(f: KernelSpec, u: np.ndarray, past: tuple[int, ...]) -> np.ndarray:
+    """Per-site sampler for a table default family.
+
+    A default site takes the first symbol whose cumulative mass in the
+    family's own row passes ``u_t``, the row indexed by the trailing
+    ``family_order`` symbols; only the ``effective_order`` symbols that
+    any family reads are kept, so a deep declared memory costs nothing.
+    """
+    fam = f.families()[0]
     n = f.alphabet.size
-    size = n**f.memory_depth
-
-    def cdf(site: int) -> list[list[float]]:
-        return np.cumsum(f.table_at(site), axis=1).tolist()
-
-    rows = cdf(min(f.override_sites, default=1) - 1)
-    overrides = {site: cdf(site) for site in f.override_sites if 0 <= site < len(u)}
+    order = family_order(fam)
+    size = n**order
+    rows = np.cumsum(np.asarray(fam.rows, dtype=float), axis=1)
+    rows[:, -1] = np.inf  # a uniform past a total rounded short of 1 takes the last symbol
+    rows = rows.tolist()
+    keep = f.effective_order
+    length = len(u)
+    overrides = {site for site in f.override_sites if 0 <= site < length}
+    # hist[keep + t] is the symbol at site t
+    hist = np.empty(keep + length, dtype=np.int8)
+    hist[:keep] = past[len(past) - keep :]
     state = 0
-    for s in past:
+    for s in past[len(past) - order :]:
         state = state * n + s
-    state %= size
-    out = np.empty(len(u), dtype=np.int8)
-    for t0 in range(0, len(u), _CHUNK):
+    for t0 in range(0, length, _CHUNK):
         block = []
-        append = block.append
         for t, u_t in enumerate(u[t0 : t0 + _CHUNK].tolist(), start=t0):
-            row = (overrides.get(t, rows) if overrides else rows)[state]
-            x = bisect_right(row, u_t)
-            x = min(x, n - 1)  # cumsum may fall epsilon short of 1
-            append(x)
+            if t in overrides:
+                hist[keep + t0 : keep + t] = block
+                x = _decide(f, t, hist[t : keep + t].tolist(), u_t)
+            else:
+                x = bisect_right(rows[state], u_t)
+            block.append(x)
             state = (state * n + x) % size
-        out[t0 : t0 + len(block)] = block
-    return out
+        hist[keep + t0 : keep + t0 + len(block)] = block
+    return hist[keep:]
 
 
 def _decide(f: KernelSpec, t: int, trailing, u_t: float) -> int:
@@ -128,19 +133,6 @@ def _decide(f: KernelSpec, t: int, trailing, u_t: float) -> int:
         if u_t < acc:
             return i
     return f.alphabet.size - 1
-
-
-def _sample_direct(f: KernelSpec, u: np.ndarray, past: tuple[int, ...]) -> np.ndarray:
-    """Per-step sampler; keeps only the trailing symbols the families read."""
-    buf = list(past[len(past) - f.effective_order :])
-    out = []
-    for t0 in range(0, len(u), _CHUNK):
-        for t, u_t in enumerate(u[t0 : t0 + _CHUNK].tolist(), start=t0):
-            x = _decide(f, t, buf, u_t)
-            out.append(x)
-            buf.append(x)
-            del buf[0]
-    return np.asarray(out, dtype=np.int8)
 
 
 def _sample_linear(f: KernelSpec, u: np.ndarray, past: tuple[int, ...]) -> np.ndarray:

@@ -1,6 +1,8 @@
 """Spec parsing and the lis-lab command surface."""
 
+import contextlib
 import copy
+import io
 import json
 import math
 import subprocess
@@ -271,6 +273,13 @@ def test_bound_correlation_site_budget_leaves_cell_empty(capsys):
     assert code == 0
     assert "Traceback" not in captured.err
     assert json.loads(captured.out)["table"]["rows"] == [[1, "", "", "", ""]]
+    # a lag past the site budget and past sys.maxsize: no sweep and no enumeration
+    lag = 10**19 + 1
+    argv = ["bound", "correlation", "--example", "paper-powerlaw", "--depth", "8", "--verify"]
+    assert main(argv + ["--lags", str(lag)]) == 0
+    captured = capsys.readouterr()
+    assert "Traceback" not in captured.err
+    assert json.loads(captured.out)["table"]["rows"] == [[lag, "", "", "", ""]]
 
 
 def test_bound_compare_rejects_another_alphabet(k1_path, tmp_path, capsys):
@@ -378,6 +387,8 @@ def test_rejects_non_finite_and_boolean_input(command, kernel, depth, tmp_path, 
         "bound correlation --example markov --lags x",
         "bound correlation --example markov --lags=-1 --length 1000",
         "bound correlation --example markov --lags 1 --length 10",
+        "bound correlation --example markov --lags 5:1",
+        "simulate --example markov --lags 5:1 --length 1000",
         "bound memory --example markov --site 5",
         "bound memory --example markov --symbol z",
         "bound memory --example markov --max-n 0",
@@ -390,6 +401,63 @@ def test_input_errors_exit_one_with_one_line(argv, capsys):
     assert "Traceback" not in captured.err
     lines = captured.err.strip().splitlines()
     assert len(lines) == 1 and lines[0].startswith("error:")
+
+
+_FUZZ_VALUES = ["0", "-1", "nan", "inf", "1e308", "3:1", "x", "", "1", "0.5"]
+# flags that set a size take only values that are cheap or rejected, never 20 digits
+_FUZZ_CHOICES = {
+    "--length": ["64", "2000", *_FUZZ_VALUES],
+    "--depth": ["8", *_FUZZ_VALUES],
+    "--trials": ["2", *_FUZZ_VALUES],
+    "--max-n": ["4", *_FUZZ_VALUES],
+    "--criterion": ["boundary", "both", *_FUZZ_VALUES],
+}
+_FUZZ_FLAGS = {
+    "check": ["--criterion"],
+    "bound": ["--site", "--symbol", "--max-n", "--lags", "--length", "--seed", "--other"],
+    "verify": ["--trials", "--seed"],
+    "simulate": ["--length", "--seed", "--lags", "--burn-in", "--symbol"],
+}
+
+
+@pytest.fixture(scope="module")
+def fuzz_sources(tmp_path_factory):
+    root = tmp_path_factory.mktemp("fuzz")
+    files = []
+    for name, doc in (("k1.json", K1_DOC), ("three.json", _VALID_DOCS[2])):
+        (root / name).write_text(json.dumps(doc))
+        files.append([str(root / name)])
+    missing = [str(root / "missing.json")]
+    return [["--example", "markov"], ["--example", "paper-powerlaw"], *files, missing]
+
+
+@given(data=st.data())
+@settings(max_examples=200, deadline=None)
+def test_main_never_escapes(fuzz_sources, data):
+    command = data.draw(st.sampled_from(
+        [["check"], ["bound", "memory"], ["bound", "correlation"], ["bound", "compare"],
+         ["verify"], ["simulate"]]
+    ))
+    argv = command + data.draw(st.sampled_from(fuzz_sources))
+    # the sizes that default large are always set
+    needed = {"verify": ["--trials"], "simulate": ["--length"]}.get(command[0], [])
+    if "paper-powerlaw" in argv:
+        needed.append("--depth")
+    own = ["--epsilon", "--depth", "--p01", "--p11", *_FUZZ_FLAGS[command[0]]]
+    flags = needed + data.draw(st.lists(st.sampled_from(own), max_size=4, unique=True))
+    for flag in dict.fromkeys(flags):
+        if flag == "--other":
+            value = data.draw(st.sampled_from(fuzz_sources[2:]))[0]
+        else:
+            value = data.draw(st.sampled_from(_FUZZ_CHOICES.get(flag, [*_FUZZ_VALUES, "1" * 20])))
+        argv.append(f"{flag}={value}")
+    if data.draw(st.booleans()):
+        argv.append("--verify")
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    assert code in (0, 1, 2), argv
+    assert "Traceback" not in err.getvalue(), argv
 
 
 def _scipy_modules_after(argv: list[str] | None) -> list[str]:

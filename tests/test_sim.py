@@ -118,12 +118,16 @@ def test_linear_block_sampler_matches_stepwise(depth, intercept):
         assert np.array_equal(path, sample_path_stepwise(f, u, past))
 
 
-@pytest.mark.parametrize("depth", [12, 24])
+@pytest.mark.parametrize("depth", [2, 12, 24])
 def test_linear_block_sampler_with_overrides_inside_the_path(depth):
     default = _linear_kernel(depth, 0.1, seed=7)
+    # a table family at site 0 must not take the linear default sites off the block sampler
+    first = _linear_kernel(depth, 0.0, seed=9)
+    if depth == 2:
+        first = MarkovTable(1, ((0.3, 0.7), (0.6, 0.4)))
     overrides = (
         (-4, _linear_kernel(depth, 0.6, seed=8)),
-        (0, _linear_kernel(depth, 0.0, seed=9)),
+        (0, first),
         (5, MarkovTable(2, ((0.1, 0.9), (0.8, 0.2), (0.4, 0.6), (0.5, 0.5)))),
         (13, _linear_kernel(depth, 0.3, seed=10)),
         (14, MarkovTable(0, ((0.0, 1.0),))),
@@ -197,16 +201,21 @@ def test_tabulated_sampler_matches_stepwise(k1, monkeypatch):
         assert np.array_equal(path, sample_path_stepwise(f, u, past)), seed
     assert len(calls) == len(kernels) == 26
     assert path[0] == 2
+    # a row total rounded short of 1: a uniform above it takes the last symbol
+    short = KernelSpec(e, 0, MarkovTable(0, ((0.25, 0.25, 0.5 - 1e-13),)))
+    u = np.array([0.2, 0.4, 1.0 - 2.0**-53])
+    assert tabulated(short, u, ()).tolist() == sample_path_stepwise(short, u, ()).tolist() == [0, 1, 2]
 
 
-def test_direct_sampler_matches_stepwise_on_deep_tables():
-    # 2**13 pasts exceed the sampler table cap, so sites are decided one by one
+@pytest.mark.parametrize("depth", [2, 13])
+def test_table_default_with_linear_overrides_matches_stepwise(depth):
+    # the default's own rows serve its sites at any declared depth; linear sites take 1 iff u < P(1)
     rows = ((0.2, 0.8), (0.7, 0.3), (0.5, 0.5), (0.9, 0.1))
-    linear = _linear_kernel(13, 0.2, seed=12)
+    linear = _linear_kernel(depth, 0.2, seed=12)
     default = MarkovTable(2, rows)
     for family in (default, SiteIndexed(default, ((3, linear), (40, linear)))):
-        f = KernelSpec(AlphabetSpec.binary(), 13, family)
-        past = tuple(int(s) for s in np.random.default_rng(6).integers(0, 2, 13))
+        f = KernelSpec(AlphabetSpec.binary(), depth, family)
+        past = tuple(int(s) for s in np.random.default_rng(6).integers(0, 2, depth))
         path = sample_path(f, 2000, 8, initial_past=PastConfig.of(past))
         u = np.random.default_rng(8).random(2000)
         assert np.array_equal(path, sample_path_stepwise(f, u, past))
