@@ -47,6 +47,7 @@ from .analysis import (
     dobrushin_check,
 )
 from .bounds import (
+    _SITE_BUDGET,
     BoundNotApplicableError,
     comparison_bound,
     correlation_bound,
@@ -175,11 +176,19 @@ def _int_in(lo: float = -math.inf, hi: float = math.inf):
 
 
 def _parse_lags(raw: str) -> list[int]:
-    """argparse type for ``--lags``: ``lo:hi`` with ``lo <= hi`` or a comma list, every lag >= 0."""
+    """argparse type for ``--lags``: ``lo:hi`` with ``lo <= hi`` or a comma list, every lag >= 0.
+
+    A range is counted before it is built and holds at most ``_SITE_BUDGET`` lags.
+    """
     try:
         if ":" in raw:
-            lo, hi = raw.split(":", 1)
-            lags = list(range(int(lo), int(hi) + 1))
+            lo, hi = (int(x) for x in raw.split(":", 1))
+            count = hi - lo + 1  # len(range(lo, hi + 1)), without its C-size limit
+            if count > _SITE_BUDGET:
+                raise argparse.ArgumentTypeError(
+                    f"at most {_SITE_BUDGET} lags, got {count} in {raw!r}"
+                )
+            lags = list(range(lo, hi + 1))
         else:
             lags = [int(x) for x in raw.split(",")]
     except ValueError:
@@ -527,6 +536,9 @@ def main(argv=None) -> int:
         return args.func(args)
     except (_UsageError, SpecError, CapExceededError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 1
+    except MemoryError as exc:  # e.g. a --length whose path cannot be allocated
+        print(f"error: out of memory: {exc}", file=sys.stderr)
         return 1
     except BoundNotApplicableError as exc:
         print(f"criterion not met: {exc}", file=sys.stderr)

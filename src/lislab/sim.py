@@ -3,9 +3,12 @@
 Paths are drawn with numpy's default PCG64 generator seeded explicitly,
 so identical (seed, kernel, length, initial past) inputs reproduce the
 path bit for bit.  Two samplers, picked by the kernel's default family,
-both give the path of ``oracle.sample_path_stepwise``.  Correlation
-estimates use global-mean-centred products with batch-means standard
-errors over ``BATCH_COUNT`` (32) batches.
+both give the path of ``oracle.sample_path_stepwise``; they draw their
+uniforms about ``_CHUNK`` at a time, so a path costs one byte per site
+and nothing else grows with it.  Correlation estimates use
+window-mean-centred products with batch-means standard errors over
+``BATCH_COUNT`` (32) batches, and evaluate the observables one chunk or
+one batch of the path at a time.
 
 Finite-volume averages from two extreme pasts (see the oracle module)
 converge toward the stationary expectation as the window deepens; the
@@ -30,9 +33,12 @@ BATCH_COUNT = 32
 #: Lags a linear kernel reads from its table of partial sums.
 _NEAR_LAGS = 12
 
-#: Uniforms converted to Python floats at a time by the per-site loops
-#: that have no block of their own, so a long path never becomes one list.
+#: Fewest uniforms drawn and converted to Python floats at a time, so a
+#: long path never holds its uniforms as one array or one list.
 _CHUNK = 1024
+
+#: Sites of the path evaluated at a time for the window means of an estimate.
+_MEAN_CHUNK = 8192
 
 
 def default_burn_in(alpha: SensitivityMatrix) -> int:
@@ -57,11 +63,14 @@ def sample_path(
     """Draw ``length`` symbols site by site from sites 0, 1, ....
 
     The initial past defaults to the all-first-symbol configuration.
-    Site ``t`` is decided by the ``t``-th uniform of the seeded generator.
-    The default family picks the sampler: a linear one takes the block
-    sampler, any other reads cumulative rows of its own table.  Override
-    sites inside the path are decided from their own family, so both
-    give the path of the per-step reference
+    Site ``t`` is decided by the ``t``-th uniform of the seeded generator;
+    the samplers draw them as they go, ``_CHUNK`` or a few more at a
+    time, which gives the same doubles in the same order as one draw of
+    ``length``, and the returned int8 path is the only array as long as
+    the path.  The default family picks the sampler: a linear one takes
+    the block sampler, any other reads cumulative rows of its own table.
+    Override sites inside the path are decided from their own family, so
+    both give the path of the per-step reference
     ``oracle.sample_path_stepwise`` bit for bit.
     """
     if length < 1:
@@ -72,20 +81,21 @@ def sample_path(
     past = as_symbols(initial_past)
     if len(past) != depth:
         raise ValueError(f"initial past has length {len(past)}, expected {depth}")
-    rng = np.random.default_rng(seed)
-    u = rng.random(length)
+    draw = np.random.default_rng(seed).random
     if isinstance(f.families()[0], LinearLongMemory):
-        return _sample_linear(f, u, past)
-    return _sample_tabulated(f, u, past)
+        return _sample_linear(f, draw, length, past)
+    return _sample_tabulated(f, draw, length, past)
 
 
-def _sample_tabulated(f: KernelSpec, u: np.ndarray, past: tuple[int, ...]) -> np.ndarray:
+def _sample_tabulated(f: KernelSpec, draw, length: int, past: tuple[int, ...]) -> np.ndarray:
     """Per-site sampler for a table default family.
 
-    A default site takes the first symbol whose cumulative mass in the
-    family's own row passes ``u_t``, the row indexed by the trailing
-    ``family_order`` symbols; only the ``effective_order`` symbols that
-    any family reads are kept, so a deep declared memory costs nothing.
+    ``draw(n)`` returns the next ``n`` uniforms; they are drawn
+    ``_CHUNK`` sites at a time.  A default site takes the first symbol
+    whose cumulative mass in the family's own row passes ``u_t``, the row
+    indexed by the trailing ``family_order`` symbols; only the
+    ``effective_order`` symbols that any family reads are kept, so a deep
+    declared memory costs nothing.
     """
     fam = f.families()[0]
     n = f.alphabet.size
@@ -95,7 +105,6 @@ def _sample_tabulated(f: KernelSpec, u: np.ndarray, past: tuple[int, ...]) -> np
     rows[:, -1] = np.inf  # a uniform past a total rounded short of 1 takes the last symbol
     rows = rows.tolist()
     keep = f.effective_order
-    length = len(u)
     overrides = {site for site in f.override_sites if 0 <= site < length}
     # hist[keep + t] is the symbol at site t
     hist = np.empty(keep + length, dtype=np.int8)
@@ -105,7 +114,7 @@ def _sample_tabulated(f: KernelSpec, u: np.ndarray, past: tuple[int, ...]) -> np
         state = state * n + s
     for t0 in range(0, length, _CHUNK):
         block = []
-        for t, u_t in enumerate(u[t0 : t0 + _CHUNK].tolist(), start=t0):
+        for t, u_t in enumerate(draw(min(_CHUNK, length - t0)).tolist(), start=t0):
             if t in overrides:
                 hist[keep + t0 : keep + t] = block
                 x = _decide(f, t, hist[t : keep + t].tolist(), u_t)
@@ -135,7 +144,7 @@ def _decide(f: KernelSpec, t: int, trailing, u_t: float) -> int:
     return f.alphabet.size - 1
 
 
-def _sample_linear(f: KernelSpec, u: np.ndarray, past: tuple[int, ...]) -> np.ndarray:
+def _sample_linear(f: KernelSpec, draw, length: int, past: tuple[int, ...]) -> np.ndarray:
     """Exact block sampler for a linear default family.
 
     ``P(1)`` at a site is the intercept plus the coefficients of the past
@@ -152,10 +161,11 @@ def _sample_linear(f: KernelSpec, u: np.ndarray, past: tuple[int, ...]) -> np.nd
     cover the rounding of the bound itself); there the reference sum is
     recomputed, and every path equals the per-step one bit for bit.
     Override sites inside the path are decided from their own family.
+    ``draw(n)`` returns the next ``n`` uniforms; they are drawn a whole
+    number of blocks, at least ``_CHUNK`` sites, at a time.
     """
     fam = f.families()[0]
     depth = f.memory_depth
-    length = len(u)
     coeffs = np.asarray(fam.coefficients, dtype=float)
     near = min(depth, _NEAR_LAGS)
     codes = np.arange(1 << near)
@@ -175,26 +185,30 @@ def _sample_linear(f: KernelSpec, u: np.ndarray, past: tuple[int, ...]) -> np.nd
     for k in range(near):
         state |= past[depth - 1 - k] << k
     mask = (1 << near) - 1
-    step = near + 1 if len(far) else _CHUNK
-    for t0 in range(0, length, step):
-        stop = min(t0 + step, length)
-        if len(far):
-            # site t0 + j reads lags near + 1 .. depth, sites t0 + j - depth .. t0 + j - near - 1
-            far_sums = np.convolve(hist[t0 : t0 + depth], far, "valid").tolist()
-        else:
-            far_sums = [0.0] * step
-        block = []
-        for u_t, far_t in zip(u[t0:stop].tolist(), far_sums):
-            t = t0 + len(block)
-            p = table[state] + far_t
-            if t in overrides or -tol <= u_t - p <= tol:
-                hist[depth + t0 : depth + t] = block
-                x = _decide(f, t, hist[t:depth + t].tolist(), u_t)
+    step = near + 1
+    span = step * -(-_CHUNK // step)
+    if not len(far):
+        step = span
+    for c0 in range(0, length, span):
+        u = draw(min(span, length - c0)).tolist()
+        for t0 in range(c0, c0 + len(u), step):
+            if len(far):
+                # site t0 + j reads lags near + 1 .. depth, sites t0 + j - depth .. t0 + j - near - 1
+                far_sums = np.convolve(hist[t0 : t0 + depth], far, "valid").tolist()
             else:
-                x = 1 if u_t < p else 0
-            block.append(x)
-            state = ((state << 1) | x) & mask
-        hist[depth + t0 : depth + stop] = block
+                far_sums = [0.0] * step
+            block = []
+            for u_t, far_t in zip(u[t0 - c0 : t0 - c0 + step], far_sums):
+                t = t0 + len(block)
+                p = table[state] + far_t
+                if t in overrides or -tol <= u_t - p <= tol:
+                    hist[depth + t0 : depth + t] = block
+                    x = _decide(f, t, hist[t:depth + t].tolist(), u_t)
+                else:
+                    x = 1 if u_t < p else 0
+                block.append(x)
+                state = ((state << 1) | x) & mask
+            hist[depth + t0 : depth + t0 + len(block)] = block
     return hist[depth:]
 
 
@@ -204,9 +218,11 @@ def evaluate_along(path: np.ndarray, h: Observable) -> np.ndarray:
     span = len(h.support)
     if len(path) < span:
         raise ValueError("path shorter than the observable support")
-    codes = np.zeros(len(path) - span + 1, dtype=np.int64)
-    for i in range(span):
-        codes = codes * n + path[i : len(path) - span + 1 + i]
+    count = len(path) - span + 1
+    codes = path[:count].astype(np.int64)
+    for i in range(1, span):
+        codes *= n
+        codes += path[i : count + i]
     return h.table_array()[codes]
 
 
@@ -219,6 +235,16 @@ class CorrelationEstimate:
     batches: int
 
 
+def _window_mean(path: np.ndarray, h: Observable, start: int, count: int) -> float:
+    """Mean of ``h`` over its ``count`` placements from site ``start``, ``_MEAN_CHUNK`` at a time."""
+    extra = len(h.support) - 1
+    total = 0.0
+    for t in range(start, start + count, _MEAN_CHUNK):
+        stop = min(t + _MEAN_CHUNK, start + count)
+        total += float(evaluate_along(path[t : stop + extra], h).sum())
+    return total / count
+
+
 def estimate_correlation(
     path: np.ndarray,
     h1: Observable,
@@ -228,22 +254,35 @@ def estimate_correlation(
 ) -> CorrelationEstimate:
     """Time-average covariance of ``h1`` and ``h2`` shifted ``lag`` sites.
 
-    Centred with global means; the standard error comes from the means of
-    ``BATCH_COUNT`` batches of the centred product stream.
+    The placements of ``h1`` from ``burn_in`` and those of ``h2`` ``lag``
+    sites on are centred with their own window means, which are summed
+    ``_MEAN_CHUNK`` sites at a time.  The first ``BATCH_COUNT`` equal
+    batches of the centred product are built one at a time; the standard
+    error comes from their means, and the estimate is the mean of those
+    means.  Only one batch of values is ever held beside the path.
     """
     if lag < 0:
         raise ValueError("lag must be non-negative")
-    y1 = evaluate_along(path, h1)
-    y2 = evaluate_along(path, h2)
-    t_max = min(len(y1), len(y2) - lag)
+    if burn_in < 0:
+        raise ValueError("burn-in must be non-negative")
+    span1, span2 = len(h1.support), len(h2.support)
+    if len(path) < max(span1, span2):
+        raise ValueError("path shorter than the observable support")
+    t_max = min(len(path) - span1 + 1, len(path) - span2 + 1 - lag)
     if t_max - burn_in < BATCH_COUNT * 2:
         raise ValueError("path too short for the requested burn-in and batches")
-    w1 = y1[burn_in:t_max]
-    w2 = y2[burn_in + lag : t_max + lag]
-    z = (w1 - w1.mean()) * (w2 - w2.mean())
-    usable = (len(z) // BATCH_COUNT) * BATCH_COUNT
-    z = z[:usable]
-    means = z.reshape(BATCH_COUNT, -1).mean(axis=1)
-    estimate = float(z.mean())
+    m1 = _window_mean(path, h1, burn_in, t_max - burn_in)
+    m2 = _window_mean(path, h2, burn_in + lag, t_max - burn_in)
+    size = (t_max - burn_in) // BATCH_COUNT
+    means = np.empty(BATCH_COUNT)
+    for b in range(BATCH_COUNT):
+        t = burn_in + b * size
+        z = evaluate_along(path[t : t + size + span1 - 1], h1)
+        z -= m1
+        w = evaluate_along(path[t + lag : t + lag + size + span2 - 1], h2)
+        w -= m2
+        z *= w
+        means[b] = z.mean()
+    estimate = float(means.mean())
     se = float(means.std(ddof=1) / np.sqrt(BATCH_COUNT))
-    return CorrelationEstimate(lag, estimate, se, usable, BATCH_COUNT)
+    return CorrelationEstimate(lag, estimate, se, size * BATCH_COUNT, BATCH_COUNT)

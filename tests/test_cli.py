@@ -393,6 +393,9 @@ def test_rejects_non_finite_and_boolean_input(command, kernel, depth, tmp_path, 
         "bound memory --example markov --symbol z",
         "bound memory --example markov --max-n 0",
         "verify --example markov --trials -5",
+        "simulate --example markov --length 1000000000000000",
+        "bound correlation --example markov --lags 1 --length 1000000000000000",
+        "bound correlation --example markov --lags 0:1000000000000",
     ],
 )
 def test_input_errors_exit_one_with_one_line(argv, capsys):

@@ -1,13 +1,14 @@
 """Path sampling reproducibility and correlation estimation."""
 
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from lislab import Window, build_sensitivity_matrix, estimate_correlation, indicator, sample_path
 from lislab import sim
-from lislab.core import AlphabetSpec, PastConfig
+from lislab.core import AlphabetSpec, PastConfig, tabulate
 from lislab.kernels import GeneralTable, KernelSpec, LinearLongMemory, MarkovTable, SiteIndexed
 from lislab.oracle import exact_correlation, sample_path_stepwise
 from lislab.sim import default_burn_in, evaluate_along
@@ -90,11 +91,84 @@ def test_estimate_iid_zero(k3):
     assert abs(est.estimate) <= 3.0 * est.standard_error
 
 
+def test_long_path_memory_is_bounded(k1):
+    # the int8 path (1 B/site) and one batch of values; no uniform or value array as long as the path
+    h = indicator(0, 1, k1.alphabet)
+    tracemalloc.start()
+    try:
+        path = sample_path(k1, 10**6, seed=19)
+        for lag in range(1, 6):
+            estimate_correlation(path, h, h, lag, 100)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * 2**20
+
+
 def test_estimate_rejects_short_path(k1):
     h = indicator(0, 1, k1.alphabet)
     path = sample_path(k1, 100, seed=1)
     with pytest.raises(ValueError, match="too short"):
         estimate_correlation(path, h, h, 1, 90)
+
+
+def test_estimate_rejects_negative_lag_and_burn_in(k1):
+    h = indicator(0, 1, k1.alphabet)
+    path = sample_path(k1, 1000, seed=1)
+    with pytest.raises(ValueError, match="lag must be non-negative"):
+        estimate_correlation(path, h, h, -1, 10)
+    with pytest.raises(ValueError, match="burn-in must be non-negative"):
+        estimate_correlation(path, h, h, 1, -5)
+
+
+def _whole_path_estimate(path, h1, h2, lag, burn_in):
+    """Reference estimator: both observables over the whole path, one centred product array."""
+    y1 = evaluate_along(path, h1)
+    y2 = evaluate_along(path, h2)
+    t_max = min(len(y1), len(y2) - lag)
+    w1 = y1[burn_in:t_max]
+    w2 = y2[burn_in + lag : t_max + lag]
+    z = (w1 - w1.mean()) * (w2 - w2.mean())
+    usable = (len(z) // sim.BATCH_COUNT) * sim.BATCH_COUNT
+    z = z[:usable]
+    means = z.reshape(sim.BATCH_COUNT, -1).mean(axis=1)
+    se = float(means.std(ddof=1) / np.sqrt(sim.BATCH_COUNT))
+    return float(z.mean()), se, usable
+
+
+def test_estimate_matches_whole_path_formula():
+    e = AlphabetSpec.discrete(("a", "b", "c"))
+    rng = np.random.default_rng(41)
+    kernels = [
+        KernelSpec(AlphabetSpec.binary(), 6, _linear_kernel(6, 0.2, seed=5)),
+        KernelSpec(e, 2, GeneralTable(_random_rows(rng, 3, 2))),
+    ]
+    for f in kernels:
+        ind = indicator(0, 1, f.alphabet)
+        pair = tabulate(Window(0, 1), f.alphabet, lambda c: np.sin(c[0] + 0.3) * (1.7 + c[1]) / 3.0)
+        for length in (20011, 45005):
+            path = sample_path(f, length, seed=length)
+            for h1, h2 in ((ind, ind), (pair, pair), (ind, pair), (pair, ind)):
+                for burn_in in (0, 37, 10001):
+                    for lag in range(4):
+                        est = estimate_correlation(path, h1, h2, lag, burn_in)
+                        estimate, se, usable = _whole_path_estimate(path, h1, h2, lag, burn_in)
+                        assert (est.lag, est.samples, est.batches) == (lag, usable, sim.BATCH_COUNT)
+                        assert est.estimate == pytest.approx(estimate, rel=1e-14, abs=0.0)
+                        assert est.standard_error == pytest.approx(se, rel=1e-14, abs=0.0)
+                        if h1 is h2 is ind:
+                            assert est.standard_error == se
+
+
+def _slices(u: np.ndarray):
+    """A sampler's ``draw``: hands out successive slices of the fixed uniforms ``u``."""
+    taken = [0]
+
+    def draw(n: int) -> np.ndarray:
+        taken[0] += n
+        return u[taken[0] - n : taken[0]]
+
+    return draw
 
 
 def _linear_kernel(depth: int, intercept: float, seed: int) -> LinearLongMemory:
@@ -113,8 +187,9 @@ def test_linear_block_sampler_matches_stepwise(depth, intercept):
     rng = np.random.default_rng(100 + depth)
     for seed in (1, 2):
         past = tuple(int(s) for s in rng.integers(0, 2, depth))
-        path = sample_path(f, 3000, seed, initial_past=PastConfig.of(past))
-        u = np.random.default_rng(seed).random(3000)
+        # 4500 sites: four whole draws of 1027 sites (79 blocks of 13) and a partial fifth
+        path = sample_path(f, 4500, seed, initial_past=PastConfig.of(past))
+        u = np.random.default_rng(seed).random(4500)
         assert np.array_equal(path, sample_path_stepwise(f, u, past))
 
 
@@ -160,7 +235,7 @@ def test_linear_block_sampler_decides_ties_exactly(monkeypatch):
     calls = []
     decide = sim._decide
     monkeypatch.setattr(sim, "_decide", lambda *args: calls.append(args[1]) or decide(*args))
-    path = sim._sample_linear(f, u, past)
+    path = sim._sample_linear(f, _slices(u), len(u), past)
     assert path.tolist() == history[depth:]
     assert np.array_equal(path, sample_path_stepwise(f, u, past))
     assert calls == list(range(600))
@@ -204,7 +279,11 @@ def test_tabulated_sampler_matches_stepwise(k1, monkeypatch):
     # a row total rounded short of 1: a uniform above it takes the last symbol
     short = KernelSpec(e, 0, MarkovTable(0, ((0.25, 0.25, 0.5 - 1e-13),)))
     u = np.array([0.2, 0.4, 1.0 - 2.0**-53])
-    assert tabulated(short, u, ()).tolist() == sample_path_stepwise(short, u, ()).tolist() == [0, 1, 2]
+    assert (
+        tabulated(short, _slices(u), len(u), ()).tolist()
+        == sample_path_stepwise(short, u, ()).tolist()
+        == [0, 1, 2]
+    )
 
 
 @pytest.mark.parametrize("depth", [2, 13])
