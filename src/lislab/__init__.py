@@ -5,72 +5,60 @@ uniqueness criteria (row-sum contraction and boundary uniformity),
 evaluates loss-of-memory, correlation, and two-kernel comparison bounds,
 and validates every inequality against brute-force oracles on small
 alphabets.
+
+The public names below load their submodule on first use (PEP 562), so
+``import lislab`` alone loads no numpy.
 """
+
+from importlib import import_module
 
 __version__ = "0.1.0"
 
-from .core import (
-    AlphabetSpec,
-    CapExceededError,
-    FiniteDistribution,
-    Observable,
-    PastConfig,
-    Window,
-    constant_observable,
-    enumerate_configs,
-    indicator,
-    oscillation,
-)
-from .kernels import (
-    GeneralTable,
-    KernelSpec,
-    LinearLongMemory,
-    MarkovTable,
-    SiteIndexed,
-    compose_window,
-    eval_singleton,
-    kernel_average_observable,
-    marginal_distribution,
-    verify_consistency,
-)
-from .analysis import (
-    CriterionVerdict,
-    SensitivityMatrix,
-    boundary_uniformity_check,
-    build_sensitivity_matrix,
-    dobrushin_check,
-    ergodic_coefficient,
-    sensitivity_estimator,
-    variation,
-    vkr_distance,
-)
-from .bounds import (
-    BoundNotApplicableError,
-    BoundReport,
-    DecaySpec,
-    comparison_bound,
-    correlation_bound,
-    correlation_bound_semi_exact,
-    fit_decay_rate,
-    memory_bound_exponential,
-    memory_bound_general,
-    neumann_series,
-    series_decay_bound,
-)
-from .oracle import (
-    exact_correlation,
-    exact_oscillation_of_average,
-    stationary_expectations,
-    stationary_measure,
-    verify_dusting,
-)
-from .sim import estimate_correlation, sample_path
-from .specio import (
-    SpecError,
-    load_spec_file,
-    parse_spec,
-    power_law_linear,
-    two_state_markov,
-)
+#: Public names by the submodule that defines them.
+_PUBLIC = {
+    "core": (
+        "AlphabetSpec", "CapExceededError", "FiniteDistribution", "Observable", "PastConfig",
+        "Window", "constant_observable", "enumerate_configs", "indicator", "oscillation",
+    ),
+    "kernels": (
+        "GeneralTable", "KernelSpec", "LinearLongMemory", "MarkovTable", "SiteIndexed",
+        "compose_window", "eval_singleton", "kernel_average_observable",
+        "marginal_distribution", "verify_consistency",
+    ),
+    "analysis": (
+        "CriterionVerdict", "SensitivityMatrix", "boundary_uniformity_check",
+        "build_sensitivity_matrix", "dobrushin_check", "ergodic_coefficient",
+        "sensitivity_estimator", "variation", "vkr_distance",
+    ),
+    "bounds": (
+        "BoundNotApplicableError", "BoundReport", "DecaySpec", "comparison_bound",
+        "correlation_bound", "correlation_bound_semi_exact", "fit_decay_rate",
+        "memory_bound_exponential", "memory_bound_general", "neumann_series",
+        "series_decay_bound",
+    ),
+    "oracle": (
+        "exact_correlation", "exact_oscillation_of_average", "stationary_expectations",
+        "stationary_measure", "verify_dusting",
+    ),
+    "sim": ("estimate_correlation", "sample_path"),
+    "specio": ("SpecError", "load_spec_file", "parse_spec", "power_law_linear", "two_state_markov"),
+}
+#: Public name -> the submodule that defines it.
+_EXPORTS = {name: module for module, names in _PUBLIC.items() for name in names}
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+__all__ = sorted({*_EXPORTS, *_PUBLIC})
+
+
+def __getattr__(name: str):
+    if name in _EXPORTS:
+        value = getattr(import_module(f".{_EXPORTS[name]}", __name__), name)
+    elif name in _PUBLIC:
+        value = import_module(f".{name}", __name__)
+    else:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    globals()[name] = value
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted({*globals(), *__all__})

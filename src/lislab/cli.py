@@ -10,57 +10,24 @@ from __future__ import annotations
 
 import argparse
 import csv
-import hashlib
 import io
 import json
 import math
+import numbers
 import os
 import sys
 import time
 from pathlib import Path
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from . import __version__
-from .core import (
-    ABS_TOL,
-    DEFAULT_CONFIG_CAP,
-    SUM_TOL,
-    CapExceededError,
-    Window,
-    constant_observable,
-    exceeds_cap,
-    indicator,
-    random_observable,
-    shift_observable,
-    worse,
-)
-from .kernels import (
-    KernelSpec,
-    compose_window,
-    kernel_average_observable,
-    verify_consistency,
-)
-from .analysis import (
-    boundary_uniformity_check,
-    build_sensitivity_matrix,
-    dobrushin_check,
-)
-from .bounds import (
-    _SITE_BUDGET,
-    BoundNotApplicableError,
-    comparison_bound,
-    correlation_bound,
-    memory_bound_general,
-)
-from . import oracle, sim
-from .specio import (
-    SpecError,
-    kernel_to_doc,
-    load_spec_file,
-    power_law_linear,
-    two_state_markov,
-)
+
+if TYPE_CHECKING:
+    from .kernels import KernelSpec
+
+# Only the standard library loads above: each command imports the library
+# modules it runs, so ``--help`` and usage errors load no numpy (a ``--lags``
+# range alone loads ``bounds``, whose site budget caps it).
 
 
 class _UsageError(Exception):
@@ -77,24 +44,34 @@ def _fmt(x: float) -> str:
 
 
 def _canonical(obj):
-    """Round floats through 17 significant digits (value-preserving)."""
-    if isinstance(obj, float):
-        return float(_fmt(obj))
+    """Round floats through 17 significant digits (value-preserving).
+
+    numpy scalars register as ``numbers.Integral`` and ``numbers.Real``, so
+    they become Python numbers without this module importing numpy; ``bool``
+    is an ``Integral`` too and stays as it is.
+    """
     if isinstance(obj, dict):
         return {k: _canonical(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
         return [_canonical(v) for v in obj]
-    if isinstance(obj, (np.floating,)):
-        return float(_fmt(float(obj)))
-    if isinstance(obj, (np.integer,)):
+    if isinstance(obj, bool):
+        return obj
+    if isinstance(obj, numbers.Integral):
         return int(obj)
+    if isinstance(obj, numbers.Real):
+        return float(_fmt(float(obj)))
     return obj
 
 
 def _atomic_write(path: Path, data: str) -> None:
+    """Write via a temporary file next to ``path``; a failure names ``path`` and removes it."""
     tmp = path.with_name(path.name + ".tmp")
-    tmp.write_text(data)
-    os.replace(tmp, path)
+    try:
+        tmp.write_text(data)
+        os.replace(tmp, path)
+    except OSError as exc:
+        tmp.unlink(missing_ok=True)
+        raise OSError(exc.errno, exc.strerror, str(path)) from None
 
 
 def _emit_report(report: dict, out: str | None) -> None:
@@ -115,25 +92,27 @@ def _write_csv(path: str, header: list[str], rows: list[list]) -> None:
 
 
 def _load_kernel(args) -> tuple[KernelSpec, dict]:
+    from . import specio
+
     if args.example:
         try:
             if args.example == "paper-powerlaw":
-                f = power_law_linear(args.epsilon, args.depth, label="paper-powerlaw")
+                f = specio.power_law_linear(args.epsilon, args.depth, label="paper-powerlaw")
                 params = {"example": "paper-powerlaw", "epsilon": args.epsilon, "depth": args.depth}
             else:
-                f = two_state_markov(args.p01, args.p11, label="markov")
+                f = specio.two_state_markov(args.p01, args.p11, label="markov")
                 params = {"example": "markov", "p01": args.p01, "p11": args.p11}
         except ValueError as exc:
             raise _UsageError(f"--example {args.example}: {exc}") from None
-        doc = json.dumps(_canonical(kernel_to_doc(f)), sort_keys=True)
-        params["sha256"] = hashlib.sha256(doc.encode()).hexdigest()
+        doc = json.dumps(_canonical(specio.kernel_to_doc(f)), sort_keys=True)
+        params["sha256"] = specio.spec_sha256(doc.encode())
         return f, params
-    if not args.spec:
-        raise _UsageError("a spec file or --example is required")
-    return load_spec_file(args.spec)
+    return specio.load_spec_file(args.spec)
 
 
 def _metadata(f: KernelSpec, source: dict, seed: int | None = None) -> dict:
+    from .core import ABS_TOL, DEFAULT_CONFIG_CAP, SUM_TOL
+
     family = type(f.family).__name__
     return {
         "version": __version__,
@@ -178,10 +157,13 @@ def _int_in(lo: float = -math.inf, hi: float = math.inf):
 def _parse_lags(raw: str) -> list[int]:
     """argparse type for ``--lags``: ``lo:hi`` with ``lo <= hi`` or a comma list, every lag >= 0.
 
-    A range is counted before it is built and holds at most ``_SITE_BUDGET`` lags.
+    A range is counted before it is built and holds at most ``bounds._SITE_BUDGET`` lags;
+    only a range loads ``bounds`` for that budget, so the defaults are lists.
     """
     try:
         if ":" in raw:
+            from .bounds import _SITE_BUDGET
+
             lo, hi = (int(x) for x in raw.split(":", 1))
             count = hi - lo + 1  # len(range(lo, hi + 1)), without its C-size limit
             if count > _SITE_BUDGET:
@@ -202,6 +184,8 @@ def _parse_lags(raw: str) -> list[int]:
 
 def _estimates(alpha, path, h, lags: list[int], burn: int | None):
     """Burn-in and empirical correlation per lag; a path too short is an input error."""
+    from . import sim
+
     try:
         burn = sim.default_burn_in(alpha) if burn is None else burn
         return burn, [sim.estimate_correlation(path, h, h, lag, burn) for lag in lags]
@@ -210,6 +194,8 @@ def _estimates(alpha, path, h, lags: list[int], burn: int | None):
 
 
 def cmd_check(args) -> int:
+    from .analysis import boundary_uniformity_check, build_sensitivity_matrix, dobrushin_check
+
     f, source = _load_kernel(args)
     alpha = build_sensitivity_matrix(f)
     verdicts = {
@@ -230,6 +216,12 @@ def cmd_check(args) -> int:
 
 
 def _memory_rows(f, alpha, args) -> list[list]:
+    from .bounds import memory_bound_general
+    from .core import CapExceededError, Window, indicator
+
+    if args.verify:
+        from . import oracle
+
     symbol = _indicator_symbol(f, args.symbol)
     rows = []
     for n in range(1, args.max_n + 1):
@@ -253,6 +245,9 @@ def _lag_bound(alpha, h0, lag: int):
 
     An empty cell at lag 0 and where the row-sum criterion fails.
     """
+    from .bounds import BoundNotApplicableError, correlation_bound
+    from .core import shift_observable
+
     if lag < 1:
         return ""
     h_lag = shift_observable(h0, lag)
@@ -265,13 +260,14 @@ def _lag_bound(alpha, h0, lag: int):
 
 
 def _correlation_rows(f, alpha, args) -> tuple[list[list], int | None]:
+    from .core import CapExceededError, indicator
+
+    if args.verify:
+        from . import oracle
+
     h0 = indicator(0, _indicator_symbol(f, args.symbol), f.alphabet)
-    estimates = [None] * len(args.lags)
-    if args.length:
-        path = sim.sample_path(f, args.length, args.seed)
-        _, estimates = _estimates(alpha, path, h0, args.lags, None)
     rows = []
-    for lag, est in zip(args.lags, estimates):
+    for lag in args.lags:
         bound = _lag_bound(alpha, h0, lag)
         exact = ""
         if args.verify:
@@ -279,12 +275,24 @@ def _correlation_rows(f, alpha, args) -> tuple[list[list], int | None]:
                 exact = oracle.exact_correlation(f, h0, h0, lag)
             except (CapExceededError, ValueError, oracle.ChainStructureError):
                 exact = ""
-        empirical, se = (est.estimate, est.standard_error) if est else ("", "")
-        rows.append([lag, bound, exact, empirical, se])
-    return rows, args.seed if args.length else None
+        rows.append([lag, bound, exact])
+    if not args.length:
+        return [row + ["", ""] for row in rows], None
+    from .sim import sample_path
+
+    # the path comes last, so the work and imports above add nothing to its peak memory
+    path = sample_path(f, args.length, args.seed)
+    _, estimates = _estimates(alpha, path, h0, args.lags, None)
+    rows = [row + [est.estimate, est.standard_error] for row, est in zip(rows, estimates)]
+    return rows, args.seed
 
 
 def _compare_rows(f, f_other, args) -> list[list]:
+    from . import oracle
+    from .analysis import build_sensitivity_matrix
+    from .bounds import comparison_bound
+    from .core import CapExceededError, Window, indicator
+
     observables = [indicator(0, symbol, f.alphabet) for symbol in range(f.alphabet.size)]
     alpha = build_sensitivity_matrix(f)
     bounds = [comparison_bound(alpha, f, f_other, Window(0, 0), h).value for h in observables]
@@ -300,6 +308,9 @@ def _compare_rows(f, f_other, args) -> list[list]:
 
 
 def cmd_bound(args) -> int:
+    from .analysis import build_sensitivity_matrix
+    from .specio import SpecError, load_spec_file
+
     f, source = _load_kernel(args)
     report = _metadata(f, source)
     report["command"] = f"bound {args.mode}"
@@ -332,6 +343,14 @@ def cmd_bound(args) -> int:
 
 
 def _verify_suite(f: KernelSpec, trials: int, seed: int) -> list[dict]:
+    import numpy as np
+
+    from . import oracle
+    from .analysis import build_sensitivity_matrix
+    from .bounds import memory_bound_general
+    from .core import Window, constant_observable, random_observable, worse
+    from .kernels import compose_window, kernel_average_observable, verify_consistency
+
     rng = np.random.default_rng(seed)
     n = f.alphabet.size
     depth = f.memory_depth
@@ -425,6 +444,9 @@ def _verify_suite(f: KernelSpec, trials: int, seed: int) -> list[dict]:
 
 
 def cmd_verify(args) -> int:
+    from .core import DEFAULT_CONFIG_CAP, exceeds_cap
+    from .specio import SpecError
+
     f, source = _load_kernel(args)
     if exceeds_cap(f.alphabet.size, f.memory_depth, DEFAULT_CONFIG_CAP):
         raise SpecError(
@@ -445,14 +467,20 @@ def cmd_verify(args) -> int:
 
 
 def cmd_simulate(args) -> int:
+    from .analysis import build_sensitivity_matrix
+    from .core import indicator
+    from .sim import sample_path
+
     f, source = _load_kernel(args)
     h = indicator(0, _indicator_symbol(f, args.symbol), f.alphabet)
-    path = sim.sample_path(f, args.length, args.seed)
     alpha = build_sensitivity_matrix(f)
+    # bounds before the path, so their work and imports add nothing to its peak memory
+    bounds = [_lag_bound(alpha, h, lag) for lag in args.lags]
+    path = sample_path(f, args.length, args.seed)
     burn, estimates = _estimates(alpha, path, h, args.lags, args.burn_in)
     rows = [
-        [lag, est.estimate, est.standard_error, _lag_bound(alpha, h, lag)]
-        for lag, est in zip(args.lags, estimates)
+        [lag, est.estimate, est.standard_error, bound]
+        for lag, est, bound in zip(args.lags, estimates, bounds)
     ]
     header = ["lag", "empirical", "se", "bound"]
     report = _metadata(f, source, seed=args.seed)
@@ -500,7 +528,10 @@ def build_parser() -> _Parser:
     p_bound.add_argument("--symbol", help="indicator symbol (defaults to the second one)")
     p_bound.add_argument("--max-n", type=_int_in(lo=1), default=8, help="memory sweep window size")
     p_bound.add_argument(
-        "--lags", type=_parse_lags, default="1:8", help="lag list fragment, e.g. 1:8 or 1,2,5"
+        "--lags",
+        type=_parse_lags,
+        default=list(range(1, 9)),
+        help="lag list fragment, e.g. 1:8 or 1,2,5",
     )
     p_bound.add_argument("--verify", action="store_true", help="add exact oracle columns")
     p_bound.add_argument(
@@ -522,27 +553,43 @@ def build_parser() -> _Parser:
     _add_common(p_sim)
     p_sim.add_argument("--length", type=_int_in(lo=1), default=100000)
     p_sim.add_argument("--seed", type=_int_in(lo=0), default=1)
-    p_sim.add_argument("--lags", type=_parse_lags, default="1:5")
+    p_sim.add_argument("--lags", type=_parse_lags, default=list(range(1, 6)))
     p_sim.add_argument("--burn-in", type=_int_in(lo=0), help="override the heuristic burn-in")
     p_sim.add_argument("--symbol", help="indicator symbol (defaults to the second one)")
     p_sim.set_defaults(func=cmd_simulate)
     return parser
 
 
+def _raised(exc: Exception, module: str, name: str) -> bool:
+    """Whether ``exc`` is the error class ``name`` of the library ``module``.
+
+    A module that never loaded raised nothing, so this imports none.
+    """
+    loaded = sys.modules.get(f"{__package__}.{module}")
+    return loaded is not None and isinstance(exc, getattr(loaded, name))
+
+
 def main(argv=None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
+        if not (args.spec or args.example):  # before the command loads any library module
+            raise _UsageError("a spec file or --example is required")
         return args.func(args)
-    except (_UsageError, SpecError, CapExceededError, OSError) as exc:
+    except (_UsageError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except MemoryError as exc:  # e.g. a --length whose path cannot be allocated
         print(f"error: out of memory: {exc}", file=sys.stderr)
         return 1
-    except BoundNotApplicableError as exc:
-        print(f"criterion not met: {exc}", file=sys.stderr)
-        return 2
+    except Exception as exc:
+        if _raised(exc, "specio", "SpecError") or _raised(exc, "core", "CapExceededError"):
+            print(f"error: {exc}", file=sys.stderr)
+            return 1
+        if _raised(exc, "bounds", "BoundNotApplicableError"):
+            print(f"criterion not met: {exc}", file=sys.stderr)
+            return 2
+        raise
 
 
 if __name__ == "__main__":

@@ -159,6 +159,11 @@ def parse_spec(doc) -> KernelSpec:
         raise SpecError(f"invalid kernel: {exc}") from None
 
 
+def spec_sha256(source: bytes) -> str:
+    """Hex SHA-256 of a spec's source bytes, the ``sha256`` a report gives for its spec."""
+    return hashlib.sha256(source).hexdigest()
+
+
 def load_spec_file(path: "str | Path") -> tuple[KernelSpec, dict]:
     """Parse a spec file; returns the kernel and source metadata."""
     path = Path(path)
@@ -173,7 +178,7 @@ def load_spec_file(path: "str | Path") -> tuple[KernelSpec, dict]:
     kernel = parse_spec(doc)
     meta = {
         "path": str(path),
-        "sha256": hashlib.sha256(raw).hexdigest(),
+        "sha256": spec_sha256(raw),
         "label": kernel.label,
     }
     return kernel, meta

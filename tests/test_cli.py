@@ -406,6 +406,29 @@ def test_input_errors_exit_one_with_one_line(argv, capsys):
     assert len(lines) == 1 and lines[0].startswith("error:")
 
 
+@pytest.mark.parametrize("flag", ["--out", "--csv"])
+@pytest.mark.parametrize("where", ["missing-dir/report", "a-directory"])
+def test_write_error_names_the_given_path_and_leaves_no_temp_file(flag, where, tmp_path, capsys):
+    (tmp_path / "a-directory").mkdir()
+    target = str(tmp_path / where)
+    argv = ["bound", "correlation", "--example", "markov", "--lags", "1", flag, target]
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: [Errno ") and err.endswith(f": {target!r}\n")
+    assert len(err.splitlines()) == 1
+    assert not list(tmp_path.rglob("*.tmp"))
+
+
+def test_canonical_converts_numpy_scalars_and_keeps_bools():
+    import numpy as np
+
+    from lislab.cli import _canonical
+
+    out = _canonical({"b": True, "f": np.float32(0.1), "i": np.int64(3), "l": (np.float64(0.5), 2)})
+    assert out == {"b": True, "f": float(f"{float(np.float32(0.1)):.17g}"), "i": 3, "l": [0.5, 2]}
+    assert out["b"] is True and type(out["i"]) is int and type(out["f"]) is float
+
+
 _FUZZ_VALUES = ["0", "-1", "nan", "inf", "1e308", "3:1", "x", "", "1", "0.5"]
 # flags that set a size take only values that are cheap or rejected, never 20 digits
 _FUZZ_CHOICES = {
@@ -463,22 +486,34 @@ def test_main_never_escapes(fuzz_sources, data):
     assert "Traceback" not in err.getvalue(), argv
 
 
-def _scipy_modules_after(argv: list[str] | None) -> list[str]:
-    """scipy modules loaded by ``import lislab.cli`` and, if given, one ``main(argv)``."""
-    run = f"lislab.cli.main({argv!r}); " if argv else ""
+def _modules_after(argv: list[str] | None) -> tuple[int | None, list[str]]:
+    """Exit code and loaded modules after ``import lislab.cli`` and, if given, one ``main(argv)``.
+
+    ``--help`` leaves through ``SystemExit``; its code is returned like ``main``'s.
+    """
+    run = f"code = lislab.cli.main({argv!r})" if argv is not None else "code = None"
     code = (
         "import contextlib, io, json, sys, lislab.cli\n"
-        f"with contextlib.redirect_stdout(io.StringIO()): {run or 'pass'}\n"
-        "print(json.dumps([m for m in sys.modules if m.startswith('scipy')]))"
+        "out, err = io.StringIO(), io.StringIO()\n"
+        "with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):\n"
+        f"    try: {run}\n"
+        "    except SystemExit as exc: code = exc.code\n"
+        "print(json.dumps([code, sorted(sys.modules)]))"
     )
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
-    return json.loads(proc.stdout)
+    return tuple(json.loads(proc.stdout))
+
+
+def _under(modules: list[str], package: str) -> list[str]:
+    """The names in ``modules`` that are ``package`` or one of its submodules."""
+    return [m for m in modules if m == package or m.startswith(package + ".")]
 
 
 def test_cli_import_leaves_scipy_unloaded():
-    assert _scipy_modules_after(None) == []
-    assert _scipy_modules_after(["check", "--example", "paper-powerlaw", "--depth", "8"]) == []
+    assert _under(_modules_after(None)[1], "scipy") == []
+    argv = ["check", "--example", "paper-powerlaw", "--depth", "8"]
+    assert _under(_modules_after(argv)[1], "scipy") == []
 
 
 @pytest.mark.parametrize(
@@ -491,7 +526,34 @@ def test_cli_import_leaves_scipy_unloaded():
     ],
 )
 def test_powerlaw_commands_leave_scipy_unloaded(argv):
-    assert _scipy_modules_after(argv.split()) == []
+    assert _under(_modules_after(argv.split())[1], "scipy") == []
+
+
+@pytest.mark.parametrize(
+    "argv, expected",
+    [
+        ("--help", 0),
+        ("bound --help", 0),
+        ("bogus-command", 1),
+        ("check", 1),  # no spec, no example
+        ("bound --example markov", 1),  # no mode: the --lags default is converted first
+        ("simulate --example markov --length 0", 1),
+        ("bound memory --example markov --criterion both", 1),
+    ],
+)
+def test_help_and_usage_errors_load_no_numpy(argv, expected):
+    code, modules = _modules_after(argv.split())
+    assert code == expected
+    assert _under(modules, "numpy") == []
+    assert _under(modules, "lislab") == ["lislab", "lislab.cli"]
+
+
+def test_check_loads_no_bounds_oracle_or_sampler(k1_path):
+    code, modules = _modules_after(["check", k1_path])
+    assert code == 0
+    loaded = set(modules)
+    assert "lislab.analysis" in loaded and "lislab.specio" in loaded
+    assert not loaded & {"lislab.bounds", "lislab.oracle", "lislab.sim", "numpy.random"}
 
 
 @pytest.mark.parametrize(
@@ -504,7 +566,6 @@ def test_powerlaw_commands_leave_scipy_unloaded(argv):
 )
 def test_one_sensitivity_matrix_per_command(argv, k1_path, monkeypatch, capsys):
     import lislab.analysis
-    import lislab.cli
 
     calls = []
     build = lislab.analysis.build_sensitivity_matrix
@@ -513,9 +574,13 @@ def test_one_sensitivity_matrix_per_command(argv, k1_path, monkeypatch, capsys):
         calls.append(args)
         return build(*args, **kwargs)
 
-    for module in (lislab.analysis, lislab.cli, lislab.sim):
-        if hasattr(module, "build_sensitivity_matrix"):
-            monkeypatch.setattr(module, "build_sensitivity_matrix", counting)
+    # the commands import it from its own module when they run, so no other binding is left to patch
+    assert not [
+        name for name, module in sys.modules.items()
+        if name.startswith("lislab.") and module is not lislab.analysis
+        and getattr(module, "build_sensitivity_matrix", None) is build
+    ]
+    monkeypatch.setattr(lislab.analysis, "build_sensitivity_matrix", counting)
     assert main(argv.format(k1=k1_path).split()) == 0
     assert len(calls) == 1
 
@@ -542,17 +607,21 @@ def test_huge_memory_depth_exits_fast_without_a_traceback(command, tmp_path, cap
 
 
 def _nan_verify_suite(monkeypatch, target: str) -> dict[str, bool]:
-    """Verdicts of the verify suite on K1 with ``target`` patched to return NaN."""
+    """Verdicts of the verify suite on K1 with ``target`` patched to return NaN on its own module.
+
+    The suite imports its library functions when it runs, so it calls the patched one.
+    """
     import lislab.cli
+    import lislab.kernels
     import lislab.oracle
     from lislab.kernels import ConsistencyReport
 
     if target == "verify_consistency":
         monkeypatch.setattr(
-            lislab.cli, target, lambda *a, **k: ConsistencyReport(5, math.nan, 1e-12)
+            lislab.kernels, target, lambda *a, **k: ConsistencyReport(5, math.nan, 1e-12)
         )
     else:
-        module = lislab.oracle if target == "exact_oscillation_of_average" else lislab.cli
+        module = lislab.oracle if target == "exact_oscillation_of_average" else lislab.kernels
         monkeypatch.setattr(module, target, lambda *a, **k: math.nan)
     f = parse_spec(K1_DOC)
     return {r["property"]: r["passed"] for r in lislab.cli._verify_suite(f, trials=20, seed=0)}
@@ -561,7 +630,8 @@ def _nan_verify_suite(monkeypatch, target: str) -> dict[str, bool]:
 @pytest.mark.parametrize(
     "target, failing",
     [
-        ("compose_window", {"normalization", "factorization"}),
+        # verify_consistency calls compose_window on its own module, so it sees the NaN too
+        ("compose_window", {"normalization", "consistency", "factorization"}),
         ("verify_consistency", {"consistency"}),
         ("exact_oscillation_of_average", {"dusting", "memory-domination"}),
     ],
