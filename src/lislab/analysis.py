@@ -272,29 +272,26 @@ def _min_probability(f: KernelSpec) -> float:
     return 0.0 if worst < 0.0 else worst  # keeps a NaN
 
 
-def boundary_uniformity_check(f: KernelSpec, horizon: int | None = None) -> CriterionVerdict:
+def boundary_uniformity_check(f: KernelSpec) -> CriterionVerdict:
     """Uniform non-nullness plus summable variations.
 
     Reports the minimal conditional probability m, the variation sum V
-    over the horizon, and the uniform comparability constant exp(-V/m)
-    the criterion certifies.  Satisfied iff m > 0 (V is a finite sum for
-    finite-memory kernels).
+    over the memory depth (variations vanish beyond it), and the uniform
+    comparability constant exp(-V/m) the criterion certifies.  Satisfied
+    iff m > 0 (V is a finite sum for finite-memory kernels).
     """
     depth = f.memory_depth
-    horizon = depth if horizon is None else horizon
-    if horizon < depth:
-        raise ValueError(f"horizon {horizon} must cover the memory depth {depth}")
     m = _min_probability(f)
 
     def v_from(n: int) -> float:
-        return sum(variation(f, i, n) for i in range(n, n + horizon + 1))
+        return sum(variation(f, i, n) for i in range(n, n + depth + 1))
 
     if f.stationary:
         v = v_from(0)
     else:
         sites = f.override_sites
-        candidates = set(range(min(sites) - horizon - 1, max(sites) + 2))
-        candidates.add(max(sites) + horizon + 2)
+        candidates = set(range(min(sites) - depth - 1, max(sites) + 2))
+        candidates.add(max(sites) + depth + 2)
         v = max(v_from(n) for n in sorted(candidates))
     c = math.exp(-v / m) if m > 0.0 else 0.0
     return CriterionVerdict(

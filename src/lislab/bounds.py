@@ -11,7 +11,8 @@ Sums over arbitrarily deep past sites stop once one geometric
 certificate (``_tail_mass`` with per-site base ``s**(1/depth)``) bounds
 what is left; the certificate is added to the bound rather than dropped.
 A sweep that has not certified within ``_SITE_BUDGET`` sites raises
-``BoundNotApplicableError``.
+``BoundNotApplicableError``.  The semi-exact correlation bound is
+``correlation_bound`` less what exact oracle oscillation factors save.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ from typing import Iterator, Mapping
 
 import numpy as np
 
-from .core import CapExceededError, Observable, Window, check_cap, oscillation, oscillation_vector
+from .core import CapExceededError, Observable, Window, check_cap, oscillation_vector
 from .analysis import SensitivityMatrix, dobrushin_check, vkr_distance
 from .kernels import KernelSpec
 
@@ -51,15 +52,6 @@ class BoundReport:
     name: str
     value: float
     quantities: Mapping[str, float] = field(default_factory=dict)
-    notes: tuple[str, ...] = ()
-
-    def as_dict(self) -> dict:
-        return {
-            "bound": self.name,
-            "value": self.value,
-            "quantities": dict(self.quantities),
-            "notes": list(self.notes),
-        }
 
 
 @dataclass(frozen=True)
@@ -202,9 +194,20 @@ def _gammas(alpha: SensitivityMatrix, decay: DecaySpec) -> tuple[float, dict[int
     }
 
 
-def gamma_for_window(alpha: SensitivityMatrix, decay: DecaySpec, window: Window) -> float:
+def _decay_prefactor(
+    alpha: SensitivityMatrix, decay: DecaySpec, window: Window
+) -> tuple[float, float]:
+    """The window's largest tilted row sum ``gamma`` and ``gamma / (1 - gamma)``.
+
+    Raises when ``gamma`` is not below 1, carrying the violating value.
+    """
     stationary, by_site = _gammas(alpha, decay)
-    return max(by_site.get(i, stationary) for i in window.sites())
+    gamma = max(by_site.get(i, stationary) for i in window.sites())
+    if gamma >= 1.0:
+        raise BoundNotApplicableError(
+            f"tilted row sum {gamma!r} is not below 1 on the window", gamma=gamma
+        )
+    return gamma, gamma / (1.0 - gamma)
 
 
 def memory_bound_exponential(
@@ -223,12 +226,7 @@ def memory_bound_exponential(
         raise ValueError("the probed site must lie left of the window")
     if not window.contains_window(h.support):
         raise ValueError("observable support must lie inside the window")
-    gamma = gamma_for_window(alpha, decay, window)
-    if gamma >= 1.0:
-        raise BoundNotApplicableError(
-            f"tilted row sum {gamma!r} is not below 1 on the window", gamma=gamma
-        )
-    pref = gamma / (1.0 - gamma)
+    gamma, pref = _decay_prefactor(alpha, decay, window)
     value = 0.0
     for k, osc in oscillation_vector(h, h.support).items():
         value += osc * math.exp(-decay.weight(k - j))
@@ -236,7 +234,6 @@ def memory_bound_exponential(
         name="memory-exponential",
         value=pref * value,
         quantities={"gamma_window": gamma, "prefactor": pref, "rate": decay.rate},
-        notes=(f"decay family {decay.family}",),
     )
 
 
@@ -294,13 +291,8 @@ def series_decay_bound(
     The envelope dominates every entry whenever the tilted row sums stay
     below 1; used as a cross-check on the dense power sums.
     """
-    gamma = gamma_for_window(alpha, decay, window)
-    if gamma >= 1.0:
-        raise BoundNotApplicableError(
-            f"tilted row sum {gamma!r} is not below 1 on the window", gamma=gamma
-        )
+    gamma, pref = _decay_prefactor(alpha, decay, window)
     series = neumann_series(alpha, window)
-    pref = gamma / (1.0 - gamma)
     worst = math.inf
     checked = 0
     for k in window.sites():
@@ -396,59 +388,35 @@ def correlation_bound_semi_exact(
     h1: Observable,
     h2: Observable,
 ) -> BoundReport:
-    """Variant using exact oscillations of the second window's averages.
+    """``correlation_bound`` less what exact oscillation factors save.
 
-    The oscillation factor for ``h2`` is taken from the brute-force
-    oracle while it fits under the cap; deeper sites fall back to the
-    Neumann product with the same geometric certificate.  The metric
-    enters through the diameter of the kernel's alphabet.
+    Takes the plain bound at the diameter of the kernel's alphabet.  At
+    each site ``k < delta.hi``, from the top down while the oracle fits
+    under the cap, ``G2(k)`` gives way to the exact oscillation at ``k``
+    of the average of ``h2`` over ``(k, delta.hi]``, which is at most
+    ``G2(k)`` (dusting); the plain tail still covers deeper sites.
     """
-    from . import oracle as _oracle
+    from .oracle import exact_oscillation_of_average
 
-    if delta.hi >= lam.lo:
-        raise ValueError("the second window must end strictly left of the first")
-    s = alpha.sup_row_sum()
-    if s >= 1.0:
-        raise BoundNotApplicableError("row-sum criterion unsatisfied", gamma=s)
     diameter = f.alphabet.diameter
-    base = diameter * diameter / 4.0
+    plain = correlation_bound(alpha, lam, delta, h1, h2, diameter)
     osc1 = oscillation_vector(h1, h1.support)
     osc2 = oscillation_vector(h2, h2.support)
-    if not osc1 or not osc2:
-        return BoundReport(name="correlation-semi-exact", value=0.0, quantities={"row_sum_sup": s})
-    value = 0.0
+    saved = 0.0
     exact_terms = 0
-    exact = True
-    u = _tail_step_base(alpha)
     for k, g1, g2 in _paired_influence(alpha, osc1, osc2, lam.hi):
-        if k > delta.hi:
+        if k >= delta.hi:
             continue
-        if exact:
-            if k == delta.hi:
-                factor = oscillation(h2, k)
-            else:
-                try:
-                    factor = _oracle.exact_oscillation_of_average(
-                        f, Window(k + 1, delta.hi), h2, k
-                    )
-                    exact_terms += 1
-                except CapExceededError:
-                    exact = False
-        if exact:
-            value += g1 * factor
-            continue
-        # beyond the cap: certified Neumann products, direct terms included
-        value += g1 * g2
-        if k < delta.lo:
-            cert = _pair_tail(osc1, osc2, s, u, k)
-            if cert <= _TAIL_TOL * max(1.0, value):
-                value += cert
-                break
+        try:
+            exact = exact_oscillation_of_average(f, Window(k + 1, delta.hi), h2, k)
+        except CapExceededError:
+            break
+        saved += g1 * (g2 - exact)
+        exact_terms += 1
     return BoundReport(
         name="correlation-semi-exact",
-        value=base * value,
-        quantities={"row_sum_sup": s, "exact_terms": float(exact_terms)},
-        notes=("exact oscillation factors below the cap, certified products beyond",),
+        value=plain.value - diameter * diameter / 4.0 * saved,
+        quantities={**plain.quantities, "exact_terms": float(exact_terms)},
     )
 
 
@@ -514,10 +482,7 @@ def comparison_bound(
     u = _tail_step_base(alpha)
     for k, osc_factor in _influence(alpha, osc, lam.hi):
         acc += gaps.get(k, gaps[None]) * osc_factor
-        if s == 0.0:
-            if k <= lam.lo:
-                break
-        elif k < lam.lo:
+        if k < lam.lo:
             tail = gap_sup * _tail_mass(osc, u, k) / ((1.0 - s) * (1.0 - u))
             if tail <= _TAIL_TOL * max(1.0, acc):
                 break

@@ -63,32 +63,42 @@ def _canonical(obj):
     return obj
 
 
-def _atomic_write(path: Path, data: str) -> None:
-    """Write via a temporary file next to ``path``; a failure names ``path`` and removes it."""
-    tmp = path.with_name(path.name + ".tmp")
+def _write_all(texts: dict[str, str]) -> None:
+    """Write each ``path: text`` via a ``.tmp`` file next to it, renaming once all are written.
+
+    Numbered temporary names keep two spellings of one path apart.  A failure
+    removes every file this call wrote and names the path the user gave.
+    """
+    written: list[Path] = []
     try:
-        tmp.write_text(data)
-        os.replace(tmp, path)
+        for i, (path, text) in enumerate(texts.items()):
+            written.append(Path(path).with_name(f"{Path(path).name}.{i}.tmp"))
+            written[-1].write_text(text)
+        for path, tmp in zip(texts, written[:]):
+            os.replace(tmp, path)
+            written.append(Path(path))
     except OSError as exc:
-        tmp.unlink(missing_ok=True)
-        raise OSError(exc.errno, exc.strerror, str(path)) from None
+        for name in written:
+            name.unlink(missing_ok=True)
+        raise OSError(exc.errno, exc.strerror, path) from None
 
 
-def _emit_report(report: dict, out: str | None) -> None:
-    text = json.dumps(_canonical(report), indent=2, sort_keys=True)
-    if out:
-        _atomic_write(Path(out), text + "\n")
-    else:
-        print(text)
-
-
-def _write_csv(path: str, header: list[str], rows: list[list]) -> None:
+def _csv_text(table: dict) -> str:
     buf = io.StringIO()
-    writer = csv.writer(buf)
-    writer.writerow(header)
-    for row in rows:
-        writer.writerow([_fmt(x) if isinstance(x, float) else x for x in row])
-    _atomic_write(Path(path), buf.getvalue())
+    rows = ([_fmt(x) if isinstance(x, float) else x for x in row] for row in table["rows"])
+    csv.writer(buf).writerows([table["header"], *rows])
+    return buf.getvalue()
+
+
+def _emit_report(report: dict, out: str | None, csv_path: str | None = None) -> None:
+    """Print the JSON report or write it to ``out``; ``csv_path`` also gets its table as CSV."""
+    text = json.dumps(_canonical(report), indent=2, sort_keys=True)
+    texts = {csv_path: _csv_text(report["table"])} if csv_path else {}
+    if out:
+        texts[out] = text + "\n"
+    _write_all(texts)
+    if not out:
+        print(text)
 
 
 def _load_kernel(args) -> tuple[KernelSpec, dict]:
@@ -336,9 +346,7 @@ def cmd_bound(args) -> int:
         raise _UsageError(f"unknown bound mode {args.mode!r}")
     report["seed"] = seed
     report["table"] = {"header": header, "rows": _canonical(rows)}
-    if args.csv:
-        _write_csv(args.csv, header, rows)
-    _emit_report(report, args.out)
+    _emit_report(report, args.out, args.csv)
     return 0
 
 
@@ -488,9 +496,7 @@ def cmd_simulate(args) -> int:
     report["length"] = args.length
     report["burn_in"] = burn
     report["table"] = {"header": header, "rows": _canonical(rows)}
-    if args.csv:
-        _write_csv(args.csv, header, rows)
-    _emit_report(report, args.out)
+    _emit_report(report, args.out, args.csv)
     return 0
 
 
@@ -502,7 +508,6 @@ def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--p01", type=float, default=0.3, help="markov example P(1|0)")
     p.add_argument("--p11", type=float, default=0.7, help="markov example P(1|1)")
     p.add_argument("--out", help="write the JSON report here instead of stdout")
-    p.add_argument("--csv", help="also write the tabular output as CSV")
 
 
 def build_parser() -> _Parser:
@@ -522,6 +527,7 @@ def build_parser() -> _Parser:
     p_bound = sub.add_parser("bound", help="evaluate decay bounds")
     p_bound.add_argument("mode", choices=["memory", "correlation", "compare"])
     _add_common(p_bound)
+    p_bound.add_argument("--csv", help="also write the tabular output as CSV")
     p_bound.add_argument(
         "--site", type=_int_in(hi=-1), default=-1, help="past site probed by memory bounds"
     )
@@ -551,6 +557,7 @@ def build_parser() -> _Parser:
 
     p_sim = sub.add_parser("simulate", help="sample a path and estimate correlations")
     _add_common(p_sim)
+    p_sim.add_argument("--csv", help="also write the tabular output as CSV")
     p_sim.add_argument("--length", type=_int_in(lo=1), default=100000)
     p_sim.add_argument("--seed", type=_int_in(lo=0), default=1)
     p_sim.add_argument("--lags", type=_parse_lags, default=list(range(1, 6)))

@@ -364,11 +364,6 @@ def test_boundary_uniformity_iid(k3):
     assert v.scalars["constant"] == 1.0
 
 
-def test_boundary_requires_horizon_at_least_depth(k2):
-    with pytest.raises(ValueError, match="horizon"):
-        boundary_uniformity_check(k2, horizon=2)
-
-
 def test_ergodic_coefficient_examples(k1, k3):
     assert ergodic_coefficient(k1) == pytest.approx(0.4)
     assert ergodic_coefficient(k3) == 0.0

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from lislab import (
     AlphabetSpec,
     DecaySpec,
+    GeneralTable,
     KernelSpec,
     MarkovTable,
     SensitivityMatrix,
@@ -22,6 +23,7 @@ from lislab import (
     correlation_bound_semi_exact,
     fit_decay_rate,
     indicator,
+    kernel_average_observable,
     memory_bound_exponential,
     memory_bound_general,
     neumann_series,
@@ -29,8 +31,8 @@ from lislab import (
     vkr_distance,
 )
 from lislab.bounds import BoundNotApplicableError
-from lislab.core import oscillation_vector, random_observable
-from lislab.oracle import exact_correlation, stationary_measure
+from lislab.core import oscillation_vector, product_observable, random_observable
+from lislab.oracle import exact_correlation, stationary_expectations, stationary_measure
 from lislab.specio import iid_kernel, power_law_linear, two_state_markov
 
 
@@ -347,6 +349,59 @@ def test_correlation_semi_exact_between_exact_and_bound(k1):
     semi = correlation_bound_semi_exact(k1, alpha, Window(3, 3), Window(0, 0), h3, h0).value
     exact = exact_correlation(k1, h0, h0, 3)
     assert exact - 1e-12 <= semi <= full + 1e-12
+
+
+def _binary_table(rng: np.random.Generator, depth: int) -> GeneralTable:
+    """Rows within 0.2 of fair, so every sensitivity row sum stays at most 0.8."""
+    return GeneralTable(tuple((p, 1.0 - p) for p in rng.uniform(0.3, 0.7, 2**depth).tolist()))
+
+
+def _exact_covariance(f: KernelSpec, default: KernelSpec, h1, h2, start: int) -> float:
+    """|Cov| of ``h1`` and ``h2`` when every site below ``start`` reads ``default``.
+
+    Each average over ``[start, top]`` lives on sites left of ``start``,
+    where the chain of ``f`` is the stationary chain of ``default``.
+    """
+
+    def average(h):
+        return kernel_average_observable(f, Window(start, h.support.hi), h)
+
+    e12, e1, e2 = stationary_expectations(
+        default, [average(product_observable(h1, h2)), average(h1), average(h2)]
+    )
+    return abs(e12 - e1 * e2)
+
+
+def test_correlation_semi_exact_property_random_binary_tables():
+    rng = np.random.default_rng(2024)
+    alphabet = AlphabetSpec.discrete(("0", "1"))
+    strict = 0
+    for case in range(48):
+        depth = int(rng.integers(1, 3))
+        default = KernelSpec(alphabet, depth, _binary_table(rng, depth))
+        delta = Window(0, 0) if case % 2 else Window(0, 2)
+        f, start = default, delta.lo
+        if case % 4 >= 2:  # overrides at one or two sites in [-2, 4]
+            sites = sorted({int(s) for s in rng.integers(-2, 5, 2)})
+            overrides = tuple((site, _binary_table(rng, depth)) for site in sites)
+            f = KernelSpec(alphabet, depth, SiteIndexed(default.family, overrides))
+            start = min(delta.lo, *sites)
+        lag = int(rng.integers(1, 5))
+        lam = Window(delta.hi + lag, delta.hi + lag)
+        h1 = random_observable(lam, alphabet, rng)
+        h2 = random_observable(delta, alphabet, rng)
+        alpha = build_sensitivity_matrix(f)
+        full = correlation_bound(alpha, lam, delta, h1, h2, alphabet.diameter).value
+        semi = correlation_bound_semi_exact(f, alpha, lam, delta, h1, h2).value
+        exact = _exact_covariance(f, default, h1, h2, start)
+        if f.stationary:
+            separation = lam.lo - delta.lo
+            assert exact == pytest.approx(exact_correlation(f, h2, h1, separation), abs=1e-15)
+        assert exact - 1e-12 <= semi <= full + 1e-12, case
+        if depth == 1 and len(delta) == 1:  # one-step binary chain: exact factors equal G2
+            assert semi == pytest.approx(full, rel=1e-9), case
+        strict += semi < full
+    assert strict > 0
 
 
 # --- comparison bound -------------------------------------------------------

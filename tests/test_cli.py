@@ -419,6 +419,39 @@ def test_write_error_names_the_given_path_and_leaves_no_temp_file(flag, where, t
     assert not list(tmp_path.rglob("*.tmp"))
 
 
+@pytest.mark.parametrize("bad", ["--out", "--csv"])
+@pytest.mark.parametrize("where", ["missing-dir/report", "a-directory"])
+def test_failed_write_leaves_neither_output(bad, where, tmp_path, capsys):
+    (tmp_path / "a-directory").mkdir()
+    target = str(tmp_path / where)
+    good = "--csv" if bad == "--out" else "--out"
+    argv = ["bound", "correlation", "--example", "markov", "--lags", "1", bad, target]
+    assert main(argv + [good, str(tmp_path / "good-output")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: [Errno ") and err.endswith(f": {target!r}\n")
+    assert len(err.splitlines()) == 1
+    assert sorted(p.name for p in tmp_path.rglob("*")) == ["a-directory"]
+
+
+def test_csv_and_out_spelling_one_file_keep_the_report(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    argv = ["bound", "correlation", "--example", "markov", "--lags", "1"]
+    assert main(argv + ["--csv", "r.json", "--out", "./r.json"]) == 0
+    assert json.loads((tmp_path / "r.json").read_text())["command"] == "bound correlation"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["r.json"]
+
+
+def test_csv_is_rejected_where_no_table_is_written(tmp_path, capsys):
+    target = tmp_path / "x.csv"
+    argv = ["check", "--example", "markov", "--csv", str(target)]
+    assert main(argv) == 1
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error:") and "--csv" in lines[0]
+    code, modules = _modules_after(argv)
+    assert code == 1 and _under(modules, "numpy") == []
+    assert not target.exists()
+
+
 def test_canonical_converts_numpy_scalars_and_keeps_bools():
     import numpy as np
 
