@@ -33,12 +33,11 @@ _PUBLIC = {
     "bounds": (
         "BoundNotApplicableError", "BoundReport", "DecaySpec", "comparison_bound",
         "correlation_bound", "correlation_bound_semi_exact", "fit_decay_rate",
-        "memory_bound_exponential", "memory_bound_general", "neumann_series",
-        "series_decay_bound",
+        "memory_bound_exponential", "memory_bound_general",
     ),
     "oracle": (
-        "exact_correlation", "exact_oscillation_of_average", "stationary_expectations",
-        "stationary_measure", "verify_dusting",
+        "exact_correlation", "exact_oscillation_of_average", "series_decay_margin",
+        "stationary_expectations", "stationary_measure", "verify_dusting",
     ),
     "sim": ("estimate_correlation", "sample_path"),
     "specio": ("SpecError", "load_spec_file", "parse_spec", "power_law_linear", "two_state_markov"),

@@ -118,45 +118,6 @@ def _paired_influence(
         yield k, g1, g2
 
 
-@dataclass(frozen=True)
-class NeumannSeries:
-    """All-orders power sum of a window-projected sensitivity matrix."""
-
-    window: Window
-    col_lo: int
-    matrix: np.ndarray = field(repr=False)
-    row_sum_sup: float
-    diverged: bool
-
-    def entry(self, k: int, j: int) -> float:
-        if not self.window.contains(k):
-            raise ValueError(f"row site {k} outside the window")
-        if j < self.col_lo or j > self.window.hi:
-            return 0.0
-        return float(self.matrix[k - self.window.lo, j - self.col_lo])
-
-
-def neumann_series(alpha: SensitivityMatrix, window: Window) -> NeumannSeries:
-    """Exact Neumann sum over the window, with a divergence flag.
-
-    Row ``k`` pushes the sweep of ``{k: 1}`` through one more step of the
-    matrix, so paths start at ``k`` and stay in the window until their
-    last step.  The banded structure makes the series a finite sum, so
-    the value is exact even when the row-sum condition fails; the flag
-    records that the infinite-volume object behind it would not converge.
-    """
-    depth = alpha.depth
-    col_lo = window.lo - depth
-    matrix = np.zeros((len(window), len(window) + depth))
-    for k in window.sites():
-        row = matrix[k - window.lo]
-        for i, g in islice(_influence(alpha, {k: 1.0}, k), k - window.lo + 1):
-            for lag in range(1, depth + 1):
-                row[i - lag - col_lo] += g * alpha.entry(i, i - lag)
-    row_sup = max(alpha.row_sum(i) for i in window.sites())
-    return NeumannSeries(window, col_lo, matrix, row_sup, diverged=row_sup >= 1.0)
-
-
 def memory_bound_general(
     alpha: SensitivityMatrix, window: Window, h: Observable, j: int
 ) -> BoundReport:
@@ -267,40 +228,6 @@ def fit_decay_rate(alpha: SensitivityMatrix, family: str = "exponential") -> Dec
     if lo_rate == 0.0:
         raise BoundNotApplicableError("no positive feasible decay rate", gamma=sup_gamma(0.0))
     return DecaySpec(family, lo_rate)
-
-
-@dataclass(frozen=True)
-class SeriesDecayReport:
-    """Per-entry comparison of the power sum against its decay envelope."""
-
-    window: Window
-    gamma_window: float
-    entries_checked: int
-    worst_margin: float
-
-    @property
-    def holds(self) -> bool:
-        return self.worst_margin >= -1e-12
-
-
-def series_decay_bound(
-    alpha: SensitivityMatrix, decay: DecaySpec, window: Window
-) -> SeriesDecayReport:
-    """Check the power-sum entries against the exponential envelope.
-
-    The envelope dominates every entry whenever the tilted row sums stay
-    below 1; used as a cross-check on the dense power sums.
-    """
-    gamma, pref = _decay_prefactor(alpha, decay, window)
-    series = neumann_series(alpha, window)
-    worst = math.inf
-    checked = 0
-    for k in window.sites():
-        for j in range(series.col_lo, k):
-            rhs = pref * math.exp(-decay.weight(k - j))
-            worst = min(worst, rhs - series.entry(k, j))
-            checked += 1
-    return SeriesDecayReport(window, gamma, checked, worst)
 
 
 def _tail_step_base(alpha: SensitivityMatrix) -> float:

@@ -7,7 +7,9 @@ tables are drawn i.i.d. uniform on [0, 1) with per-trial seeds derived
 deterministically from the run seed, so parallel and serial runs report
 identically.  The transport reference ``_vkr_vertex_enum`` enumerates
 the spanning-tree vertices of the transportation polytope; the
-library's ``vkr_distance`` never calls it.  ``sample_path_stepwise`` is
+library's ``vkr_distance`` never calls it.  Dense matrix powers
+(``_dusting_matrix``) are the one power-sum reference; the spread and
+decay-envelope checks read them.  ``sample_path_stepwise`` is
 the per-step sampling loop both of the library's samplers are held to,
 bit for bit.
 """
@@ -17,7 +19,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from typing import Sequence
+from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
 
@@ -44,6 +46,9 @@ from .kernels import (
     kernel_average_observable,
 )
 from .analysis import SensitivityMatrix
+
+if TYPE_CHECKING:
+    from .bounds import DecaySpec
 
 
 class ChainStructureError(RuntimeError):
@@ -90,6 +95,27 @@ def _dusting_matrix(alpha: SensitivityMatrix, window: Window) -> np.ndarray:
         power = power @ a
         total += power
     return total[alpha.depth :, :]
+
+
+def series_decay_margin(alpha: SensitivityMatrix, decay: DecaySpec, window: Window) -> float:
+    """Worst margin ``pref * exp(-decay.weight(k - j)) - S(k, j)`` of the decay envelope.
+
+    ``S`` is ``_dusting_matrix`` at the window rows ``k`` and the columns
+    ``window.lo - depth <= j < k``; ``pref`` comes from ``bounds._decay_prefactor``,
+    which raises when the window's tilted row sum is not below 1.  The
+    envelope holds when the margin is at least -1e-12.
+    """
+    from .bounds import _decay_prefactor
+
+    _, pref = _decay_prefactor(alpha, decay, window)
+    spread = _dusting_matrix(alpha, window)
+    lo_col = window.lo - alpha.depth
+    margins = (
+        pref * math.exp(-decay.weight(k - j)) - float(spread[k - window.lo, j - lo_col])
+        for k in window.sites()
+        for j in range(lo_col, k)
+    )
+    return min(margins, default=math.inf)
 
 
 @dataclass(frozen=True)

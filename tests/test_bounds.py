@@ -1,4 +1,4 @@
-"""Neumann sums, decay bounds, correlation and comparison bounds."""
+"""Dense power-sum references, decay bounds, correlation and comparison bounds."""
 
 import math
 
@@ -26,13 +26,17 @@ from lislab import (
     kernel_average_observable,
     memory_bound_exponential,
     memory_bound_general,
-    neumann_series,
-    series_decay_bound,
+    series_decay_margin,
     vkr_distance,
 )
 from lislab.bounds import BoundNotApplicableError
 from lislab.core import oscillation_vector, product_observable, random_observable
-from lislab.oracle import exact_correlation, stationary_expectations, stationary_measure
+from lislab.oracle import (
+    _dusting_matrix,
+    exact_correlation,
+    stationary_expectations,
+    stationary_measure,
+)
 from lislab.specio import iid_kernel, power_law_linear, two_state_markov
 
 
@@ -64,37 +68,40 @@ def dense_sensitivity(alpha: SensitivityMatrix, lo: int, hi: int, row_lo: int | 
     return dense
 
 
-# --- neumann series ---------------------------------------------------------
+def spread_entry(alpha: SensitivityMatrix, window: Window, k: int, j: int) -> float:
+    """Entry ``(k, j)`` of the window's dense power sum ``oracle._dusting_matrix``."""
+    return float(_dusting_matrix(alpha, window)[k - window.lo, j - (window.lo - alpha.depth)])
+
+
+# --- neumann power sums -----------------------------------------------------
 
 def test_neumann_banded_powers(k1):
     alpha = build_sensitivity_matrix(k1)
-    ns = neumann_series(alpha, Window(0, 5))
-    assert not ns.diverged
-    assert ns.entry(3, 0) == pytest.approx(0.4**3, abs=1e-12)
-    assert ns.entry(5, 0) == pytest.approx(0.4**5, abs=1e-12)
-    assert ns.entry(2, -1) == pytest.approx(0.4**3, abs=1e-12)
-    assert ns.entry(1, 3) == 0.0
+    window = Window(0, 5)
+    assert alpha.sup_row_sum() < 1.0
+    assert spread_entry(alpha, window, 3, 0) == pytest.approx(0.4**3, abs=1e-12)
+    assert spread_entry(alpha, window, 5, 0) == pytest.approx(0.4**5, abs=1e-12)
+    assert spread_entry(alpha, window, 2, -1) == pytest.approx(0.4**3, abs=1e-12)
+    assert spread_entry(alpha, window, 1, 3) == 0.0
 
 
 def test_neumann_zero_matrix():
     alpha = SensitivityMatrix.from_stationary((0.0, 0.0))
-    ns = neumann_series(alpha, Window(0, 4))
-    assert np.all(ns.matrix == 0.0)
-    assert not ns.diverged
+    assert np.all(_dusting_matrix(alpha, Window(0, 4)) == 0.0)
+    assert alpha.sup_row_sum() < 1.0
 
 
 def test_neumann_divergence_flag():
     alpha = SensitivityMatrix.from_stationary((1.0,))
-    ns = neumann_series(alpha, Window(0, 4))
-    assert ns.diverged
-    assert ns.row_sum_sup == 1.0
-    # the finite window sum itself is still exact
-    assert ns.entry(4, 0) == pytest.approx(1.0)
+    assert alpha.sup_row_sum() == 1.0
+    # the finite window sum is exact even where the row-sum condition fails
+    assert spread_entry(alpha, Window(0, 4), 4, 0) == pytest.approx(1.0)
 
 
 @pytest.mark.parametrize("site_indexed", [False, True], ids=["stationary", "site-indexed"])
 def test_neumann_matches_dense_reference(site_indexed):
-    # brute-force reference: dense site-grid matrix powers
+    # the sweep behind memory_bound_general against dense site-grid matrix powers:
+    # a unit oscillation at k probed at j reads entry (k, j) of the power sum
     rng = np.random.default_rng(3)
     if site_indexed:
         alpha = random_site_indexed(rng, 2, (-1, 1, 2, 4))
@@ -108,10 +115,13 @@ def test_neumann_matches_dense_reference(site_indexed):
     for _ in range(len(window) + 2):
         power = power @ dense
         expected += power
-    ns = neumann_series(alpha, window)
+    e = iid_kernel((0.5, 0.5)).alphabet
     for k in window.sites():
-        for j in range(lo, window.hi + 1):
-            assert ns.entry(k, j) == pytest.approx(expected[k - lo, j - lo], abs=1e-12)
+        h = indicator(k, 1, e)
+        for j in range(lo, k):
+            # paths from k to j pass only through (j, k), which lies in this window
+            rep = memory_bound_general(alpha, Window(max(j + 1, window.lo), window.hi), h, j)
+            assert rep.value == pytest.approx(expected[k - lo, j - lo], abs=1e-12)
 
 
 # --- memory bounds ----------------------------------------------------------
@@ -227,11 +237,11 @@ def test_fit_decay_rate_infeasible():
 
 def test_series_decay_markov(k1):
     alpha = build_sensitivity_matrix(k1)
-    rep = series_decay_bound(alpha, DecaySpec("exponential", 0.5), Window(0, 5))
-    assert rep.holds
+    window = Window(0, 5)
+    assert series_decay_margin(alpha, DecaySpec("exponential", 0.5), window) >= -1e-12
     # spot-check one entry against hand values
     gamma = 0.4 * math.exp(0.5)
-    lhs = neumann_series(alpha, Window(0, 5)).entry(3, 0)
+    lhs = spread_entry(alpha, window, 3, 0)
     rhs = gamma / (1 - gamma) * math.exp(-1.5)
     assert lhs <= rhs
 
@@ -243,8 +253,8 @@ def test_series_decay_random_property(seed):
     alpha = random_sub_dobrushin(rng)
     decay = fit_decay_rate(alpha)
     window = Window(0, int(rng.integers(1, 7)))
-    rep = series_decay_bound(alpha, decay, window)
-    assert rep.holds, f"margin {rep.worst_margin}"
+    margin = series_decay_margin(alpha, decay, window)
+    assert margin >= -1e-12, f"margin {margin}"
 
 
 @given(seed=st.integers(0, 10**6))

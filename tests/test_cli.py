@@ -282,6 +282,22 @@ def test_bound_correlation_site_budget_leaves_cell_empty(capsys):
     assert json.loads(captured.out)["table"]["rows"] == [[lag, "", "", "", ""]]
 
 
+def test_slow_chain_leaves_exact_cells_empty(k1_path, tmp_path, capsys):
+    # spectral gap 3e-5: power iteration stops short of its residual target
+    argv = ["bound", "correlation", "--example", "markov", "--verify", "--lags", "1"]
+    code = main(argv + ["--p01", "0.00001", "--p11", "0.99998"])
+    captured = capsys.readouterr()
+    assert code == 0
+    assert "Traceback" not in captured.err
+    assert json.loads(captured.out)["table"]["rows"] == [[1, "", "", "", ""]]
+    slow = json.loads(json.dumps(K1_DOC))
+    slow["kernel"]["rows"] = [[0.99999, 0.00001], [0.00002, 0.99998]]
+    (tmp_path / "slow.json").write_text(json.dumps(slow))
+    assert main(["bound", "compare", k1_path, "--other", str(tmp_path / "slow.json")]) == 0
+    rows = json.loads(capsys.readouterr().out)["table"]["rows"]
+    assert [row[2] for row in rows] == ["", ""]
+
+
 def test_bound_compare_rejects_another_alphabet(k1_path, tmp_path, capsys):
     other = {
         "alphabet": {"symbols": ["a", "b", "c"]},
@@ -324,6 +340,37 @@ def test_verify_command(k1_path, capsys):
         "memory-domination",
     }
     assert report["passed"] is True
+
+
+def _table_path(tmp_path, n: int, depth: int) -> str:
+    import numpy as np
+
+    from conftest import random_table_kernel
+
+    path = tmp_path / f"t{n}x{depth}.json"
+    f = random_table_kernel(np.random.default_rng(0), n, depth)
+    path.write_text(json.dumps(kernel_to_doc(f)))
+    return str(path)
+
+
+@pytest.mark.parametrize("n,depth", [(4, 4), (3, 5), (2, 10)])
+def test_verify_rejects_tables_past_its_largest_enumeration(
+    tmp_path, capsys, monkeypatch, n, depth
+):
+    # n**depth fits the cap, but the dusting observables span depth + 3 sites
+    import lislab.cli
+
+    monkeypatch.setattr(lislab.cli, "_verify_suite", None)  # any suite work would raise
+    assert main(["verify", _table_path(tmp_path, n, depth)]) == 1
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error:")
+    assert f"{n}**{depth + 3} configurations" in lines[0]
+
+
+@pytest.mark.parametrize("n,depth", [(2, 9), (4, 3)])
+def test_verify_admits_tables_at_the_cap(tmp_path, capsys, n, depth):
+    assert main(["verify", _table_path(tmp_path, n, depth)]) == 0
+    assert json.loads(capsys.readouterr().out)["passed"] is True
 
 
 def test_verify_flags_corrupted_kernel(tmp_path, capsys):
@@ -470,6 +517,8 @@ _FUZZ_CHOICES = {
     "--trials": ["2", *_FUZZ_VALUES],
     "--max-n": ["4", *_FUZZ_VALUES],
     "--criterion": ["boundary", "both", *_FUZZ_VALUES],
+    "--p01": ["1e-05", *_FUZZ_VALUES, "1" * 20],
+    "--p11": ["0.99998", *_FUZZ_VALUES, "1" * 20],
 }
 _FUZZ_FLAGS = {
     "check": ["--criterion"],
