@@ -19,6 +19,7 @@ Conventions used throughout the package:
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field
 from typing import Callable, Iterator, Sequence
@@ -208,20 +209,11 @@ def config_code(config: Sequence[int], n_symbols: int) -> int:
     return code
 
 
-def code_config(code: int, n_symbols: int, length: int) -> tuple[int, ...]:
-    out = []
-    for _ in range(length):
-        out.append(code % n_symbols)
-        code //= n_symbols
-    return tuple(reversed(out))
-
-
 def enumerate_configs(window: Window, alphabet: AlphabetSpec) -> Iterator[tuple[int, ...]]:
     """Yield every configuration of ``window`` once, in lexicographic order."""
     length = window.hi - window.lo + 1  # len() overflows before the cap check past sys.maxsize
-    size = check_cap(alphabet.size, length)
-    for code in range(size):
-        yield code_config(code, alphabet.size, length)
+    check_cap(alphabet.size, length)
+    yield from itertools.product(range(alphabet.size), repeat=length)
 
 
 @dataclass(frozen=True)

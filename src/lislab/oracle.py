@@ -9,7 +9,8 @@ identically.  The transport reference ``_vkr_vertex_enum`` enumerates
 the spanning-tree vertices of the transportation polytope; the
 library's ``vkr_distance`` never calls it.  Dense matrix powers
 (``_dusting_matrix``) are the one power-sum reference; the spread and
-decay-envelope checks read them.  ``sample_path_stepwise`` is
+decay-envelope checks read them.  The stationary block law is one
+exact linear solve (``stationary_measure``).  ``sample_path_stepwise`` is
 the per-step sampling loop both of the library's samplers are held to,
 bit for bit.
 """
@@ -25,12 +26,11 @@ import numpy as np
 
 from .core import (
     ABS_TOL,
+    WORK_CAP,
     FiniteDistribution,
     Observable,
-    PastConfig,
     Window,
     check_cap,
-    code_config,
     oscillation,
     product_observable,
     random_observable,
@@ -41,9 +41,11 @@ from .kernels import (
     KernelSpec,
     LinearLongMemory,
     MarkovTable,
-    compose_window,
+    _check_compose_args,
+    _observable_values,
     family_row,
     kernel_average_observable,
+    window_weights,
 )
 from .analysis import SensitivityMatrix
 
@@ -53,10 +55,6 @@ if TYPE_CHECKING:
 
 class ChainStructureError(RuntimeError):
     """The induced block chain is reducible or periodic."""
-
-
-class ConvergenceError(RuntimeError):
-    """Power iteration missed its residual target within the budget."""
 
 
 def exact_oscillation_of_average(f: KernelSpec, window: Window, h: Observable, j: int) -> float:
@@ -193,33 +191,31 @@ def _markov_view(f: KernelSpec) -> tuple[KernelSpec, int]:
 def stationary_measure(f: KernelSpec) -> FiniteDistribution:
     """Unique stationary law on blocks of the kernel's effective order.
 
-    Exact power iteration on the induced block chain, until one step moves
-    the law by at most 1e-14 in l1 (at most 100000 steps); the chain must
-    be irreducible and aperiodic, both of which are checked first.
+    One exact linear solve of ``mu P = mu`` on the induced block chain,
+    which must be irreducible and aperiodic (checked first).  Rounding
+    negatives are clamped to 0; a residual ``|mu P - mu|_1`` above 1e-12
+    raises ``ValueError``.
     """
     g, k = _markov_view(f)
     n = f.alphabet.size
     size = check_cap(n, k)
     rows = g.table_at(0)
-    succ = [
-        [((s * n + x) % size) for x in range(n) if rows[s, x] > 0.0] for s in range(size)
-    ]
+    succ = [[(s * n + x) % size for x in range(n) if rows[s, x] > 0.0] for s in range(size)]
     _check_irreducible_aperiodic(succ, size)
-    mu = np.full(size, 1.0 / size)
-    next_states = np.array(
-        [[(s * n + x) % size for x in range(n)] for s in range(size)], dtype=np.int64
-    )
-    for _ in range(100000):
-        nxt = np.zeros(size)
-        np.add.at(nxt, next_states, mu[:, None] * rows)
-        gap = float(np.abs(nxt - mu).sum())
-        mu = nxt
-        if gap <= 1e-14:
-            mu = mu / mu.sum()
-            return FiniteDistribution(tuple(mu.tolist()))
-    raise ConvergenceError(
-        f"power iteration residual {gap!r} above 1e-14 after 100000 steps"
-    )
+    # block s = (leading symbol, rest r) moves to block r * n + x with probability rows[s, x]
+    rest = size // n
+    p = np.zeros((size, rest, n))
+    p[np.arange(size), np.arange(size) % rest] = rows
+    a = p.reshape(size, size).T  # (P^T - I) mu = 0, in place
+    a[np.diag_indices(size)] -= 1.0
+    a[-1] = 1.0  # the last balance equation becomes the normalisation
+    mu = np.maximum(np.linalg.solve(a, np.eye(1, size, size - 1)[0]), 0.0)
+    mu /= mu.sum()
+    flow = (mu[:, None] * rows).reshape(n, rest, n).sum(axis=0).ravel()
+    residual = float(np.abs(flow - mu).sum())
+    if worse(residual, 1e-12):
+        raise ValueError(f"stationary law residual {residual!r} above 1e-12")
+    return FiniteDistribution(tuple(mu.tolist()))
 
 
 def _check_irreducible_aperiodic(succ: list[list[int]], size: int) -> None:
@@ -258,21 +254,30 @@ def _check_irreducible_aperiodic(succ: list[list[int]], size: int) -> None:
         raise ChainStructureError(f"block chain is periodic with period {abs(g)}")
 
 
-def stationary_expectations(f: KernelSpec, observables: Sequence[Observable]) -> list[float]:
+def stationary_expectations(
+    f: KernelSpec, observables: Sequence[Observable], law: FiniteDistribution | None = None
+) -> list[float]:
     """Stationary expectation of each observable.
 
-    Computes the stationary block law once, then conditions every
-    observable on the initial block.
+    ``law`` is ``stationary_measure(f)``, solved here when not given.  Each
+    observable is averaged over its support from all blocks at once, in
+    chunks that keep blocks x configurations within ``WORK_CAP``.
     """
     g, k = _markov_view(f)
-    mu = stationary_measure(f)
-    n = f.alphabet.size
-    blocks = [
-        (w, PastConfig(code_config(code, n, k))) for code, w in enumerate(mu.weights) if w != 0.0
-    ]
-    return [
-        sum(w * compose_window(g, h.support, past, h) for w, past in blocks) for h in observables
-    ]
+    mu = (stationary_measure(f) if law is None else law).as_array()
+    codes = np.arange(mu.size, dtype=np.int64)
+    out = []
+    for h in observables:
+        _check_compose_args(g, h.support, h)
+        step = WORK_CAP // check_cap(f.alphabet.size, len(h.support))
+        total = 0.0
+        for lo in range(0, mu.size, step):
+            chunk = codes[lo : lo + step]
+            w = window_weights(g, h.support, chunk, k)
+            w *= _observable_values(h, h.support, chunk, k)
+            total += float(mu[lo : lo + step] @ w.sum(axis=1))
+        out.append(total)
+    return out
 
 
 def exact_correlation(
@@ -280,14 +285,16 @@ def exact_correlation(
     h1: Observable,
     h2: Observable,
     separation: int,
+    law: FiniteDistribution | None = None,
 ) -> float:
     """|Cov| of ``h1`` and ``h2`` shifted ``separation`` sites to the right.
 
-    Exact: stationary block law plus enumeration over the joint window.
+    Exact: stationary block law (``law``, solved when not given) plus
+    enumeration over the joint window.
     """
     shifted = shift_observable(h2, separation + h1.support.lo - h2.support.lo)
     joint = product_observable(h1, shifted)
-    e_joint, e1, e2 = stationary_expectations(f, (joint, h1, h2))
+    e_joint, e1, e2 = stationary_expectations(f, (joint, h1, h2), law)
     return abs(e_joint - e1 * e2)
 
 

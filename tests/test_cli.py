@@ -282,20 +282,23 @@ def test_bound_correlation_site_budget_leaves_cell_empty(capsys):
     assert json.loads(captured.out)["table"]["rows"] == [[lag, "", "", "", ""]]
 
 
-def test_slow_chain_leaves_exact_cells_empty(k1_path, tmp_path, capsys):
-    # spectral gap 3e-5: power iteration stops short of its residual target
+def test_slow_chain_gets_exact_cells(k1_path, tmp_path, capsys):
+    # spectral gap 3e-5: the exact solve does not care how slowly the chain mixes
     argv = ["bound", "correlation", "--example", "markov", "--verify", "--lags", "1"]
     code = main(argv + ["--p01", "0.00001", "--p11", "0.99998"])
     captured = capsys.readouterr()
     assert code == 0
     assert "Traceback" not in captured.err
-    assert json.loads(captured.out)["table"]["rows"] == [[1, "", "", "", ""]]
+    [[lag, bound, exact, _, _]] = json.loads(captured.out)["table"]["rows"]
+    assert (lag, bound) == (1, "")  # the bound still runs out of its site budget
+    assert exact == pytest.approx(2 / 9 * (1 - 3e-5), rel=1e-9)  # pi_0 pi_1 (1 - p01 - p10)
     slow = json.loads(json.dumps(K1_DOC))
     slow["kernel"]["rows"] = [[0.99999, 0.00001], [0.00002, 0.99998]]
     (tmp_path / "slow.json").write_text(json.dumps(slow))
     assert main(["bound", "compare", k1_path, "--other", str(tmp_path / "slow.json")]) == 0
     rows = json.loads(capsys.readouterr().out)["table"]["rows"]
-    assert [row[2] for row in rows] == ["", ""]
+    # laws (1/2, 1/2) against (2/3, 1/3)
+    assert [row[2] for row in rows] == pytest.approx([1 / 6, 1 / 6], rel=1e-9)
 
 
 def test_bound_compare_rejects_another_alphabet(k1_path, tmp_path, capsys):
@@ -517,6 +520,7 @@ _FUZZ_CHOICES = {
     "--trials": ["2", *_FUZZ_VALUES],
     "--max-n": ["4", *_FUZZ_VALUES],
     "--criterion": ["boundary", "both", *_FUZZ_VALUES],
+    "--epsilon": ["0.5", "0.05", *_FUZZ_VALUES, "1" * 20],
     "--p01": ["1e-05", *_FUZZ_VALUES, "1" * 20],
     "--p11": ["0.99998", *_FUZZ_VALUES, "1" * 20],
 }
@@ -665,6 +669,33 @@ def test_one_sensitivity_matrix_per_command(argv, k1_path, monkeypatch, capsys):
     monkeypatch.setattr(lislab.analysis, "build_sensitivity_matrix", counting)
     assert main(argv.format(k1=k1_path).split()) == 0
     assert len(calls) == 1
+
+
+@pytest.mark.parametrize(
+    ("argv", "solves"),
+    [
+        ("bound correlation {k1} --verify --lags 1:8", 1),
+        ("bound compare {k1} --other {other}", 2),
+    ],
+)
+def test_one_stationary_solve_per_kernel(argv, solves, k1_path, tmp_path, monkeypatch, capsys):
+    import lislab.oracle
+
+    other = json.loads(json.dumps(K1_DOC))
+    other["kernel"]["rows"] = [[0.69, 0.31], [0.3, 0.7]]
+    (tmp_path / "other.json").write_text(json.dumps(other))
+    calls = []
+    solve = lislab.oracle.stationary_measure
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return solve(*args, **kwargs)
+
+    monkeypatch.setattr(lislab.oracle, "stationary_measure", counting)
+    assert main(argv.format(k1=k1_path, other=tmp_path / "other.json").split()) == 0
+    assert len(calls) == solves
+    rows = json.loads(capsys.readouterr().out)["table"]["rows"]
+    assert all(isinstance(row[2], float) for row in rows)
 
 
 @pytest.mark.parametrize("command", ["check", "simulate --length 1000"])

@@ -2,6 +2,7 @@
 
 import importlib
 import inspect
+import itertools
 import pkgutil
 
 import numpy as np
@@ -28,7 +29,7 @@ from lislab import (
 )
 import lislab
 from lislab.analysis import build_sensitivity_matrix, variation
-from lislab.core import code_config, random_observable
+from lislab.core import random_observable
 from lislab.kernels import family_row
 from lislab.specio import power_law_linear, two_state_markov
 
@@ -234,12 +235,10 @@ def test_table_at_rows_match_family_row():
     assert f.table_at(3) is f.table_at(-10)
     assert f.table_at(4) is not f.table_at(3)
     for site in (3, 4):
-        for code in range(9):
-            past = code_config(code, 3, 2)
+        for code, past in enumerate(itertools.product(range(3), repeat=2)):
             assert tuple(f.table_at(site)[code]) == family_row(f.family_at(site), e, past)
     lin = power_law_linear(0.5, 3)
-    for code in range(8):
-        past = code_config(code, 2, 3)
+    for code, past in enumerate(itertools.product(range(2), repeat=3)):
         assert tuple(lin.table_at(0)[code]) == family_row(lin.family, lin.alphabet, past)
 
 

@@ -1,5 +1,6 @@
 """Brute-force oracles: exact oscillations, dusting, stationary measures."""
 
+import itertools
 import math
 
 import numpy as np
@@ -18,7 +19,13 @@ from lislab import (
     stationary_measure,
     verify_dusting,
 )
-from lislab.core import PastConfig, random_observable
+from lislab.core import (
+    CapExceededError,
+    PastConfig,
+    product_observable,
+    random_observable,
+    shift_observable,
+)
 from lislab.kernels import kernel_average_observable
 from lislab.oracle import ChainStructureError
 from lislab.specio import iid_kernel, two_state_markov
@@ -146,6 +153,63 @@ def test_stationary_expectations_match_block_law(k1):
     mu = stationary_measure(k1)
     observables = [indicator(0, s, k1.alphabet) for s in range(2)]
     assert stationary_expectations(k1, observables) == pytest.approx(mu.weights, abs=1e-12)
+
+
+def _block_flow(f, mu: np.ndarray) -> np.ndarray:
+    """``mu P`` on the block chain, one (block, symbol) move at a time."""
+    rows = f.table_at(0)
+    size, n = rows.shape
+    blocks = np.arange(size)[:, None]
+    flow = np.zeros(size)
+    np.add.at(flow, (blocks * n + np.arange(n)) % size, mu[:, None] * rows)
+    return flow
+
+
+@pytest.mark.parametrize(
+    ("n_symbols", "depth"),
+    [(2, 1), (2, 6), (3, 4), (5, 3), (7, 2), (16, 1), (16, 2), (16, 3)],
+)
+def test_stationary_solve_is_a_law_with_small_residual(n_symbols, depth):
+    f = random_table_kernel(np.random.default_rng(n_symbols * 100 + depth), n_symbols, depth)
+    mu = stationary_measure(f).as_array()
+    assert mu.size == n_symbols**depth
+    assert mu.min() >= 0.0
+    assert np.abs(_block_flow(f, mu) - mu).sum() <= 1e-12
+
+
+@pytest.mark.parametrize(("p01", "p11"), [(1e-5, 0.99998), (1e-300, 0.5)])
+def test_stationary_solve_on_slow_two_state_chains(p01, p11):
+    f = two_state_markov(p01, p11)
+    mu = stationary_measure(f).as_array()
+    p10 = 1.0 - p11
+    assert mu.min() >= 0.0
+    # the diagonal (1 - p01) - 1 keeps p01 only to 2**-53 / p01 relative (1e-11 at p01 = 1e-5)
+    assert mu[1] == pytest.approx(p01 / (p01 + p10), rel=1e-9)
+    assert mu[0] == pytest.approx(p10 / (p01 + p10), rel=1e-9)
+    assert np.abs(_block_flow(f, mu) - mu).sum() <= 1e-12
+
+
+def test_expectations_batch_over_4096_blocks(monkeypatch):
+    import lislab.oracle
+
+    f = random_table_kernel(np.random.default_rng(12), n_symbols=2, depth=12)
+    law = stationary_measure(f)
+    h = indicator(0, 1, f.alphabet)
+    joint = product_observable(h, shift_observable(h, 11))  # 12 sites, 4096 configurations
+    blocks = itertools.product(range(2), repeat=12)  # in code order
+    loop = sum(
+        w * compose_window(f, joint.support, PastConfig(past), joint)
+        for past, w in zip(blocks, law.weights)
+    )
+    [batched] = stationary_expectations(f, [joint], law)
+    assert batched == pytest.approx(loop, rel=0.0, abs=1e-13)
+    assert exact_correlation(f, h, h, 11, law) > 0.0
+    with pytest.raises(CapExceededError):
+        exact_correlation(f, h, h, 12, law)
+    # 4 chunks of 1024 blocks at the default cap, 16 chunks of 256 here
+    monkeypatch.setattr(lislab.oracle, "WORK_CAP", 256 * 4096)
+    [chunked] = stationary_expectations(f, [joint], law)
+    assert chunked == pytest.approx(batched, rel=1e-14, abs=0.0)
 
 
 def test_finite_volume_convergence_gap(k1):
