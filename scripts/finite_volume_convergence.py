@@ -10,7 +10,6 @@ as an observational table.
 import argparse
 
 from lislab import (
-    PastConfig,
     Window,
     compose_window,
     indicator,
@@ -33,8 +32,8 @@ def main() -> None:
     print(f"{'n':>3} {'from all-0':>14} {'from all-1':>14} {'gap':>14}")
     for n in range(0, args.max_n + 1):
         window = Window(-n, 0)
-        lo = compose_window(f, window, PastConfig.fill(0, 1), h)
-        hi = compose_window(f, window, PastConfig.fill(1, 1), h)
+        lo = compose_window(f, window, (0,), h)
+        hi = compose_window(f, window, (1,), h)
         print(f"{n:3d} {lo:14.10f} {hi:14.10f} {abs(hi - lo):14.10f}")
 
 

@@ -17,13 +17,13 @@ __version__ = "0.1.0"
 #: Public names by the submodule that defines them.
 _PUBLIC = {
     "core": (
-        "AlphabetSpec", "CapExceededError", "FiniteDistribution", "Observable", "PastConfig",
-        "Window", "constant_observable", "enumerate_configs", "indicator", "oscillation",
+        "AlphabetSpec", "CapExceededError", "FiniteDistribution", "Observable", "Window",
+        "constant_observable", "enumerate_configs", "indicator", "oscillation",
     ),
     "kernels": (
         "GeneralTable", "KernelSpec", "LinearLongMemory", "MarkovTable", "SiteIndexed",
         "compose_window", "eval_singleton", "kernel_average_observable",
-        "marginal_distribution", "verify_consistency",
+        "marginal_distribution",
     ),
     "analysis": (
         "CriterionVerdict", "SensitivityMatrix", "boundary_uniformity_check",
@@ -37,7 +37,7 @@ _PUBLIC = {
     ),
     "oracle": (
         "exact_correlation", "exact_oscillation_of_average", "series_decay_margin",
-        "stationary_expectations", "stationary_measure", "verify_dusting",
+        "stationary_expectations", "stationary_measure", "verify_consistency", "verify_dusting",
     ),
     "sim": ("estimate_correlation", "sample_path"),
     "specio": ("SpecError", "load_spec_file", "parse_spec", "power_law_linear", "two_state_markov"),

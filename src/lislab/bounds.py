@@ -8,8 +8,9 @@ site from the top of the observable's window at O(depth) work per site,
 for stationary and site-indexed matrices alike.  Because the matrix is
 strictly banded below the diagonal, sums over a finite window are exact.
 Sums over arbitrarily deep past sites stop once one geometric
-certificate (``_tail_mass`` with per-site base ``s**(1/depth)``) bounds
-what is left; the certificate is added to the bound rather than dropped.
+certificate (``_tail_certificate`` with per-site base ``s**(1/depth)``)
+bounds what is left; the certificate is added to the bound rather than
+dropped, and a base that rounds to 1 raises ``BoundNotApplicableError``.
 A sweep that has not certified within ``_SITE_BUDGET`` sites raises
 ``BoundNotApplicableError``.  The semi-exact correlation bound is
 ``correlation_bound`` less what exact oracle oscillation factors save.
@@ -101,13 +102,25 @@ def _tail_mass(osc: Mapping[int, float], u: float, k: int) -> float:
     return sum(w * u ** (site - (k - 1)) for site, w in osc.items())
 
 
-def _pair_tail(
-    osc1: Mapping[int, float], osc2: Mapping[int, float], s: float, u: float, k: int
+def _tail_certificate(
+    oscs: tuple[Mapping[int, float], ...], s: float, u: float, k: int
 ) -> float:
-    """Certificate for the sum of ``G1(j) * G2(j)`` over every site ``j < k``."""
+    """Certificate for the sum over every site ``j < k`` of the product of the columns of ``oscs``.
+
+    Each column is at most ``_tail_mass(osc, u, k) * u**(k - 1 - j) / (1 - s)`` at
+    ``j``, so the sum is at most the product of ``_tail_mass / (1 - s)`` over
+    ``1 - u**len(oscs)``.  A base ``u`` that rounds to 1 leaves a certificate
+    that never shrinks, and the bound does not apply.
+    """
     if u == 0.0:
         return 0.0  # a zero matrix carries nothing below the windows
-    return (_tail_mass(osc1, u, k) / (1.0 - s)) * (_tail_mass(osc2, u, k) / (1.0 - s)) / (1.0 - u * u)
+    if u >= 1.0:
+        raise BoundNotApplicableError(
+            f"row sum {s!r} gives a tail base of 1, so no tail certificate shrinks", gamma=s
+        )
+    columns = math.prod(_tail_mass(osc, u, k) / (1.0 - s) for osc in oscs)
+    # u * u, not u ** 2: pow can round the square differently in the last bit
+    return columns / (1.0 - math.prod([u] * len(oscs)))
 
 
 def _paired_influence(
@@ -290,7 +303,7 @@ def correlation_bound(
         if k > delta.hi:
             continue
         acc += g1 * (g2 - osc2.get(k, 0.0))
-        tail = _pair_tail(osc1, osc2, s, u, k)
+        tail = _tail_certificate((osc1, osc2), s, u, k)
         if tail <= _TAIL_TOL * max(1.0, term1 + acc):
             break
     value = base * (term1 + acc + tail)
@@ -410,7 +423,7 @@ def comparison_bound(
     for k, osc_factor in _influence(alpha, osc, lam.hi):
         acc += gaps.get(k, gaps[None]) * osc_factor
         if k < lam.lo:
-            tail = gap_sup * _tail_mass(osc, u, k) / ((1.0 - s) * (1.0 - u))
+            tail = gap_sup * _tail_certificate((osc,), s, u, k)
             if tail <= _TAIL_TOL * max(1.0, acc):
                 break
     value = acc + tail

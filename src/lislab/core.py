@@ -172,35 +172,6 @@ class Window:
         return Window(self.lo + offset, self.hi + offset)
 
 
-@dataclass(frozen=True)
-class PastConfig:
-    """Symbols at the sites immediately left of a window, oldest first.
-
-    A kernel of memory depth ``R`` conditions on the trailing ``R``
-    entries; composition against an observable reaching further left may
-    require a longer suffix.
-    """
-
-    symbols: tuple[int, ...]
-
-    def __len__(self) -> int:
-        return len(self.symbols)
-
-    @staticmethod
-    def of(symbols: Sequence[int]) -> "PastConfig":
-        return PastConfig(tuple(int(s) for s in symbols))
-
-    @staticmethod
-    def fill(symbol: int, depth: int) -> "PastConfig":
-        return PastConfig((int(symbol),) * depth)
-
-
-def as_symbols(past: "PastConfig | Sequence[int]") -> tuple[int, ...]:
-    if isinstance(past, PastConfig):
-        return past.symbols
-    return tuple(int(s) for s in past)
-
-
 def config_code(config: Sequence[int], n_symbols: int) -> int:
     """Big-endian integer code of a configuration tuple."""
     code = 0

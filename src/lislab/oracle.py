@@ -13,6 +13,10 @@ decay-envelope checks read them.  The stationary block law is one
 exact linear solve (``stationary_measure``).  ``sample_path_stepwise`` is
 the per-step sampling loop both of the library's samplers are held to,
 bit for bit.
+
+``verify_suite`` is the property suite behind ``lis-lab verify``, with
+its admission rule; every worst-residual fold in it goes through
+``_worst``, so a NaN fails.
 """
 
 from __future__ import annotations
@@ -20,17 +24,21 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Sequence
+from typing import TYPE_CHECKING, Iterable, Sequence
 
 import numpy as np
 
 from .core import (
     ABS_TOL,
+    DEFAULT_CONFIG_CAP,
     WORK_CAP,
+    CapExceededError,
     FiniteDistribution,
     Observable,
     Window,
     check_cap,
+    constant_observable,
+    exceeds_cap,
     oscillation,
     product_observable,
     random_observable,
@@ -43,6 +51,7 @@ from .kernels import (
     MarkovTable,
     _check_compose_args,
     _observable_values,
+    compose_window,
     family_row,
     kernel_average_observable,
     window_weights,
@@ -151,11 +160,8 @@ def verify_dusting(
     min_slack = math.inf
     violations = 0
     worst_case: tuple[int, int] | None = None
-    instances = 0
-    trial = 0
-    while instances < trials:
+    for trial in range(trials):
         rng = np.random.default_rng((seed, trial))
-        trial += 1
         lo = int(rng.integers(strip_lo, window.lo + 1))
         hi = int(rng.integers(window.lo, window.hi + 1))
         h = random_observable(Window(lo, hi), f.alphabet, rng)
@@ -169,11 +175,152 @@ def verify_dusting(
         slack = rhs - lhs
         if worse(-slack, -min_slack):
             min_slack = slack
-            worst_case = (trial - 1, j)
+            worst_case = (trial, j)
         if worse(-slack, ABS_TOL):
             violations += 1
-        instances += 1
-    return DustingReport(instances, violations, min_slack, worst_case)
+    return DustingReport(trials, violations, min_slack, worst_case)
+
+
+def _worst(residuals: Iterable[float]) -> float:
+    """Largest of ``residuals`` and 0.0; a NaN is worse than any number (``core.worse``)."""
+    worst = 0.0
+    for residual in residuals:
+        if worse(residual, worst):
+            worst = residual
+    return worst
+
+
+@dataclass(frozen=True)
+class ConsistencyReport:
+    """Worst residual of the nested-average identity over random trials."""
+
+    trials: int
+    max_residual: float
+    tol: float
+
+    @property
+    def passed(self) -> bool:
+        return self.max_residual <= self.tol
+
+
+def verify_consistency(
+    f: KernelSpec,
+    delta: Window,
+    lam: Window,
+    trials: int = 100,
+    tol: float = 1e-12,
+    seed: int = 0,
+) -> ConsistencyReport:
+    """Check that averaging over ``lam`` inside ``delta`` changes nothing.
+
+    For random pasts and random observables measurable left of the end of
+    ``lam``, compares the iterated average against the direct one by
+    exact enumeration and reports the largest residual.
+    """
+    if not delta.contains_window(lam):
+        raise ValueError("inner window must be contained in the outer window")
+    rng = np.random.default_rng(seed)
+    n = f.alphabet.size
+    depth = f.memory_depth
+
+    def residual() -> float:
+        lo = int(rng.integers(delta.lo - max(depth, 2), lam.hi + 1))
+        hi = int(min(lam.hi, lo + rng.integers(0, 3)))
+        h = random_observable(Window(lo, hi), f.alphabet, rng)
+        g = kernel_average_observable(f, lam, h)
+        past_len = max(depth, delta.lo - min(h.support.lo, g.support.lo), 1)
+        past = tuple(int(s) for s in rng.integers(0, n, past_len))
+        return abs(compose_window(f, delta, past, g) - compose_window(f, delta, past, h))
+
+    return ConsistencyReport(trials, _worst(residual() for _ in range(trials)), tol)
+
+
+def verify_suite(f: KernelSpec, trials: int, seed: int) -> list[dict]:
+    """The ``lis-lab verify`` property records, in order, from one seeded stream.
+
+    Normalisation, nested-window consistency and factorisation of window
+    averages (worst residual at most 1e-12), the spread (dusting)
+    inequality, and domination of the exact oscillation by
+    ``memory_bound_general``.  A spec whose dusting observables, the
+    suite's largest enumeration at ``max(R, 1) + 3`` sites, exceed the
+    configuration cap raises ``CapExceededError`` before any work.
+    """
+    n, sites = f.alphabet.size, max(f.memory_depth, 1) + 3
+    if exceeds_cap(n, sites, DEFAULT_CONFIG_CAP):
+        raise CapExceededError(
+            "memory depth too large for the exact verification suite "
+            f"({n}**{sites} configurations exceed the cap of {DEFAULT_CONFIG_CAP})"
+        )
+    from .analysis import build_sensitivity_matrix
+    from .bounds import memory_bound_general
+
+    rng = np.random.default_rng(seed)
+    depth = f.memory_depth
+
+    def past() -> tuple[int, ...]:
+        return tuple(int(s) for s in rng.integers(0, n, max(depth, 1)))
+
+    def factorization(hi: int, split: int) -> float:
+        h = random_observable(Window(rng.integers(0, hi + 1), hi), f.alphabet, rng)
+        right = kernel_average_observable(f, Window(split + 1, hi), h)
+        at = past()
+        lhs = compose_window(f, Window(0, hi), at, h)
+        return abs(lhs - compose_window(f, Window(0, split), at, right))
+
+    def excess() -> float:
+        window = Window(0, int(rng.integers(0, 3)))
+        h = random_observable(window, f.alphabet, rng)
+        j = -int(rng.integers(1, depth + 2))
+        exact = exact_oscillation_of_average(f, window, h, j)
+        return exact - memory_bound_general(alpha, window, h, j).value
+
+    ones = [constant_observable(Window(0, hi), f.alphabet, 1.0) for hi in range(3)]
+    residuals = {  # a dict display evaluates in order, so the stream is drawn in order
+        "normalization": _worst(
+            abs(compose_window(f, one.support, past(), one) - 1.0) for one in ones for _ in range(5)
+        ),
+        "consistency": _worst(
+            verify_consistency(
+                f, Window(0, hi), Window(lo_in, hi_in), trials=max(trials // 10, 5),
+                seed=int(rng.integers(2**31)),
+            ).max_residual
+            for hi in range(3)
+            for lo_in in range(hi + 1)
+            for hi_in in range(lo_in, hi + 1)
+        ),
+        "factorization": _worst(
+            factorization(hi, split)
+            for hi in range(1, 4)
+            for split in range(hi)
+            for _ in range(max(trials // 20, 3))
+        ),
+    }
+    results = [
+        {"property": name, "worst_residual": worst, "passed": worst <= 1e-12}
+        for name, worst in residuals.items()
+    ]
+    alpha = build_sensitivity_matrix(f)
+    rep = verify_dusting(f, Window(0, 1), alpha, trials=max(trials // 2, 20), seed=seed)
+    results.append(
+        {
+            "property": "dusting",
+            "instances": rep.instances,
+            "violations": rep.violations,
+            "min_slack": rep.min_slack,
+            "passed": rep.passed,
+        }
+    )
+    excesses = [excess() for _ in range(max(trials // 5, 10))]
+    violations = sum(worse(e, 1e-9) for e in excesses)
+    results.append(
+        {
+            "property": "memory-domination",
+            "violations": violations,
+            "worst_excess": _worst(excesses),
+            "passed": violations == 0,
+        }
+    )
+    return results
 
 
 def _markov_view(f: KernelSpec) -> tuple[KernelSpec, int]:
@@ -207,7 +354,10 @@ def stationary_measure(f: KernelSpec) -> FiniteDistribution:
     p = np.zeros((size, rest, n))
     p[np.arange(size), np.arange(size) % rest] = rows
     a = p.reshape(size, size).T  # (P^T - I) mu = 0, in place
-    a[np.diag_indices(size)] -= 1.0
+    # minus each block's exit mass, summed off the diagonal: P_ss - 1 cancels on sticky blocks
+    diagonal = np.diag_indices(size)
+    a[diagonal] = 0.0
+    a[diagonal] = -a.sum(axis=0)
     a[-1] = 1.0  # the last balance equation becomes the normalisation
     mu = np.maximum(np.linalg.solve(a, np.eye(1, size, size - 1)[0]), 0.0)
     mu /= mu.sum()

@@ -20,10 +20,11 @@ from __future__ import annotations
 
 from bisect import bisect_right
 from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
-from .core import Observable, PastConfig, as_symbols
+from .core import Observable
 from .kernels import KernelSpec, LinearLongMemory, family_order, family_row
 from .analysis import SensitivityMatrix
 
@@ -58,7 +59,7 @@ def sample_path(
     f: KernelSpec,
     length: int,
     seed: int,
-    initial_past: "PastConfig | None" = None,
+    initial_past: Sequence[int] | None = None,
 ) -> np.ndarray:
     """Draw ``length`` symbols site by site from sites 0, 1, ....
 
@@ -76,9 +77,7 @@ def sample_path(
     if length < 1:
         raise ValueError("path length must be at least 1")
     depth = f.memory_depth
-    if initial_past is None:
-        initial_past = PastConfig.fill(0, depth)
-    past = as_symbols(initial_past)
+    past = (0,) * depth if initial_past is None else tuple(int(s) for s in initial_past)
     if len(past) != depth:
         raise ValueError(f"initial past has length {len(past)}, expected {depth}")
     draw = np.random.default_rng(seed).random

@@ -282,6 +282,34 @@ def test_bound_correlation_site_budget_leaves_cell_empty(capsys):
     assert json.loads(captured.out)["table"]["rows"] == [[lag, "", "", "", ""]]
 
 
+def test_row_sum_one_ulp_below_one_has_no_tail_certificate(tmp_path, capsys):
+    # s = 1 - 2**-53 passes check, but its per-site tail base s**(1/2) rounds to 1
+    doc = {
+        "alphabet": {"symbols": ["0", "1"]},
+        "memory_depth": 2,
+        "kernel": {"type": "linear", "intercept": 0.0, "coefficients": [0.5, 0.4999999999999999]},
+    }
+    path = tmp_path / "ulp.json"
+    path.write_text(json.dumps(doc))
+    assert main(["check", str(path)]) == 0
+    capsys.readouterr()
+    for argv, expected, bound_column in [
+        ("bound correlation {spec} --lags 1:2", 0, 1),
+        ("bound compare {spec} --other {spec}", 2, None),
+        ("simulate {spec} --length 200 --burn-in 10 --lags 1:2", 0, 3),
+    ]:
+        code = main(argv.format(spec=path).split())
+        captured = capsys.readouterr()
+        assert code == expected, argv
+        assert "Traceback" not in captured.err
+        if bound_column is None:
+            assert captured.err.startswith("criterion not met:")
+            assert len(captured.err.strip().splitlines()) == 1
+        else:
+            rows = json.loads(captured.out)["table"]["rows"]
+            assert [row[bound_column] for row in rows] == ["", ""]
+
+
 def test_slow_chain_gets_exact_cells(k1_path, tmp_path, capsys):
     # spectral gap 3e-5: the exact solve does not care how slowly the chain mixes
     argv = ["bound", "correlation", "--example", "markov", "--verify", "--lags", "1"]
@@ -361,9 +389,10 @@ def test_verify_rejects_tables_past_its_largest_enumeration(
     tmp_path, capsys, monkeypatch, n, depth
 ):
     # n**depth fits the cap, but the dusting observables span depth + 3 sites
-    import lislab.cli
+    import lislab.oracle
 
-    monkeypatch.setattr(lislab.cli, "_verify_suite", None)  # any suite work would raise
+    for name in ("compose_window", "verify_consistency", "verify_dusting", "random_observable"):
+        monkeypatch.setattr(lislab.oracle, name, None)  # any suite work would raise
     assert main(["verify", _table_path(tmp_path, n, depth)]) == 1
     lines = capsys.readouterr().err.splitlines()
     assert len(lines) == 1 and lines[0].startswith("error:")
@@ -379,7 +408,7 @@ def test_verify_admits_tables_at_the_cap(tmp_path, capsys, n, depth):
 def test_verify_flags_corrupted_kernel(tmp_path, capsys):
     # bypass the strict parser deliberately: build the spec in-process
     import lislab
-    from lislab.cli import _verify_suite
+    from lislab.oracle import verify_suite
 
     broken = lislab.KernelSpec(
         lislab.AlphabetSpec.binary(),
@@ -387,7 +416,7 @@ def test_verify_flags_corrupted_kernel(tmp_path, capsys):
         lislab.MarkovTable(1, ((0.62, 0.6), (0.3, 0.7))),
         check=False,
     )
-    results = _verify_suite(broken, trials=40, seed=0)
+    results = verify_suite(broken, trials=40, seed=0)
     assert not all(r["passed"] for r in results)
 
 
@@ -720,30 +749,23 @@ def test_huge_memory_depth_exits_fast_without_a_traceback(command, tmp_path, cap
 
 
 def _nan_verify_suite(monkeypatch, target: str) -> dict[str, bool]:
-    """Verdicts of the verify suite on K1 with ``target`` patched to return NaN on its own module.
+    """Verdicts of the verify suite on K1 with ``target`` patched to return NaN in ``oracle``.
 
-    The suite imports its library functions when it runs, so it calls the patched one.
+    The suite and ``verify_consistency`` call the library through the names ``oracle`` binds.
     """
-    import lislab.cli
-    import lislab.kernels
     import lislab.oracle
-    from lislab.kernels import ConsistencyReport
+    from lislab.oracle import ConsistencyReport
 
-    if target == "verify_consistency":
-        monkeypatch.setattr(
-            lislab.kernels, target, lambda *a, **k: ConsistencyReport(5, math.nan, 1e-12)
-        )
-    else:
-        module = lislab.oracle if target == "exact_oscillation_of_average" else lislab.kernels
-        monkeypatch.setattr(module, target, lambda *a, **k: math.nan)
+    nan = ConsistencyReport(5, math.nan, 1e-12) if target == "verify_consistency" else math.nan
+    monkeypatch.setattr(lislab.oracle, target, lambda *a, **k: nan)
     f = parse_spec(K1_DOC)
-    return {r["property"]: r["passed"] for r in lislab.cli._verify_suite(f, trials=20, seed=0)}
+    return {r["property"]: r["passed"] for r in lislab.oracle.verify_suite(f, trials=20, seed=0)}
 
 
 @pytest.mark.parametrize(
     "target, failing",
     [
-        # verify_consistency calls compose_window on its own module, so it sees the NaN too
+        # verify_consistency calls compose_window through oracle too, so it sees the NaN
         ("compose_window", {"normalization", "consistency", "factorization"}),
         ("verify_consistency", {"consistency"}),
         ("exact_oscillation_of_average", {"dusting", "memory-domination"}),

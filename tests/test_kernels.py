@@ -273,9 +273,9 @@ def test_no_function_takes_a_cap():
 
 
 def test_verify_consistency_nan_residual_fails(k1, monkeypatch):
-    import lislab.kernels
+    import lislab.oracle
 
-    monkeypatch.setattr(lislab.kernels, "compose_window", lambda *a, **k: float("nan"))
+    monkeypatch.setattr(lislab.oracle, "compose_window", lambda *a, **k: float("nan"))
     rep = verify_consistency(k1, Window(0, 2), Window(1, 1), trials=5)
     assert np.isnan(rep.max_residual)
     assert not rep.passed

@@ -21,7 +21,6 @@ from lislab import (
 )
 from lislab.core import (
     CapExceededError,
-    PastConfig,
     product_observable,
     random_observable,
     shift_observable,
@@ -177,13 +176,15 @@ def test_stationary_solve_is_a_law_with_small_residual(n_symbols, depth):
     assert np.abs(_block_flow(f, mu) - mu).sum() <= 1e-12
 
 
-@pytest.mark.parametrize(("p01", "p11"), [(1e-5, 0.99998), (1e-300, 0.5)])
+@pytest.mark.parametrize(
+    ("p01", "p11"), [(1e-5, 0.99998), (1e-9, 1 - 2e-9), (1e-300, 0.5)]
+)
 def test_stationary_solve_on_slow_two_state_chains(p01, p11):
     f = two_state_markov(p01, p11)
     mu = stationary_measure(f).as_array()
     p10 = 1.0 - p11
     assert mu.min() >= 0.0
-    # the diagonal (1 - p01) - 1 keeps p01 only to 2**-53 / p01 relative (1e-11 at p01 = 1e-5)
+    # a diagonal (1 - p01) - 1 would keep p01 only to about 2**-53 / p01 relative
     assert mu[1] == pytest.approx(p01 / (p01 + p10), rel=1e-9)
     assert mu[0] == pytest.approx(p10 / (p01 + p10), rel=1e-9)
     assert np.abs(_block_flow(f, mu) - mu).sum() <= 1e-12
@@ -198,7 +199,7 @@ def test_expectations_batch_over_4096_blocks(monkeypatch):
     joint = product_observable(h, shift_observable(h, 11))  # 12 sites, 4096 configurations
     blocks = itertools.product(range(2), repeat=12)  # in code order
     loop = sum(
-        w * compose_window(f, joint.support, PastConfig(past), joint)
+        w * compose_window(f, joint.support, past, joint)
         for past, w in zip(blocks, law.weights)
     )
     [batched] = stationary_expectations(f, [joint], law)
@@ -216,15 +217,15 @@ def test_finite_volume_convergence_gap(k1):
     h = indicator(0, 1, k1.alphabet)
     for n in range(0, 6):
         window = Window(-n, 0)
-        lo = compose_window(k1, window, PastConfig.fill(0, 1), h)
-        hi = compose_window(k1, window, PastConfig.fill(1, 1), h)
+        lo = compose_window(k1, window, (0,), h)
+        hi = compose_window(k1, window, (1,), h)
         assert abs(hi - lo) == pytest.approx(0.4 ** (n + 1), abs=1e-12)
 
 
 def test_finite_volume_iid_constant(k3):
     h = indicator(0, 1, k3.alphabet)
     values = [
-        compose_window(k3, Window(-n, 0), PastConfig.fill(0, 0), h)
+        compose_window(k3, Window(-n, 0), (), h)
         for n in range(4)
     ]
     assert values == pytest.approx([0.5] * 4)
@@ -233,7 +234,7 @@ def test_finite_volume_iid_constant(k3):
 def test_finite_volume_stabilizes_at_memory_depth(k2):
     h = indicator(0, 1, k2.alphabet)
     values = [
-        compose_window(k2, Window(-n, 0), PastConfig.fill(1, 4 + n), h)
+        compose_window(k2, Window(-n, 0), (1,) * (4 + n), h)
         for n in range(8)
     ]
     # once the window is deeper than the memory, widening from a frozen
@@ -266,3 +267,13 @@ def test_verify_dusting_nan_slack_fails(k1, monkeypatch):
     assert math.isnan(rep.min_slack)
     assert rep.worst_case == (0, rep.worst_case[1])
     assert not rep.passed
+
+
+def test_worst_residual_fold():
+    from lislab.oracle import _worst
+
+    assert _worst([]) == 0.0
+    assert math.isnan(_worst([1e-3, math.nan, 2.0]))  # NaN wins even after a larger number
+    assert math.isnan(_worst([5.0, math.nan]))
+    assert _worst([-3.0, -1e-17]) == 0.0  # all negative: the memory-domination clamp
+    assert _worst([1e-15, 3e-13, 2e-14]) == 3e-13

@@ -8,7 +8,7 @@ import pytest
 
 from lislab import Window, build_sensitivity_matrix, estimate_correlation, indicator, sample_path
 from lislab import sim
-from lislab.core import AlphabetSpec, PastConfig, tabulate
+from lislab.core import AlphabetSpec, tabulate
 from lislab.kernels import GeneralTable, KernelSpec, LinearLongMemory, MarkovTable, SiteIndexed
 from lislab.oracle import exact_correlation, sample_path_stepwise
 from lislab.sim import default_burn_in, evaluate_along
@@ -33,7 +33,7 @@ def test_fair_coin_statistics(k3):
 
 def test_deterministic_flip_alternates():
     flip = two_state_markov(1.0, 0.0)
-    path = sample_path(flip, 10, seed=3, initial_past=PastConfig.of([0]))
+    path = sample_path(flip, 10, seed=3, initial_past=[0])
     assert path.tolist() == [1, 0, 1, 0, 1, 0, 1, 0, 1, 0]
 
 
@@ -45,10 +45,10 @@ def test_markov_empirical_mean(k1):
 
 def test_linear_kernel_sampling_direct_path():
     f = power_law_linear(0.5, 64)
-    path = sample_path(f, 2000, seed=5, initial_past=PastConfig.fill(1, 64))
+    path = sample_path(f, 2000, seed=5, initial_past=(1,) * 64)
     assert len(path) == 2000
     assert set(np.unique(path)) <= {0, 1}
-    again = sample_path(f, 2000, seed=5, initial_past=PastConfig.fill(1, 64))
+    again = sample_path(f, 2000, seed=5, initial_past=(1,) * 64)
     assert np.array_equal(path, again)
 
 
@@ -188,7 +188,7 @@ def test_linear_block_sampler_matches_stepwise(depth, intercept):
     for seed in (1, 2):
         past = tuple(int(s) for s in rng.integers(0, 2, depth))
         # 4500 sites: four whole draws of 1027 sites (79 blocks of 13) and a partial fifth
-        path = sample_path(f, 4500, seed, initial_past=PastConfig.of(past))
+        path = sample_path(f, 4500, seed, initial_past=past)
         u = np.random.default_rng(seed).random(4500)
         assert np.array_equal(path, sample_path_stepwise(f, u, past))
 
@@ -211,7 +211,7 @@ def test_linear_block_sampler_with_overrides_inside_the_path(depth):
     )
     f = KernelSpec(AlphabetSpec.binary(), depth, SiteIndexed(default, overrides))
     past = tuple(int(s) for s in np.random.default_rng(depth).integers(0, 2, depth))
-    path = sample_path(f, 1000, 4, initial_past=PastConfig.of(past))
+    path = sample_path(f, 1000, 4, initial_past=past)
     u = np.random.default_rng(4).random(1000)
     assert np.array_equal(path, sample_path_stepwise(f, u, past))
     assert path[14] == 1
@@ -271,7 +271,7 @@ def test_tabulated_sampler_matches_stepwise(k1, monkeypatch):
     monkeypatch.setattr(sim, "_sample_tabulated", lambda *args: calls.append(1) or tabulated(*args))
     for seed, f in enumerate(kernels):
         past = tuple(int(s) for s in rng.integers(0, f.alphabet.size, f.memory_depth))
-        path = sample_path(f, 3000, seed, initial_past=PastConfig.of(past))
+        path = sample_path(f, 3000, seed, initial_past=past)
         u = np.random.default_rng(seed).random(3000)
         assert np.array_equal(path, sample_path_stepwise(f, u, past)), seed
     assert len(calls) == len(kernels) == 26
@@ -295,7 +295,7 @@ def test_table_default_with_linear_overrides_matches_stepwise(depth):
     for family in (default, SiteIndexed(default, ((3, linear), (40, linear)))):
         f = KernelSpec(AlphabetSpec.binary(), depth, family)
         past = tuple(int(s) for s in np.random.default_rng(6).integers(0, 2, depth))
-        path = sample_path(f, 2000, 8, initial_past=PastConfig.of(past))
+        path = sample_path(f, 2000, 8, initial_past=past)
         u = np.random.default_rng(8).random(2000)
         assert np.array_equal(path, sample_path_stepwise(f, u, past))
 
