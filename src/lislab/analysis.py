@@ -19,7 +19,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .core import AlphabetSpec, FiniteDistribution, check_cap, worse
+from .core import AlphabetSpec, check_cap, worse
 from .kernels import KernelSpec, LinearLongMemory, family_order
 
 
@@ -94,10 +94,10 @@ def _vkr_linprog(p: np.ndarray, q: np.ndarray, dist: np.ndarray) -> float:
 
 
 def vkr_distance(
-    p: "FiniteDistribution | Sequence[float] | np.ndarray",
-    q: "FiniteDistribution | Sequence[float] | np.ndarray",
+    p: Sequence[float] | np.ndarray,
+    q: Sequence[float] | np.ndarray,
     alphabet: AlphabetSpec,
-) -> "float | np.ndarray":
+) -> float | np.ndarray:
     """Exact optimal-transport cost between laws on the alphabet.
 
     Laws lie along the last axis and broadcast on the leading ones: one
@@ -105,8 +105,8 @@ def vkr_distance(
     metric the cost is ``sum_a l_a * |p_a - q_a|``; on any other metric
     each pair is one HiGHS transport LP.
     """
-    pa = p.as_array() if isinstance(p, FiniteDistribution) else np.asarray(p, dtype=float)
-    qa = q.as_array() if isinstance(q, FiniteDistribution) else np.asarray(q, dtype=float)
+    pa = np.asarray(p, dtype=float)
+    qa = np.asarray(q, dtype=float)
     n = alphabet.size
     if pa.shape[-1:] != (n,) or qa.shape[-1:] != (n,):
         raise ValueError("distributions must live on the given alphabet")
@@ -171,12 +171,11 @@ class SensitivityMatrix:
         for row in (self.stationary_row, *(row for _, row in self.site_rows)):
             if not all(math.isfinite(a) and a >= 0.0 for a in row):
                 raise ValueError("sensitivity entries must be finite and non-negative")
+        # override rows by site; where a site repeats, its first row applies
+        object.__setattr__(self, "_rows", dict(reversed(self.site_rows)))
 
     def row(self, i: int) -> tuple[float, ...]:
-        for site, row in self.site_rows:
-            if site == i:
-                return row
-        return self.stationary_row
+        return self._rows.get(i, self.stationary_row)
 
     def entry(self, i: int, j: int) -> float:
         lag = i - j

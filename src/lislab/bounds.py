@@ -144,7 +144,7 @@ def memory_bound_general(
         raise ValueError("the probed site must lie left of the window")
     if not window.contains_window(h.support):
         raise ValueError("observable support must lie inside the window")
-    osc = oscillation_vector(h, h.support)
+    osc = oscillation_vector(h)
     value = 0.0
     for k, g in islice(_influence(alpha, osc, window.hi), len(window)):
         value += g * alpha.entry(k, j)
@@ -202,7 +202,7 @@ def memory_bound_exponential(
         raise ValueError("observable support must lie inside the window")
     gamma, pref = _decay_prefactor(alpha, decay, window)
     value = 0.0
-    for k, osc in oscillation_vector(h, h.support).items():
+    for k, osc in oscillation_vector(h).items():
         value += osc * math.exp(-decay.weight(k - j))
     return BoundReport(
         name="memory-exponential",
@@ -278,8 +278,8 @@ def correlation_bound(
             gamma=s,
         )
     base = diameter * diameter / 4.0
-    osc1 = oscillation_vector(h1, h1.support)
-    osc2 = oscillation_vector(h2, h2.support)
+    osc1 = oscillation_vector(h1)
+    osc2 = oscillation_vector(h2)
     if not osc1 or not osc2:
         return BoundReport(
             name="correlation",
@@ -340,8 +340,8 @@ def correlation_bound_semi_exact(
 
     diameter = f.alphabet.diameter
     plain = correlation_bound(alpha, lam, delta, h1, h2, diameter)
-    osc1 = oscillation_vector(h1, h1.support)
-    osc2 = oscillation_vector(h2, h2.support)
+    osc1 = oscillation_vector(h1)
+    osc2 = oscillation_vector(h2)
     saved = 0.0
     exact_terms = 0
     for k, g1, g2 in _paired_influence(alpha, osc1, osc2, lam.hi):
@@ -401,7 +401,7 @@ def comparison_bound(
     if not lam.contains_window(h.support):
         raise ValueError("observable support must lie inside the window")
     s = alpha.sup_row_sum()
-    osc = oscillation_vector(h, h.support)
+    osc = oscillation_vector(h)
     if not osc:
         return BoundReport(name="comparison", value=0.0, quantities={"row_sum_sup": s})
 

@@ -46,7 +46,7 @@ def _fmt(x: float) -> str:
 
 
 def _canonical(obj):
-    """Round floats through 17 significant digits (value-preserving).
+    """Make every number in ``obj`` a plain Python ``int`` or ``float``.
 
     numpy scalars register as ``numbers.Integral`` and ``numbers.Real``, so
     they become Python numbers without this module importing numpy; ``bool``
@@ -61,7 +61,7 @@ def _canonical(obj):
     if isinstance(obj, numbers.Integral):
         return int(obj)
     if isinstance(obj, numbers.Real):
-        return float(_fmt(float(obj)))
+        return float(obj)
     return obj
 
 

@@ -14,14 +14,16 @@ Conventions used throughout the package:
   that tuple (leftmost site most significant);
 * ``enumerate_configs`` yields configurations in increasing code order,
   which is exactly lexicographic symbol order.  This order is part of the
-  contract: reports built from it are reproducible bit for bit.
+  contract: reports built from it are reproducible bit for bit;
+* distribution weights and observable tables are read-only float64 arrays
+  in code order; an observable's oscillations are computed once per table.
 """
 
 from __future__ import annotations
 
 import itertools
-import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable, Iterator, Sequence
 
 import numpy as np
@@ -187,58 +189,71 @@ def enumerate_configs(window: Window, alphabet: AlphabetSpec) -> Iterator[tuple[
     yield from itertools.product(range(alphabet.size), repeat=length)
 
 
-@dataclass(frozen=True)
-class FiniteDistribution:
-    """Probability weights over alphabet symbols or window configurations."""
+def _read_only_floats(values: Sequence[float] | np.ndarray) -> np.ndarray:
+    """A read-only float64 copy of a flat sequence of reals."""
+    raw = np.asarray(values)
+    if raw.ndim != 1 or raw.dtype.kind in "SUc":
+        raise TypeError("values must be a flat sequence of real numbers")
+    table = raw.astype(float)
+    table.setflags(write=False)
+    return table
 
-    weights: tuple[float, ...]
+
+@dataclass(frozen=True, eq=False)
+class FiniteDistribution:
+    """Probability weights over alphabet symbols or window configurations (read-only array)."""
+
+    weights: np.ndarray
 
     def __post_init__(self) -> None:
-        if not all(math.isfinite(w) and w >= 0.0 for w in self.weights):
+        weights = _read_only_floats(self.weights)
+        object.__setattr__(self, "weights", weights)
+        if not (np.isfinite(weights).all() and (weights >= 0.0).all()):
             raise ValueError("distribution weights must be finite and non-negative")
-        total = sum(self.weights)
+        total = sum(weights.tolist())  # left to right; numpy's pairwise sum can differ
         if abs(total - 1.0) > SUM_TOL:
             raise ValueError(f"distribution weights sum to {total!r}, expected 1")
 
-    def __len__(self) -> int:
-        return len(self.weights)
 
-    def p(self, i: int) -> float:
-        return self.weights[i]
-
-    def as_array(self) -> np.ndarray:
-        return np.asarray(self.weights, dtype=float)
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Observable:
     """Local function on a finite window, stored as a value table.
 
-    ``table[code]`` is the value at the configuration with that code.
-    Oscillations are computed on demand and cached per site.
+    ``table[code]`` is the value at the configuration with that code; the
+    table is a read-only float64 array, and any sequence is converted once.
     """
 
     support: Window
     alphabet: AlphabetSpec
-    table: tuple[float, ...]
-    _osc_cache: dict = field(default_factory=dict, repr=False, compare=False)
+    table: np.ndarray
 
     def __post_init__(self) -> None:
+        table = _read_only_floats(self.table)
+        object.__setattr__(self, "table", table)
         expected = self.alphabet.size ** len(self.support)
-        if len(self.table) != expected:
-            raise ValueError(
-                f"observable table has {len(self.table)} entries, expected {expected}"
-            )
-        if not all(math.isfinite(v) for v in self.table):
+        if len(table) != expected:
+            raise ValueError(f"observable table has {len(table)} entries, expected {expected}")
+        if not np.isfinite(table).all():
             raise ValueError("observable values must be finite")
 
     def value_at(self, config: Sequence[int]) -> float:
         if len(config) != len(self.support):
             raise ValueError("configuration length must match the support")
-        return self.table[config_code(config, self.alphabet.size)]
+        return float(self.table[config_code(config, self.alphabet.size)])
 
-    def table_array(self) -> np.ndarray:
-        return np.asarray(self.table, dtype=float)
+    @cached_property
+    def oscillations(self) -> np.ndarray:
+        """Read-only oscillation at each support site, left to right (see ``oscillation``)."""
+        n = self.alphabet.size
+        a, b = np.triu_indices(n, k=1)
+        gaps = np.empty((len(self.support), len(a)))  # per site, each symbol pair's largest gap
+        for axis, row in enumerate(gaps):
+            # axis 1 is the site's symbol; the sites left and right of it run on axes 0 and 2
+            t = self.table.reshape(n**axis, n, -1)
+            row[:] = np.abs(t[:, a] - t[:, b]).max(axis=(0, 2))
+        out = (gaps / self.alphabet.metric_array()[a, b]).max(axis=1)
+        out.setflags(write=False)
+        return out
 
 
 def oscillation(h: Observable, j: int) -> float:
@@ -246,35 +261,17 @@ def oscillation(h: Observable, j: int) -> float:
 
     Exhaustive maximum over configuration pairs equal off ``j``; sites
     outside the support contribute 0 by definition (and 0/0 counts as 0,
-    which never arises since the metric is positive off-diagonal).
+    which never arises since the metric is positive off-diagonal).  The
+    oscillations of every support site are computed once per observable.
     """
     if not h.support.contains(j):
         return 0.0
-    cached = h._osc_cache.get(j)
-    if cached is not None:
-        return cached
-    alphabet = h.alphabet
-    n = alphabet.size
-    arr = h.table_array().reshape((n,) * len(h.support))
-    axis = j - h.support.lo
-    flat = np.moveaxis(arr, axis, -1).reshape(-1, n)
-    best = 0.0
-    for a in range(n):
-        for b in range(a + 1, n):
-            gap = float(np.max(np.abs(flat[:, a] - flat[:, b])))
-            best = max(best, gap / alphabet.distance(a, b))
-    h._osc_cache[j] = best
-    return best
+    return float(h.oscillations[j - h.support.lo])
 
 
-def oscillation_vector(h: Observable, window: Window) -> dict[int, float]:
-    """Oscillations of ``h`` at every site of ``window`` (zeros dropped)."""
-    out: dict[int, float] = {}
-    for k in window.sites():
-        v = oscillation(h, k)
-        if v > 0.0:
-            out[k] = v
-    return out
+def oscillation_vector(h: Observable) -> dict[int, float]:
+    """Oscillations of ``h`` at every site of its support (zeros dropped)."""
+    return {k: v for k, v in zip(h.support.sites(), h.oscillations.tolist()) if v > 0.0}
 
 
 def constant_observable(window: Window, alphabet: AlphabetSpec, value: float) -> Observable:
@@ -302,7 +299,7 @@ def random_observable(
 ) -> Observable:
     """Value table drawn i.i.d. uniform on [0, 1)."""
     size = check_cap(alphabet.size, len(window))
-    return Observable(window, alphabet, tuple(rng.random(size).tolist()))
+    return Observable(window, alphabet, rng.random(size))
 
 
 def shift_observable(h: Observable, offset: int) -> Observable:
@@ -314,10 +311,13 @@ def product_observable(h1: Observable, h2: Observable) -> Observable:
     if h1.alphabet != h2.alphabet:
         raise ValueError("observables live on different alphabets")
     hull = Window(min(h1.support.lo, h2.support.lo), max(h1.support.hi, h2.support.hi))
+    n = h1.alphabet.size
+    check_cap(n, len(hull))
 
-    def value(cfg: tuple[int, ...]) -> float:
-        sub1 = cfg[h1.support.lo - hull.lo : h1.support.hi - hull.lo + 1]
-        sub2 = cfg[h2.support.lo - hull.lo : h2.support.hi - hull.lo + 1]
-        return h1.value_at(sub1) * h2.value_at(sub2)
+    def on_hull(h: Observable) -> np.ndarray:
+        # one axis per hull site, of length 1 where h does not depend on the site
+        shape = (1,) * (h.support.lo - hull.lo) + (n,) * len(h.support)
+        return h.table.reshape(shape + (1,) * (hull.hi - h.support.hi))
 
-    return tabulate(hull, h1.alphabet, value)
+    product = np.broadcast_to(on_hull(h1) * on_hull(h2), (n,) * len(hull))
+    return Observable(hull, h1.alphabet, product.reshape(-1))

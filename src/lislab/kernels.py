@@ -260,7 +260,7 @@ def eval_singleton(f: KernelSpec, i: int, past: Sequence[int]) -> FiniteDistribu
     if any(not 0 <= s < n for s in symbols):
         raise ValueError("past contains a symbol outside the alphabet")
     row = family_row(f.family_at(i), f.alphabet, symbols)
-    return FiniteDistribution(tuple(float(x) for x in row))
+    return FiniteDistribution(row)
 
 
 def _required_past(f: KernelSpec, window: Window, h: Observable) -> int:
@@ -320,7 +320,7 @@ def _observable_values(
     n = h.alphabet.size
     a, b = h.support.lo, h.support.hi
     l, m = window.lo, window.hi
-    table = h.table_array()
+    table = h.table
     size = n ** len(window)
     if a >= l:
         shift = n ** (m - b)
@@ -387,7 +387,7 @@ def marginal_distribution(
         )
     codes = np.array([config_code(symbols, f.alphabet.size)], dtype=np.int64)
     w = window_weights(f, window, codes, len(symbols))[0]
-    return FiniteDistribution(tuple(w.tolist()))
+    return FiniteDistribution(w)
 
 
 def kernel_average_observable(
@@ -415,7 +415,7 @@ def kernel_average_observable(
     vals = _observable_values(h, window, codes, depth)
     table = (w * vals).sum(axis=1)
     support = Window(window.lo - depth, window.lo - 1)
-    return Observable(support, h.alphabet, tuple(table.tolist()))
+    return Observable(support, h.alphabet, table)
 
 
 def __getattr__(name: str):

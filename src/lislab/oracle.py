@@ -365,7 +365,7 @@ def stationary_measure(f: KernelSpec) -> FiniteDistribution:
     residual = float(np.abs(flow - mu).sum())
     if worse(residual, 1e-12):
         raise ValueError(f"stationary law residual {residual!r} above 1e-12")
-    return FiniteDistribution(tuple(mu.tolist()))
+    return FiniteDistribution(mu)
 
 
 def _check_irreducible_aperiodic(succ: list[list[int]], size: int) -> None:
@@ -414,7 +414,7 @@ def stationary_expectations(
     chunks that keep blocks x configurations within ``WORK_CAP``.
     """
     g, k = _markov_view(f)
-    mu = (stationary_measure(f) if law is None else law).as_array()
+    mu = (stationary_measure(f) if law is None else law).weights
     codes = np.arange(mu.size, dtype=np.int64)
     out = []
     for h in observables:

@@ -222,7 +222,7 @@ def evaluate_along(path: np.ndarray, h: Observable) -> np.ndarray:
     for i in range(1, span):
         codes *= n
         codes += path[i : count + i]
-    return h.table_array()[codes]
+    return h.table[codes]
 
 
 @dataclass(frozen=True)

@@ -332,9 +332,9 @@ def test_correlation_bound_site_indexed_matches_dense_inverse():
     inverse = np.linalg.inv(np.eye(lam.hi - lo + 1) - dense_sensitivity(alpha, lo, lam.hi))
     w1 = np.zeros(lam.hi - lo + 1)
     w2 = np.zeros(lam.hi - lo + 1)
-    for site, w in oscillation_vector(h1, lam).items():
+    for site, w in oscillation_vector(h1).items():
         w1[site - lo] = w
-    for site, w in oscillation_vector(h2, delta).items():
+    for site, w in oscillation_vector(h2).items():
         w2[site - lo] = w
     g1, g2 = w1 @ inverse, w2 @ inverse
     expected = diameter**2 / 4.0 * float(g1[: delta.hi - lo + 1] @ g2[: delta.hi - lo + 1])

@@ -4,7 +4,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from lislab import (
@@ -85,8 +85,34 @@ def test_finite_distribution_invariants():
 @pytest.mark.parametrize("weights", [(math.nan, math.nan), (0.5, math.nan), (math.inf, 0.0)])
 def test_finite_distribution_rejects_non_finite(weights):
     # NaN fails every comparison, so neither the sign nor the sum test saw it
-    with pytest.raises(ValueError, match="finite"):
-        FiniteDistribution(weights)
+    for convert in (tuple, list, np.array):
+        with pytest.raises(ValueError, match="finite"):
+            FiniteDistribution(convert(weights))
+
+
+@pytest.mark.parametrize("convert", [tuple, list, np.array])
+def test_tables_are_read_only_and_take_any_sequence(convert):
+    e = AlphabetSpec.binary()
+    law = FiniteDistribution(convert((0.25, 0.75)))
+    h = Observable(Window(0, 0), e, convert((0.5, -2.0)))
+    assert law.weights.tolist() == [0.25, 0.75]
+    assert h.table.tolist() == [0.5, -2.0]
+    for table in (law.weights, h.table, h.oscillations):
+        with pytest.raises(ValueError, match="read-only"):
+            table[0] = 1.0
+    # an array argument is copied, so the caller's array stays writable and unaliased
+    values = np.array([0.5, -2.0])
+    g = Observable(Window(0, 0), e, values)
+    values[0] = 1.0
+    assert g.table.tolist() == [0.5, -2.0]
+
+
+@pytest.mark.parametrize("values", [((0.5, 0.5), (0.5, 0.5)), ("0.5", "0.5"), 0.5])
+def test_tables_reject_what_is_not_a_flat_sequence_of_reals(values):
+    with pytest.raises(TypeError):
+        FiniteDistribution(values)
+    with pytest.raises(TypeError):
+        Observable(Window(0, 0), AlphabetSpec.binary(), values)
 
 
 def test_oscillation_single_site_indicator():
@@ -125,8 +151,9 @@ def test_observable_table_size_checked():
 @pytest.mark.parametrize("table", [(math.nan, 1.0), (0.0, -math.inf)])
 def test_observable_rejects_non_finite(table):
     # a NaN value read as oscillation 0 and made every bound on it 0
-    with pytest.raises(ValueError, match="finite"):
-        Observable(Window(0, 0), AlphabetSpec.binary(), table)
+    for convert in (tuple, list, np.array):
+        with pytest.raises(ValueError, match="finite"):
+            Observable(Window(0, 0), AlphabetSpec.binary(), convert(table))
 
 
 def test_shift_and_product():
@@ -138,6 +165,29 @@ def test_shift_and_product():
     assert prod.support == Window(0, 3)
     assert prod.value_at((1, 0, 0, 1)) == 1.0
     assert prod.value_at((1, 0, 0, 0)) == 0.0
+
+
+@given(
+    n=st.integers(2, 4),
+    len1=st.integers(1, 3),
+    lo2=st.integers(-4, 4),
+    len2=st.integers(1, 3),
+    seed=st.integers(0, 2**32 - 1),
+)
+@settings(max_examples=200, deadline=None)
+def test_product_matches_pointwise_values(n, len1, lo2, len2, seed):
+    # lo2 spans supports that are disjoint, gapped, overlapping and nested in either order
+    hull = Window(min(0, lo2), max(len1 - 1, lo2 + len2 - 1))
+    assume(n ** len(hull) <= 4096)
+    e = AlphabetSpec.discrete([str(a) for a in range(n)])
+    rng = np.random.default_rng(seed)
+    h1 = Observable(Window(0, len1 - 1), e, rng.uniform(-1.0, 1.0, n**len1))
+    h2 = Observable(Window(lo2, lo2 + len2 - 1), e, rng.uniform(-1.0, 1.0, n**len2))
+    prod = product_observable(h1, h2)
+    assert prod.support == hull
+    at1, at2 = slice(-hull.lo, len1 - hull.lo), slice(lo2 - hull.lo, lo2 + len2 - hull.lo)
+    expected = [h1.value_at(cfg[at1]) * h2.value_at(cfg[at2]) for cfg in enumerate_configs(hull, e)]
+    assert prod.table.tobytes() == np.array(expected).tobytes()
 
 
 @given(
