@@ -3,30 +3,28 @@
 Every bound here reads one object, the oscillation-weighted Neumann
 column ``G(k) = osc(k) + sum_lag A(k + lag, k) G(k + lag)``: the
 oscillations of an observable carried down to site ``k`` through
-``sum_t A^t``.  One backward sweep, ``_influence``, yields ``G`` site by
-site from the top of the observable's window at O(depth) work per site,
-for stationary and site-indexed matrices alike.  Because the matrix is
-strictly banded below the diagonal, sums over a finite window are exact.
-Sums over arbitrarily deep past sites stop once one geometric
-certificate (``_tail_certificate`` with per-site base ``s**(1/depth)``)
-bounds what is left; the certificate is added to the bound rather than
-dropped, and a base that rounds to 1 raises ``BoundNotApplicableError``.
-A sweep that has not certified within ``_SITE_BUDGET`` sites raises
-``BoundNotApplicableError``.  The semi-exact correlation bound is
-``correlation_bound`` less what exact oracle oscillation factors save.
+``sum_t A^t``.  One array engine, ``_columns``, fills ``G`` downward for
+one or more oscillation vectors, one numpy sum per site.  The matrix is
+strictly banded below the diagonal, so sums over a finite window are
+exact.  Deeper sums stop at the first site whose geometric tail
+certificate (``_tails``) is small against the sum so far, and add it.
+It shrinks by a fixed factor per site, so the deepest site a stop can
+need is known in closed form before the sweep; a sum that cannot certify
+within ``_SITE_BUDGET`` sites raises before any column is built.  The
+semi-exact correlation bound is ``correlation_bound`` less what exact
+oracle oscillation factors save.
 """
 
 from __future__ import annotations
 
 import math
-from collections import deque
 from dataclasses import dataclass, field
-from itertools import chain, islice
-from typing import Iterator, Mapping
+from typing import Mapping, Sequence
 
 import numpy as np
 
-from .core import CapExceededError, Observable, Window, check_cap, oscillation_vector
+from .core import DEFAULT_CONFIG_CAP, CapExceededError, Observable, Window, check_cap
+from .core import oscillation_vector
 from .analysis import SensitivityMatrix, dobrushin_check, vkr_distance
 from .kernels import KernelSpec
 
@@ -69,66 +67,101 @@ class DecaySpec:
             raise ValueError("decay rate must be positive")
 
     def weight(self, gap: int) -> float:
-        gap = abs(gap)
-        if self.family == "exponential":
-            return self.rate * gap
-        return self.rate * math.log1p(gap)
+        return self.rate * (abs(gap) if self.family == "exponential" else math.log1p(abs(gap)))
 
 
-def _influence(
-    alpha: SensitivityMatrix, osc: Mapping[int, float], top: int
-) -> Iterator[tuple[int, float]]:
-    """Yield ``(k, G(k))`` for ``k = top, top - 1, ...``.
+_Oscs = tuple[Mapping[int, float], ...]
 
-    ``G(k)`` sums ``osc`` over every site ``>= k`` times the weight of
-    all strictly decreasing paths from that site down to ``k`` (the empty
-    path weighs 1).  Sites of ``osc`` above ``top`` are ignored.
+
+def _columns(alpha: SensitivityMatrix, oscs: _Oscs, top: int, floor: int) -> np.ndarray:
+    """``G`` of each of ``oscs`` at the sites ``top, top - 1, ..., floor``, one row each.
+
+    ``G(k)`` sums ``osc`` over the sites ``k .. top`` times the weight of all
+    strictly decreasing paths down to ``k``.  A column that meets an override
+    row at ``o``, ``k`` in ``[o - depth, o - 1]``, reads its own entries.  Each
+    site sums its lags in order, lag 1 first (``np.cumsum``, not a BLAS dot,
+    whose order depends on the build).
     """
-    later: deque[float] = deque(maxlen=alpha.depth)  # G(k + 1), ..., G(k + depth)
-    for k in range(top, top - _SITE_BUDGET - 1, -1):
-        g = osc.get(k, 0.0) + sum(
-            alpha.entry(k + lag, k) * g_lag for lag, g_lag in enumerate(later, start=1)
-        )
-        yield k, g
-        later.appendleft(g)
-    raise BoundNotApplicableError(
-        f"tail not certified within {_SITE_BUDGET} sites below site {top}",
-        gamma=alpha.sup_row_sum(),
-    )
+    depth = alpha.depth
+    g = np.zeros((len(oscs), depth + top - floor + 1))
+    for row, osc in zip(g, oscs):
+        for site, w in osc.items():
+            if floor <= site <= top:
+                row[depth + top - site] = w
+    if not depth:
+        return g
+    stationary = np.array(alpha.stationary_row)
+    overrides = {
+        depth + top - k: np.array([alpha.entry(k + lag, k) for lag in range(1, depth + 1)])
+        for k in {k for site, _ in alpha.site_rows for k in range(site - depth, site)}
+        if floor <= k <= top
+    }
+    for i in range(depth, g.shape[1]):
+        terms = g[:, i - depth : i][:, ::-1] * overrides.get(i, stationary)  # lag 1 first
+        g[:, i] += np.cumsum(terms, axis=1)[:, -1]
+    return g[:, depth:]
 
 
-def _tail_mass(osc: Mapping[int, float], u: float, k: int) -> float:
-    """Geometric mass of ``osc`` seen from site ``k - 1`` at per-site base ``u``."""
-    return sum(w * u ** (site - (k - 1)) for site, w in osc.items())
+def _tails(
+    alpha: SensitivityMatrix, oscs: _Oscs, scale: float, top: int, first: int, bound_site: int
+) -> np.ndarray:
+    """``scale`` times the tail certificate at ``first, first - 1, ...``, as deep as a stop needs.
 
-
-def _tail_certificate(
-    oscs: tuple[Mapping[int, float], ...], s: float, u: float, k: int
-) -> float:
-    """Certificate for the sum over every site ``j < k`` of the product of the columns of ``oscs``.
-
-    Each column is at most ``_tail_mass(osc, u, k) * u**(k - 1 - j) / (1 - s)`` at
-    ``j``, so the sum is at most the product of ``_tail_mass / (1 - s)`` over
-    ``1 - u**len(oscs)``.  A base ``u`` that rounds to 1 leaves a certificate
-    that never shrinks, and the bound does not apply.
+    The certificate at ``k`` bounds the sum over ``j < k`` of the product of
+    the columns of ``oscs``: with ``s`` the largest row sum and ``u = s**(1/depth)``,
+    a column is at most ``mass * u**(k - 1 - j) / (1 - s)``, ``mass`` summing ``osc``
+    at ``u**(site - (k - 1))``.  It shrinks by ``u**len(oscs)`` per site, so a
+    closed form finds where the tail alone is below ``_TAIL_TOL``.  Past the
+    site budget the tails stop at its floor, and raise there if the stop rule
+    fails against the tail at ``bound_site``, which bounds any running sum.
     """
+    s = alpha.sup_row_sum()
+    u = s ** (1.0 / alpha.depth) if s > 0.0 else 0.0
     if u == 0.0:
-        return 0.0  # a zero matrix carries nothing below the windows
+        return np.zeros(1)  # a zero matrix carries nothing below the windows
     if u >= 1.0:
         raise BoundNotApplicableError(
             f"row sum {s!r} gives a tail base of 1, so no tail certificate shrinks", gamma=s
         )
-    columns = math.prod(_tail_mass(osc, u, k) / (1.0 - s) for osc in oscs)
-    # u * u, not u ** 2: pow can round the square differently in the last bit
-    return columns / (1.0 - math.prod([u] * len(oscs)))
+
+    def at(sites: Sequence[int]) -> np.ndarray:
+        cert = 1.0
+        for osc in oscs:
+            mass = 0.0
+            for site, w in osc.items():  # Python's pow: numpy's can round differently
+                mass = mass + w * np.array([u ** (site + 1 - k) for k in sites])
+            cert = cert * (mass / (1.0 - s))
+        # u * u, not u ** 2: pow can round the square differently in the last bit
+        return scale * (cert / (1.0 - math.prod([u] * len(oscs))))
+
+    steps = 0
+    [at_first] = at([first])
+    if at_first > _TAIL_TOL:  # two sites of slack absorb the rounding of the certificates
+        shrink = len(oscs) * -math.log(u)
+        steps = 2 + math.ceil(min(math.log(at_first / _TAIL_TOL) / shrink, _SITE_BUDGET))
+    budget_floor = top - _SITE_BUDGET
+    if first - steps < budget_floor:
+        _stop(alpha, top, at([budget_floor]), at([bound_site]))  # raises if no site can stop
+        steps = first - budget_floor
+    return at(range(first, first - steps - 1, -1))
 
 
-def _paired_influence(
-    alpha: SensitivityMatrix, osc1: Mapping[int, float], osc2: Mapping[int, float], top: int
-) -> Iterator[tuple[int, float, float]]:
-    """The sweeps of two oscillation vectors in lockstep: ``(k, G1(k), G2(k))``."""
-    for (k, g1), (_, g2) in zip(_influence(alpha, osc1, top), _influence(alpha, osc2, top)):
-        yield k, g1, g2
+def _stop(alpha: SensitivityMatrix, top: int, tails: np.ndarray, sums: np.ndarray) -> int:
+    """Index of the first site whose tail is at most ``_TAIL_TOL`` times its running sum (or 1)."""
+    passed = np.flatnonzero(tails <= _TAIL_TOL * np.maximum(1.0, sums))
+    if not passed.size:
+        raise BoundNotApplicableError(
+            f"tail not certified within {_SITE_BUDGET} sites below site {top}",
+            gamma=alpha.sup_row_sum(),
+        )
+    return int(passed[0])
+
+
+def _check_probe(window: Window, h: Observable, j: int) -> None:
+    if j >= window.lo:
+        raise ValueError("the probed site must lie left of the window")
+    if not window.contains_window(h.support):
+        raise ValueError("observable support must lie inside the window")
 
 
 def memory_bound_general(
@@ -140,41 +173,27 @@ def memory_bound_general(
     the final step to ``j``; paths stay inside the window, so the sum is
     exact.
     """
-    if j >= window.lo:
-        raise ValueError("the probed site must lie left of the window")
-    if not window.contains_window(h.support):
-        raise ValueError("observable support must lie inside the window")
-    osc = oscillation_vector(h)
-    value = 0.0
-    for k, g in islice(_influence(alpha, osc, window.hi), len(window)):
-        value += g * alpha.entry(k, j)
-    return BoundReport(
-        name="memory-general",
-        value=value,
-        quantities={"row_sum_sup": max(alpha.row_sum(i) for i in window.sites())},
-    )
+    _check_probe(window, h, j)
+    [g] = _columns(alpha, (oscillation_vector(h),), window.hi, window.lo).tolist()
+    near = range(min(window.hi, j + alpha.depth), max(window.lo, j + 1) - 1, -1)  # reach j
+    value = float(sum(g[window.hi - k] * alpha.entry(k, j) for k in near))
+    row_sum_sup = max(alpha.row_sum(i) for i in window.sites())
+    return BoundReport(name="memory-general", value=value, quantities={"row_sum_sup": row_sum_sup})
 
 
 def _gammas(alpha: SensitivityMatrix, decay: DecaySpec) -> tuple[float, dict[int, float]]:
     """Tilted row sums: the stationary one and one per overridden site."""
 
     def row_gamma(row: tuple[float, ...]) -> float:
-        return float(
-            sum(a * math.exp(decay.weight(lag)) for lag, a in enumerate(row, start=1))
-        )
+        return float(sum(a * math.exp(decay.weight(lag)) for lag, a in enumerate(row, start=1)))
 
-    return row_gamma(alpha.stationary_row), {
-        site: row_gamma(row) for site, row in alpha.site_rows
-    }
+    return row_gamma(alpha.stationary_row), {site: row_gamma(row) for site, row in alpha.site_rows}
 
 
 def _decay_prefactor(
     alpha: SensitivityMatrix, decay: DecaySpec, window: Window
 ) -> tuple[float, float]:
-    """The window's largest tilted row sum ``gamma`` and ``gamma / (1 - gamma)``.
-
-    Raises when ``gamma`` is not below 1, carrying the violating value.
-    """
+    """The window's largest tilted row sum ``gamma`` and ``gamma / (1 - gamma)``; raises past 1."""
     stationary, by_site = _gammas(alpha, decay)
     gamma = max(by_site.get(i, stationary) for i in window.sites())
     if gamma >= 1.0:
@@ -185,25 +204,16 @@ def _decay_prefactor(
 
 
 def memory_bound_exponential(
-    alpha: SensitivityMatrix,
-    decay: DecaySpec,
-    window: Window,
-    h: Observable,
-    j: int,
+    alpha: SensitivityMatrix, decay: DecaySpec, window: Window, h: Observable, j: int
 ) -> BoundReport:
     """Closed-form decay bound: prefactor times metric-decay weights.
 
     Requires the decay-tilted row sums to stay below 1 on the window;
     raises otherwise, carrying the violating value.
     """
-    if j >= window.lo:
-        raise ValueError("the probed site must lie left of the window")
-    if not window.contains_window(h.support):
-        raise ValueError("observable support must lie inside the window")
+    _check_probe(window, h, j)
     gamma, pref = _decay_prefactor(alpha, decay, window)
-    value = 0.0
-    for k, osc in oscillation_vector(h).items():
-        value += osc * math.exp(-decay.weight(k - j))
+    value = sum(osc * math.exp(-decay.weight(k - j)) for k, osc in oscillation_vector(h).items())
     return BoundReport(
         name="memory-exponential",
         value=pref * value,
@@ -243,14 +253,6 @@ def fit_decay_rate(alpha: SensitivityMatrix, family: str = "exponential") -> Dec
     return DecaySpec(family, lo_rate)
 
 
-def _tail_step_base(alpha: SensitivityMatrix) -> float:
-    """Per-site geometric factor for past-tail certificates."""
-    s = alpha.sup_row_sum()
-    if s <= 0.0:
-        return 0.0
-    return s ** (1.0 / alpha.depth)
-
-
 def correlation_bound(
     alpha: SensitivityMatrix,
     lam: Window,
@@ -278,8 +280,7 @@ def correlation_bound(
             gamma=s,
         )
     base = diameter * diameter / 4.0
-    osc1 = oscillation_vector(h1)
-    osc2 = oscillation_vector(h2)
+    osc1, osc2 = oscs = oscillation_vector(h1), oscillation_vector(h2)
     if not osc1 or not osc2:
         return BoundReport(
             name="correlation",
@@ -292,20 +293,19 @@ def correlation_bound(
         )
     # G1 has no direct part left of lam, so the sum of G1 * G2 over
     # k <= delta.hi splits into the pairing with osc2 itself (term1) and
-    # the coupling through deeper sites (acc); every tail test reads the
-    # whole of term1, so the sweep is buffered down through delta first
-    sweep = _paired_influence(alpha, osc1, osc2, lam.hi)
-    head = list(islice(sweep, lam.hi - delta.lo + 1))
-    term1 = sum(g1 * osc2.get(k, 0.0) for k, g1, _ in head)
-    u = _tail_step_base(alpha)
-    acc = 0.0
-    for k, g1, g2 in chain(head, sweep):
-        if k > delta.hi:
-            continue
-        acc += g1 * (g2 - osc2.get(k, 0.0))
-        tail = _tail_certificate((osc1, osc2), s, u, k)
-        if tail <= _TAIL_TOL * max(1.0, term1 + acc):
-            break
+    # the coupling through deeper sites (acc); the certificate at
+    # delta.hi + 1 bounds the two together
+    tails = _tails(alpha, oscs, 1.0, lam.hi, delta.hi, delta.hi + 1)
+    g1, g2 = _columns(alpha, oscs, lam.hi, min(delta.hi + 1 - len(tails), delta.lo))
+    direct = np.zeros_like(g2)
+    for site, w in osc2.items():
+        direct[lam.hi - site] = w
+    head = slice(lam.hi - delta.lo + 1)
+    term1 = float(np.cumsum(g1[head] * direct[head])[-1])
+    below = slice(lam.hi - delta.hi, lam.hi - delta.hi + len(tails))  # delta.hi and deeper
+    acc = np.cumsum(g1[below] * (g2[below] - direct[below]))
+    i = _stop(alpha, lam.hi, tails, term1 + acc)
+    acc, tail = float(acc[i]), float(tails[i])
     value = base * (term1 + acc + tail)
     return BoundReport(
         name="correlation",
@@ -315,7 +315,7 @@ def correlation_bound(
             "direct_term": base * term1,
             "coupling_term": base * acc,
             "tail_certificate": base * tail,
-            "k_floor": float(k),
+            "k_floor": float(delta.hi - i),
         },
     )
 
@@ -340,18 +340,17 @@ def correlation_bound_semi_exact(
 
     diameter = f.alphabet.diameter
     plain = correlation_bound(alpha, lam, delta, h1, h2, diameter)
-    osc1 = oscillation_vector(h1)
-    osc2 = oscillation_vector(h2)
+    reach = DEFAULT_CONFIG_CAP.bit_length()  # (k, delta.hi] this long exceeds the cap
+    oscs = oscillation_vector(h1), oscillation_vector(h2)
+    g1, g2 = _columns(alpha, oscs, lam.hi, delta.hi - reach).tolist()
     saved = 0.0
     exact_terms = 0
-    for k, g1, g2 in _paired_influence(alpha, osc1, osc2, lam.hi):
-        if k >= delta.hi:
-            continue
+    for k in range(delta.hi - 1, delta.hi - reach - 1, -1):
         try:
             exact = exact_oscillation_of_average(f, Window(k + 1, delta.hi), h2, k)
         except CapExceededError:
             break
-        saved += g1 * (g2 - exact)
+        saved += g1[lam.hi - k] * (g2[lam.hi - k] - exact)
         exact_terms += 1
     return BoundReport(
         name="correlation-semi-exact",
@@ -393,40 +392,34 @@ def comparison_bound(
     """
     if f.alphabet != f_tilde.alphabet:
         raise ValueError("kernels must share one alphabet")
-    verdict = dobrushin_check(alpha)
-    if not verdict.satisfied:
-        raise BoundNotApplicableError(
-            "the reference kernel fails the row-sum criterion", gamma=alpha.sup_row_sum()
-        )
+    s = alpha.sup_row_sum()
+    if not dobrushin_check(alpha).satisfied:
+        raise BoundNotApplicableError("the reference kernel fails the row-sum criterion", gamma=s)
     if not lam.contains_window(h.support):
         raise ValueError("observable support must lie inside the window")
-    s = alpha.sup_row_sum()
     osc = oscillation_vector(h)
     if not osc:
         return BoundReport(name="comparison", value=0.0, quantities={"row_sum_sup": s})
 
-    if gap_override is not None:
-        gaps = {None: gap_override}
-    else:
-        # None keys the gap shared by every site without an override, taken
-        # below all of them; the sweep never visits sites above the window
-        overrides = set(f.override_sites + f_tilde.override_sites)
-        plain = min(overrides, default=0) - 1
-        gaps = {None: _kernel_gap_sup(f, f_tilde, plain)}
-        for site in sorted(overrides):
-            if site <= lam.hi:
-                gaps[site] = _kernel_gap_sup(f, f_tilde, site)
-    gap_sup = max(gaps.values())
-    acc = 0.0
-    tail = 0.0
-    u = _tail_step_base(alpha)
-    for k, osc_factor in _influence(alpha, osc, lam.hi):
-        acc += gaps.get(k, gaps[None]) * osc_factor
-        if k < lam.lo:
-            tail = gap_sup * _tail_certificate((osc,), s, u, k)
-            if tail <= _TAIL_TOL * max(1.0, acc):
-                break
-    value = acc + tail
+    plain_gap, site_gaps = gap_override, {}
+    if gap_override is None:
+        # the gap of every site without an override is taken below all of
+        # them; the sweep never visits sites above the window
+        overrides = sorted(set(f.override_sites + f_tilde.override_sites))
+        plain_gap = _kernel_gap_sup(f, f_tilde, min(overrides, default=0) - 1)
+        site_gaps = {o: _kernel_gap_sup(f, f_tilde, o) for o in overrides if o <= lam.hi}
+    gap_sup = max([plain_gap, *site_gaps.values()])
+    # acc sums every site at or below lam.hi, so the tail at lam.hi + 1 bounds it
+    tails = _tails(alpha, (osc,), gap_sup, lam.hi, lam.lo - 1, lam.hi + 1)
+    [g] = _columns(alpha, (osc,), lam.hi, lam.lo - len(tails))
+    gaps = np.full_like(g, plain_gap)
+    for site, gap in site_gaps.items():
+        if site >= lam.lo - len(tails):
+            gaps[lam.hi - site] = gap
+    acc = np.cumsum(gaps * g)[len(lam) :]  # from the site lam.lo - 1 down
+    i = _stop(alpha, lam.hi, tails, acc)
+    tail = float(tails[i])
+    value = float(acc[i]) + tail
     return BoundReport(
         name="comparison",
         value=value,
@@ -434,6 +427,6 @@ def comparison_bound(
             "row_sum_sup": s,
             "gap_sup": gap_sup,
             "tail_certificate": tail,
-            "k_floor": float(k),
+            "k_floor": float(lam.lo - 1 - i),
         },
     )

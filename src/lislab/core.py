@@ -244,16 +244,19 @@ class Observable:
     @cached_property
     def oscillations(self) -> np.ndarray:
         """Read-only oscillation at each support site, left to right (see ``oscillation``)."""
-        n = self.alphabet.size
-        a, b = np.triu_indices(n, k=1)
-        gaps = np.empty((len(self.support), len(a)))  # per site, each symbol pair's largest gap
-        for axis, row in enumerate(gaps):
-            # axis 1 is the site's symbol; the sites left and right of it run on axes 0 and 2
-            t = self.table.reshape(n**axis, n, -1)
-            row[:] = np.abs(t[:, a] - t[:, b]).max(axis=(0, 2))
-        out = (gaps / self.alphabet.metric_array()[a, b]).max(axis=1)
+        out = np.array([axis_oscillation(self, axis) for axis in range(len(self.support))])
         out.setflags(write=False)
         return out
+
+
+def axis_oscillation(h: Observable, axis: int) -> float:
+    """Oscillation of ``h`` at its ``axis``-th support site, not cached (see ``oscillation``)."""
+    n = h.alphabet.size
+    a, b = np.triu_indices(n, k=1)
+    # axis 1 is the site's symbol; the sites left and right of it run on axes 0 and 2
+    t = h.table.reshape(n**axis, n, -1)
+    gaps = np.abs(t[:, a] - t[:, b]).max(axis=(0, 2))  # each symbol pair's largest gap
+    return float((gaps / h.alphabet.metric_array()[a, b]).max())
 
 
 def oscillation(h: Observable, j: int) -> float:

@@ -36,6 +36,7 @@ from .core import (
     FiniteDistribution,
     Observable,
     Window,
+    axis_oscillation,
     check_cap,
     constant_observable,
     exceeds_cap,
@@ -80,7 +81,7 @@ def exact_oscillation_of_average(f: KernelSpec, window: Window, h: Observable, j
         raise ValueError("the probed site must lie left of the window or inside it")
     depth = max(f.memory_depth, window.lo - j, window.lo - h.support.lo, 1)
     g = kernel_average_observable(f, window, h, depth=depth)
-    return oscillation(g, j)
+    return axis_oscillation(g, j - g.support.lo)  # j lies on the support of g
 
 
 def _dusting_matrix(alpha: SensitivityMatrix, window: Window) -> np.ndarray:

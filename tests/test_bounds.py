@@ -29,6 +29,7 @@ from lislab import (
     series_decay_margin,
     vkr_distance,
 )
+from lislab import bounds
 from lislab.bounds import BoundNotApplicableError
 from lislab.core import oscillation_vector, product_observable, random_observable
 from lislab.oracle import (
@@ -315,11 +316,35 @@ def test_correlation_bound_validates(k1):
         correlation_bound(bad, Window(1, 1), Window(0, 0), h1, h0, 1.0)
 
 
-def test_correlation_bound_site_indexed_matches_dense_inverse():
+def _grid_columns(alpha: SensitivityMatrix, oscs, lo: int, hi: int) -> list[np.ndarray]:
+    """Each oscillation vector through ``(I - A)^{-1}`` on the site grid ``[lo, hi]``."""
+    inverse = np.linalg.inv(np.eye(hi - lo + 1) - dense_sensitivity(alpha, lo, hi))
+    columns = []
+    for osc in oscs:
+        w = np.zeros(hi - lo + 1)
+        for site, v in osc.items():
+            w[site - lo] = v
+        columns.append(w @ inverse)
+    return columns
+
+
+# override sites by placement against lam = [3, 4] and delta = [-1, 1]
+_OVERRIDES = {
+    "inside-lam": lambda depth: (4,),
+    "between": lambda depth: (2,),
+    "near-below": lambda depth: tuple(sorted({-1 - depth, -2})),
+    "far-below": lambda depth: (-3 - depth,),
+    "mixed": lambda depth: (-6, -2, 0, 1, 4),
+}
+
+
+@pytest.mark.parametrize("placement", list(_OVERRIDES))
+@pytest.mark.parametrize("depth", [1, 3, 8])
+def test_correlation_bound_site_indexed_matches_dense_inverse(depth, placement):
     # reference: pair the oscillations through (I - A)^{-1} on the grid
     # [k_floor, lam.hi]; the certified tail covers everything deeper
     rng = np.random.default_rng(17)
-    alpha = random_site_indexed(rng, 3, (-6, -2, 0, 1, 4))
+    alpha = random_site_indexed(rng, depth, _OVERRIDES[placement](depth))
     e = iid_kernel((0.5, 0.5)).alphabet
     lam, delta = Window(3, 4), Window(-1, 1)
     h1 = random_observable(lam, e, rng)
@@ -327,20 +352,65 @@ def test_correlation_bound_site_indexed_matches_dense_inverse():
     diameter = 2.5
     rep = correlation_bound(alpha, lam, delta, h1, h2, diameter)
     k_floor = int(rep.quantities["k_floor"])
-    assert k_floor < delta.lo
-    lo = k_floor
-    inverse = np.linalg.inv(np.eye(lam.hi - lo + 1) - dense_sensitivity(alpha, lo, lam.hi))
-    w1 = np.zeros(lam.hi - lo + 1)
-    w2 = np.zeros(lam.hi - lo + 1)
-    for site, w in oscillation_vector(h1).items():
-        w1[site - lo] = w
-    for site, w in oscillation_vector(h2).items():
-        w2[site - lo] = w
-    g1, g2 = w1 @ inverse, w2 @ inverse
-    expected = diameter**2 / 4.0 * float(g1[: delta.hi - lo + 1] @ g2[: delta.hi - lo + 1])
+    assert k_floor < min(delta.lo, *_OVERRIDES[placement](depth))
+    g1, g2 = _grid_columns(alpha, (oscillation_vector(h1), oscillation_vector(h2)), k_floor, lam.hi)
+    below = slice(None, delta.hi - k_floor + 1)
+    expected = diameter**2 / 4.0 * float(g1[below] @ g2[below])
     got = rep.quantities["direct_term"] + rep.quantities["coupling_term"]
     assert got == pytest.approx(expected, rel=1e-12)
     assert rep.value == pytest.approx(got + rep.quantities["tail_certificate"], rel=1e-15)
+
+
+@pytest.mark.parametrize("placement", list(_OVERRIDES))
+@pytest.mark.parametrize("depth", [1, 3, 8])
+def test_comparison_bound_site_indexed_matches_dense_inverse(depth, placement):
+    # a unit gap at every site leaves acc = the sum of G over [k_floor, lam.hi]
+    rng = np.random.default_rng(29)
+    alpha = random_site_indexed(rng, depth, _OVERRIDES[placement](depth))
+    f = iid_kernel((0.5, 0.5))
+    lam = Window(3, 4)
+    h = random_observable(lam, f.alphabet, rng)
+    rep = comparison_bound(alpha, f, f, lam, h, gap_override=1.0)
+    k_floor = int(rep.quantities["k_floor"])
+    assert k_floor < min(-1, *_OVERRIDES[placement](depth))
+    [g] = _grid_columns(alpha, (oscillation_vector(h),), k_floor, lam.hi)
+    tail = rep.quantities["tail_certificate"]
+    assert rep.value - tail == pytest.approx(float(g.sum()), rel=1e-12)
+    assert 0.0 < tail <= 1e-12 * max(1.0, rep.value - tail)
+
+
+@pytest.mark.parametrize("site_indexed", [False, True], ids=["stationary", "site-indexed"])
+def test_memory_bound_general_matches_spread_entry(site_indexed):
+    # the bound of a window average is its oscillations through the window's power sum
+    rng = np.random.default_rng(23)
+    if site_indexed:
+        alpha = random_site_indexed(rng, 3, (-2, 0, 2, 5))
+    else:
+        alpha = random_sub_dobrushin(rng, depth=3)
+    window = Window(0, 5)
+    h = random_observable(Window(1, 4), iid_kernel((0.5, 0.5)).alphabet, rng)
+    osc = oscillation_vector(h)
+    for j in range(window.lo - alpha.depth, window.lo):
+        expected = sum(w * spread_entry(alpha, window, k, j) for k, w in osc.items())
+        rep = memory_bound_general(alpha, window, h, j)
+        assert rep.value == pytest.approx(expected, rel=1e-12, abs=1e-15)
+
+
+def test_bounds_past_the_site_budget_raise_before_sweeping(monkeypatch):
+    # row sum 1 - 3e-5: the certificate at the budget floor still exceeds
+    # what the whole sum can reach, so the bound gives up before any column
+    def no_sweep(*args):
+        raise AssertionError("a column was built")
+
+    monkeypatch.setattr(bounds, "_columns", no_sweep)
+    slow = two_state_markov(0.00001, 0.99998)
+    alpha = build_sensitivity_matrix(slow)
+    h0 = indicator(0, 1, slow.alphabet)
+    h1 = indicator(1, 1, slow.alphabet)
+    with pytest.raises(BoundNotApplicableError, match="within 200000 sites below site 1$"):
+        correlation_bound(alpha, Window(1, 1), Window(0, 0), h1, h0, 1.0)
+    with pytest.raises(BoundNotApplicableError, match="within 200000 sites below site 0$"):
+        comparison_bound(alpha, slow, two_state_markov(0.3, 0.7), Window(0, 0), h0)
 
 
 def test_correlation_bound_zero_matrix_wide_second_window():

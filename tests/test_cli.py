@@ -282,6 +282,15 @@ def test_bound_correlation_site_budget_leaves_cell_empty(capsys):
     assert json.loads(captured.out)["table"]["rows"] == [[lag, "", "", "", ""]]
 
 
+def test_deep_power_law_sweep(capsys):
+    # 25000 sites of a depth-1000 Neumann sweep; the value is pinned to the last digits
+    argv = ["bound", "correlation", "--example", "paper-powerlaw", "--depth", "1000", "--lags", "1"]
+    assert main(argv) == 0
+    [[lag, bound, _, _, _]] = json.loads(capsys.readouterr().out)["table"]["rows"]
+    assert lag == 1
+    assert bound == pytest.approx(0.057442712097914496, rel=1e-12)
+
+
 def test_row_sum_one_ulp_below_one_has_no_tail_certificate(tmp_path, capsys):
     # s = 1 - 2**-53 passes check, but its per-site tail base s**(1/2) rounds to 1
     doc = {
