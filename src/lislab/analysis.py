@@ -171,8 +171,9 @@ class SensitivityMatrix:
         for row in (self.stationary_row, *(row for _, row in self.site_rows)):
             if not all(math.isfinite(a) and a >= 0.0 for a in row):
                 raise ValueError("sensitivity entries must be finite and non-negative")
-        # override rows by site; where a site repeats, its first row applies
-        object.__setattr__(self, "_rows", dict(reversed(self.site_rows)))
+        object.__setattr__(self, "_rows", dict(self.site_rows))
+        if len(self._rows) < len(self.site_rows):
+            raise ValueError("duplicate override site")
 
     def row(self, i: int) -> tuple[float, ...]:
         return self._rows.get(i, self.stationary_row)

@@ -194,17 +194,6 @@ def _parse_lags(raw: str) -> list[int]:
     return lags
 
 
-def _estimates(alpha, path, h, lags: list[int], burn: int | None):
-    """Burn-in and empirical correlation per lag; a path too short is an input error."""
-    from . import sim
-
-    try:
-        burn = sim.default_burn_in(alpha) if burn is None else burn
-        return burn, [sim.estimate_correlation(path, h, h, lag, burn) for lag in lags]
-    except ValueError as exc:
-        raise _UsageError(str(exc)) from None
-
-
 def cmd_check(args) -> int:
     from .analysis import boundary_uniformity_check, build_sensitivity_matrix, dobrushin_check
 
@@ -227,77 +216,74 @@ def cmd_check(args) -> int:
     return 0 if passed else 2
 
 
-def _memory_rows(f, alpha, args) -> list[list]:
+def _memory_rows(f, args) -> list[list]:
+    from .analysis import build_sensitivity_matrix
     from .bounds import memory_bound_general
     from .core import CapExceededError, Window, indicator
 
     if args.verify:
         from . import oracle
 
+    alpha = build_sensitivity_matrix(f)
     symbol = _indicator_symbol(f, args.symbol)
     rows = []
     for n in range(1, args.max_n + 1):
         window = Window(0, n)
         h = indicator(n, symbol, f.alphabet)
         bound = memory_bound_general(alpha, window, h, args.site).value
-        exact = ""
-        slack = ""
+        exact = slack = ""
         if args.verify:
-            try:
+            with contextlib.suppress(CapExceededError):
                 exact = oracle.exact_oscillation_of_average(f, window, h, args.site)
                 slack = bound - exact
-            except CapExceededError:
-                exact = slack = ""
         rows.append([n, bound, exact, slack])
     return rows
 
 
-def _lag_bound(alpha, h0, lag: int):
-    """Correlation bound of the site-0 indicator ``h0`` and its copy ``lag`` sites on.
+def _lag_table(f, args, header: list, verify: bool, burn: int | None) -> tuple[list, int | None]:
+    """Rows of the per-lag columns named in ``header``, each computed once, and the burn-in.
 
-    An empty cell at lag 0 and where the row-sum criterion fails.
+    ``bound`` is empty at lag 0 and where the row-sum criterion fails;
+    ``exact`` (with ``verify``) reads one stationary law; ``empirical`` and
+    ``se`` (with ``args.length``, else ``burn`` comes back as given) come
+    from a path sampled last, so nothing before it adds to its peak memory.
+    A path too short is an input error.
     """
+    from .analysis import build_sensitivity_matrix
     from .bounds import BoundNotApplicableError, correlation_bound
-    from .core import shift_observable
+    from .core import indicator, shift_observable
 
-    if lag < 1:
-        return ""
-    h_lag = shift_observable(h0, lag)
-    try:
-        return correlation_bound(
-            alpha, h_lag.support, h0.support, h_lag, h0, h0.alphabet.diameter
-        ).value
-    except BoundNotApplicableError:
-        return ""
-
-
-def _correlation_rows(f, alpha, args) -> tuple[list[list], int | None]:
-    from .core import indicator
-
-    law = None
-    if args.verify:
+    alpha = build_sensitivity_matrix(f)
+    h0 = indicator(0, _indicator_symbol(f, args.symbol), f.alphabet)
+    cols = {name: [""] * len(args.lags) for name in ("bound", "exact", "empirical", "se")}
+    cols["lag"] = args.lags
+    for i, lag in enumerate(args.lags):
+        h_lag = shift_observable(h0, lag)
+        with contextlib.suppress(BoundNotApplicableError):
+            if lag:  # lag 0 keeps its empty cell
+                cols["bound"][i] = correlation_bound(
+                    alpha, h_lag.support, h0.support, h_lag, h0, f.alphabet.diameter
+                ).value
+    if verify:
         from . import oracle
 
         with contextlib.suppress(ValueError, oracle.ChainStructureError):
             law = oracle.stationary_measure(f)  # one law per command; every lag reads it
-    h0 = indicator(0, _indicator_symbol(f, args.symbol), f.alphabet)
-    rows = []
-    for lag in args.lags:
-        bound = _lag_bound(alpha, h0, lag)
-        exact = ""
-        if law is not None:
-            with contextlib.suppress(ValueError):  # past the cap
-                exact = oracle.exact_correlation(f, h0, h0, lag, law)
-        rows.append([lag, bound, exact])
-    if not args.length:
-        return [row + ["", ""] for row in rows], None
-    from .sim import sample_path
+            for i, lag in enumerate(args.lags):
+                with contextlib.suppress(ValueError):  # past the cap
+                    cols["exact"][i] = oracle.exact_correlation(f, h0, h0, lag, law)
+    if args.length:
+        from . import sim
 
-    # the path comes last, so the work and imports above add nothing to its peak memory
-    path = sample_path(f, args.length, args.seed)
-    _, estimates = _estimates(alpha, path, h0, args.lags, None)
-    rows = [row + [est.estimate, est.standard_error] for row, est in zip(rows, estimates)]
-    return rows, args.seed
+        path = sim.sample_path(f, args.length, args.seed)
+        try:
+            burn = sim.default_burn_in(alpha) if burn is None else burn
+            estimates = [sim.estimate_correlation(path, h0, h0, lag, burn) for lag in args.lags]
+        except ValueError as exc:
+            raise _UsageError(str(exc)) from None
+        cols["empirical"] = [est.estimate for est in estimates]
+        cols["se"] = [est.standard_error for est in estimates]
+    return [list(row) for row in zip(*(cols[name] for name in header))], burn
 
 
 def _compare_rows(f, f_other, args) -> list[list]:
@@ -321,21 +307,18 @@ def _compare_rows(f, f_other, args) -> list[list]:
 
 
 def cmd_bound(args) -> int:
-    from .analysis import build_sensitivity_matrix
     from .specio import SpecError, load_spec_file
 
     f, source = _load_kernel(args)
     report = _metadata(f, source)
     report["command"] = f"bound {args.mode}"
-    seed = None
     if args.mode == "memory":
-        alpha = build_sensitivity_matrix(f)
         header = ["n", "bound", "exact", "slack"]
-        rows = _memory_rows(f, alpha, args)
+        rows = _memory_rows(f, args)
     elif args.mode == "correlation":
-        alpha = build_sensitivity_matrix(f)
         header = ["lag", "bound", "exact", "empirical", "se"]
-        rows, seed = _correlation_rows(f, alpha, args)
+        rows, _ = _lag_table(f, args, header, args.verify, None)
+        report["seed"] = args.seed if args.length else None
     elif args.mode == "compare":
         if not args.other:
             raise _UsageError("bound compare requires --other SPEC")
@@ -347,7 +330,6 @@ def cmd_bound(args) -> int:
         rows = _compare_rows(f, f_other, args)
     else:  # pragma: no cover - argparse restricts choices
         raise _UsageError(f"unknown bound mode {args.mode!r}")
-    report["seed"] = seed
     report["table"] = {"header": header, "rows": _canonical(rows)}
     _emit_report(report, args.out, args.csv)
     return 0
@@ -371,22 +353,9 @@ def cmd_verify(args) -> int:
 
 
 def cmd_simulate(args) -> int:
-    from .analysis import build_sensitivity_matrix
-    from .core import indicator
-    from .sim import sample_path
-
     f, source = _load_kernel(args)
-    h = indicator(0, _indicator_symbol(f, args.symbol), f.alphabet)
-    alpha = build_sensitivity_matrix(f)
-    # bounds before the path, so their work and imports add nothing to its peak memory
-    bounds = [_lag_bound(alpha, h, lag) for lag in args.lags]
-    path = sample_path(f, args.length, args.seed)
-    burn, estimates = _estimates(alpha, path, h, args.lags, args.burn_in)
-    rows = [
-        [lag, est.estimate, est.standard_error, bound]
-        for lag, est, bound in zip(args.lags, estimates, bounds)
-    ]
     header = ["lag", "empirical", "se", "bound"]
+    rows, burn = _lag_table(f, args, header, False, args.burn_in)
     report = _metadata(f, source, seed=args.seed)
     report["command"] = "simulate"
     report["length"] = args.length

@@ -66,7 +66,7 @@ def test_criterion_01_consistency(k1, k2, k3):
     worst = 0.0
     for f in kernels:
         for delta, lam in _nested_pairs(4):
-            rep = verify_consistency(f, delta, lam, trials=100, tol=1e-12, seed=7)
+            rep = verify_consistency(f, delta, lam, trials=100, seed=7)
             worst = max(worst, rep.max_residual)
     elapsed = time.monotonic() - started
     _report(

@@ -291,6 +291,14 @@ def test_sensitivity_matrix_rejects_non_finite_entries():
         SensitivityMatrix(1, (0.2,), ((3, (math.inf,)),))
 
 
+def test_sensitivity_matrix_rejects_a_repeated_site():
+    # one row per site, so row(), entry(), sup_row_sum() and the bounds read the same row
+    with pytest.raises(ValueError, match="duplicate override site"):
+        SensitivityMatrix(1, (0.1,), ((0, (0.2,)), (0, (0.9,))))
+    alpha = SensitivityMatrix(1, (0.1,), ((0, (0.2,)), (1, (0.9,))))
+    assert (alpha.row(0), alpha.entry(1, 0), alpha.sup_row_sum()) == ((0.2,), 0.9, 0.9)
+
+
 def test_site_indexed_default_row_ignores_far_override():
     # a stay-put chain (row sum 1) with an i.i.d. override far to the right:
     # the default row must come from the default family, not from the

@@ -736,6 +736,43 @@ def test_one_stationary_solve_per_kernel(argv, solves, k1_path, tmp_path, monkey
     assert all(isinstance(row[2], float) for row in rows)
 
 
+def test_bound_correlation_verify_builds_no_second_kernel(k1_path, tmp_path, monkeypatch, capsys):
+    # the oracle reads the parsed kernel's own table; it declares no KernelSpec of its own
+    specs = []
+    post_init = KernelSpec.__post_init__
+
+    def counting(self):
+        specs.append(self)
+        post_init(self)
+
+    monkeypatch.setattr(KernelSpec, "__post_init__", counting)
+    deep = json.loads(json.dumps(K1_DOC))
+    deep["memory_depth"] = 4  # an order-1 table declared at depth 4
+    (tmp_path / "deep.json").write_text(json.dumps(deep))
+    for path in (k1_path, tmp_path / "deep.json"):
+        specs.clear()
+        assert main(["bound", "correlation", str(path), "--verify", "--lags", "1:8"]) == 0
+        rows = json.loads(capsys.readouterr().out)["table"]["rows"]
+        assert all(isinstance(row[2], float) for row in rows)
+        assert len(specs) == 1
+
+
+def test_simulate_and_bound_correlation_share_their_lag_columns(k1_path, capsys):
+    common = ["--length", "5000", "--seed", "4", "--lags", "0,1,3"]
+    assert main(["simulate", k1_path, *common]) == 0
+    simulated = json.loads(capsys.readouterr().out)
+    assert main(["bound", "correlation", k1_path, *common]) == 0
+    bounded = json.loads(capsys.readouterr().out)
+    by_name = [
+        {name: list(column) for name, column in zip(r["table"]["header"], zip(*r["table"]["rows"]))}
+        for r in (simulated, bounded)
+    ]
+    for name in ("lag", "empirical", "se", "bound"):
+        assert by_name[0][name] == by_name[1][name]
+    assert by_name[0]["bound"][0] == ""  # lag 0 has no bound
+    assert simulated["seed"] == bounded["seed"] == 4
+
+
 @pytest.mark.parametrize("command", ["check", "simulate --length 1000"])
 def test_huge_memory_depth_exits_fast_without_a_traceback(command, tmp_path, capsys):
     doc = {
@@ -765,7 +802,7 @@ def _nan_verify_suite(monkeypatch, target: str) -> dict[str, bool]:
     import lislab.oracle
     from lislab.oracle import ConsistencyReport
 
-    nan = ConsistencyReport(5, math.nan, 1e-12) if target == "verify_consistency" else math.nan
+    nan = ConsistencyReport(5, math.nan) if target == "verify_consistency" else math.nan
     monkeypatch.setattr(lislab.oracle, target, lambda *a, **k: nan)
     f = parse_spec(K1_DOC)
     return {r["property"]: r["passed"] for r in lislab.oracle.verify_suite(f, trials=20, seed=0)}

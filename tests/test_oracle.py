@@ -190,9 +190,7 @@ def test_stationary_solve_on_slow_two_state_chains(p01, p11):
     assert np.abs(_block_flow(f, mu) - mu).sum() <= 1e-12
 
 
-def test_expectations_batch_over_4096_blocks(monkeypatch):
-    import lislab.oracle
-
+def test_expectations_batch_over_4096_blocks():
     f = random_table_kernel(np.random.default_rng(12), n_symbols=2, depth=12)
     law = stationary_measure(f)
     h = indicator(0, 1, f.alphabet)
@@ -207,10 +205,6 @@ def test_expectations_batch_over_4096_blocks(monkeypatch):
     assert exact_correlation(f, h, h, 11, law) > 0.0
     with pytest.raises(CapExceededError):
         exact_correlation(f, h, h, 12, law)
-    # 4 chunks of 1024 blocks at the default cap, 16 chunks of 256 here
-    monkeypatch.setattr(lislab.oracle, "WORK_CAP", 256 * 4096)
-    [chunked] = stationary_expectations(f, [joint], law)
-    assert chunked == pytest.approx(batched, rel=1e-14, abs=0.0)
 
 
 def test_finite_volume_convergence_gap(k1):
