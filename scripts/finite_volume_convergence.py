@@ -13,7 +13,7 @@ from lislab import (
     Window,
     compose_window,
     indicator,
-    stationary_measure,
+    stationary_expectations,
     two_state_markov,
 )
 
@@ -27,8 +27,7 @@ def main() -> None:
 
     f = two_state_markov(args.p01, args.p11)
     h = indicator(0, 1, f.alphabet)
-    mu = stationary_measure(f)
-    print(f"stationary expectation: {mu.weights[1]:.12f}")
+    print(f"stationary expectation: {stationary_expectations(f, [h])[0]:.12f}")
     print(f"{'n':>3} {'from all-0':>14} {'from all-1':>14} {'gap':>14}")
     for n in range(0, args.max_n + 1):
         window = Window(-n, 0)

@@ -103,23 +103,38 @@ def _emit_report(report: dict, out: str | None, csv_path: str | None = None) -> 
         print(text)
 
 
+#: Each builtin example: the ``specio`` builder it calls and its parameters with their defaults.
+_EXAMPLES = {
+    "paper-powerlaw": ("power_law_linear", {"epsilon": 0.5, "depth": 64}),
+    "markov": ("two_state_markov", {"p01": 0.3, "p11": 0.7}),
+}
+
+
+def _check_source(args) -> None:
+    """Require one kernel source: a spec file, or ``--example`` with only its own parameters."""
+    if not (args.spec or args.example):
+        raise _UsageError("a spec file or --example is required")
+    if args.spec and args.example:
+        raise _UsageError("give a spec file or --example, not both")
+    for example, (_, defaults) in _EXAMPLES.items():
+        given = [name for name in defaults if getattr(args, name) is not None]
+        if given and example != args.example:
+            raise _UsageError(f"--{given[0]} applies only to --example {example}")
+
+
 def _load_kernel(args) -> tuple[KernelSpec, dict]:
     from . import specio
 
-    if args.example:
-        try:
-            if args.example == "paper-powerlaw":
-                f = specio.power_law_linear(args.epsilon, args.depth, label="paper-powerlaw")
-                params = {"example": "paper-powerlaw", "epsilon": args.epsilon, "depth": args.depth}
-            else:
-                f = specio.two_state_markov(args.p01, args.p11, label="markov")
-                params = {"example": "markov", "p01": args.p01, "p11": args.p11}
-        except ValueError as exc:
-            raise _UsageError(f"--example {args.example}: {exc}") from None
-        doc = json.dumps(_canonical(specio.kernel_to_doc(f)), sort_keys=True)
-        params["sha256"] = specio.spec_sha256(doc.encode())
-        return f, params
-    return specio.load_spec_file(args.spec)
+    if not args.example:
+        return specio.load_spec_file(args.spec)
+    builder, defaults = _EXAMPLES[args.example]
+    params = {k: d if getattr(args, k) is None else getattr(args, k) for k, d in defaults.items()}
+    try:
+        f = getattr(specio, builder)(*params.values(), label=args.example)
+    except ValueError as exc:
+        raise _UsageError(f"--example {args.example}: {exc}") from None
+    doc = json.dumps(_canonical(specio.kernel_to_doc(f)), sort_keys=True)
+    return f, {"example": args.example, **params, "sha256": specio.spec_sha256(doc.encode())}
 
 
 def _metadata(f: KernelSpec, source: dict, seed: int | None = None) -> dict:
@@ -216,7 +231,7 @@ def cmd_check(args) -> int:
     return 0 if passed else 2
 
 
-def _memory_rows(f, args) -> list[list]:
+def _memory_table(f, args, report: dict) -> tuple[list, list]:
     from .analysis import build_sensitivity_matrix
     from .bounds import memory_bound_general
     from .core import CapExceededError, Window, indicator
@@ -237,17 +252,17 @@ def _memory_rows(f, args) -> list[list]:
                 exact = oracle.exact_oscillation_of_average(f, window, h, args.site)
                 slack = bound - exact
         rows.append([n, bound, exact, slack])
-    return rows
+    return ["n", "bound", "exact", "slack"], rows
 
 
-def _lag_table(f, args, header: list, verify: bool, burn: int | None) -> tuple[list, int | None]:
+def _lag_table(f, args, header: list) -> tuple[list, int | None]:
     """Rows of the per-lag columns named in ``header``, each computed once, and the burn-in.
 
     ``bound`` is empty at lag 0 and where the row-sum criterion fails;
-    ``exact`` (with ``verify``) reads one stationary law; ``empirical`` and
-    ``se`` (with ``args.length``, else ``burn`` comes back as given) come
-    from a path sampled last, so nothing before it adds to its peak memory.
-    A path too short is an input error.
+    ``exact`` (with ``args.verify``) reads one stationary law; ``empirical``
+    and ``se`` (with ``args.length``, else ``args.burn_in`` comes back as
+    given) come from a path sampled last, so nothing before it adds to its
+    peak memory.  A path too short is an input error.
     """
     from .analysis import build_sensitivity_matrix
     from .bounds import BoundNotApplicableError, correlation_bound
@@ -264,7 +279,7 @@ def _lag_table(f, args, header: list, verify: bool, burn: int | None) -> tuple[l
                 cols["bound"][i] = correlation_bound(
                     alpha, h_lag.support, h0.support, h_lag, h0, f.alphabet.diameter
                 ).value
-    if verify:
+    if args.verify:
         from . import oracle
 
         with contextlib.suppress(ValueError, oracle.ChainStructureError):
@@ -272,6 +287,7 @@ def _lag_table(f, args, header: list, verify: bool, burn: int | None) -> tuple[l
             for i, lag in enumerate(args.lags):
                 with contextlib.suppress(ValueError):  # past the cap
                     cols["exact"][i] = oracle.exact_correlation(f, h0, h0, lag, law)
+    burn = args.burn_in
     if args.length:
         from . import sim
 
@@ -286,12 +302,22 @@ def _lag_table(f, args, header: list, verify: bool, burn: int | None) -> tuple[l
     return [list(row) for row in zip(*(cols[name] for name in header))], burn
 
 
-def _compare_rows(f, f_other, args) -> list[list]:
+def _correlation_table(f, args, report: dict) -> tuple[list, list]:
+    header = ["lag", "bound", "exact", "empirical", "se"]
+    report["seed"] = args.seed if args.length else None
+    return header, _lag_table(f, args, header)[0]
+
+
+def _compare_table(f, args, report: dict) -> tuple[list, list]:
     from . import oracle
     from .analysis import build_sensitivity_matrix
     from .bounds import comparison_bound
     from .core import Window, indicator
+    from .specio import SpecError, load_spec_file
 
+    f_other, report["other_spec"] = load_spec_file(args.other)
+    if f_other.alphabet != f.alphabet:
+        raise SpecError(f"{args.other} is on another alphabet than the reference spec")
     observables = [indicator(0, symbol, f.alphabet) for symbol in range(f.alphabet.size)]
     alpha = build_sensitivity_matrix(f)
     bounds = [comparison_bound(alpha, f, f_other, Window(0, 0), h).value for h in observables]
@@ -303,33 +329,15 @@ def _compare_rows(f, f_other, args) -> list[list]:
         exact = [abs(e1 - e2) for e1, e2 in expectations]
     except (ValueError, oracle.ChainStructureError):
         exact = [""] * len(observables)
-    return [list(row) for row in zip(f.alphabet.symbols, bounds, exact)]
+    return ["symbol", "bound", "exact"], [list(r) for r in zip(f.alphabet.symbols, bounds, exact)]
 
 
 def cmd_bound(args) -> int:
-    from .specio import SpecError, load_spec_file
-
+    """Run the mode's table builder, which adds its own fields to the report."""
     f, source = _load_kernel(args)
     report = _metadata(f, source)
     report["command"] = f"bound {args.mode}"
-    if args.mode == "memory":
-        header = ["n", "bound", "exact", "slack"]
-        rows = _memory_rows(f, args)
-    elif args.mode == "correlation":
-        header = ["lag", "bound", "exact", "empirical", "se"]
-        rows, _ = _lag_table(f, args, header, args.verify, None)
-        report["seed"] = args.seed if args.length else None
-    elif args.mode == "compare":
-        if not args.other:
-            raise _UsageError("bound compare requires --other SPEC")
-        f_other, other_source = load_spec_file(args.other)
-        if f_other.alphabet != f.alphabet:
-            raise SpecError(f"{args.other} is on another alphabet than the reference spec")
-        report["other_spec"] = other_source
-        header = ["symbol", "bound", "exact"]
-        rows = _compare_rows(f, f_other, args)
-    else:  # pragma: no cover - argparse restricts choices
-        raise _UsageError(f"unknown bound mode {args.mode!r}")
+    header, rows = args.table(f, args, report)
     report["table"] = {"header": header, "rows": _canonical(rows)}
     _emit_report(report, args.out, args.csv)
     return 0
@@ -355,7 +363,7 @@ def cmd_verify(args) -> int:
 def cmd_simulate(args) -> int:
     f, source = _load_kernel(args)
     header = ["lag", "empirical", "se", "bound"]
-    rows, burn = _lag_table(f, args, header, False, args.burn_in)
+    rows, burn = _lag_table(f, args, header)
     report = _metadata(f, source, seed=args.seed)
     report["command"] = "simulate"
     report["length"] = args.length
@@ -365,22 +373,33 @@ def cmd_simulate(args) -> int:
     return 0
 
 
-def _add_common(p: argparse.ArgumentParser) -> None:
+def _common_flags() -> _Parser:
+    """The kernel source and ``--out``, which every command reads."""
+    p = _Parser(add_help=False)
     p.add_argument("spec", nargs="?", help="kernel spec JSON file")
-    p.add_argument("--example", choices=["paper-powerlaw", "markov"], help="builtin kernel family")
-    p.add_argument("--epsilon", type=float, default=0.5, help="power-law example parameter")
-    p.add_argument("--depth", type=int, default=64, help="power-law example memory depth")
-    p.add_argument("--p01", type=float, default=0.3, help="markov example P(1|0)")
-    p.add_argument("--p11", type=float, default=0.7, help="markov example P(1|1)")
+    p.add_argument("--example", choices=list(_EXAMPLES), help="builtin kernel family")
+    for example, (_, defaults) in _EXAMPLES.items():
+        for name, value in defaults.items():
+            p.add_argument(f"--{name}", type=type(value), help=f"{example} only, default {value}")
     p.add_argument("--out", help="write the JSON report here instead of stdout")
+    return p
+
+
+def _add_lag_flags(p: argparse.ArgumentParser, lags: int, length: int | None) -> None:
+    """``--csv`` and the ``_lag_table`` flags, shared by ``bound correlation`` and ``simulate``."""
+    p.add_argument("--csv", help="also write the tabular output as CSV")
+    p.add_argument("--symbol", help="indicator symbol (defaults to the second one)")
+    p.add_argument("--lags", type=_parse_lags, default=[*range(1, lags + 1)], help="1:8 or 1,2,5")
+    p.add_argument("--length", type=_int_in(lo=1), default=length, help="sampled path length")
+    p.add_argument("--seed", type=_int_in(lo=0), default=1, help="sampling seed")
 
 
 def build_parser() -> _Parser:
     parser = _Parser(prog="lis-lab", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
+    common = [_common_flags()]  # copying its actions costs less than adding them to each parser
 
-    p_check = sub.add_parser("check", help="run the uniqueness criteria")
-    _add_common(p_check)
+    p_check = sub.add_parser("check", parents=common, help="run the uniqueness criteria")
     p_check.add_argument(
         "--criterion",
         choices=["dobrushin", "boundary", "both"],
@@ -390,45 +409,35 @@ def build_parser() -> _Parser:
     p_check.set_defaults(func=cmd_check)
 
     p_bound = sub.add_parser("bound", help="evaluate decay bounds")
-    p_bound.add_argument("mode", choices=["memory", "correlation", "compare"])
-    _add_common(p_bound)
-    p_bound.add_argument("--csv", help="also write the tabular output as CSV")
-    p_bound.add_argument(
-        "--site", type=_int_in(hi=-1), default=-1, help="past site probed by memory bounds"
-    )
-    p_bound.add_argument("--symbol", help="indicator symbol (defaults to the second one)")
-    p_bound.add_argument("--max-n", type=_int_in(lo=1), default=8, help="memory sweep window size")
-    p_bound.add_argument(
-        "--lags",
-        type=_parse_lags,
-        default=list(range(1, 9)),
-        help="lag list fragment, e.g. 1:8 or 1,2,5",
-    )
-    p_bound.add_argument("--verify", action="store_true", help="add exact oracle columns")
-    p_bound.add_argument(
-        "--length", type=_int_in(lo=1), help="add empirical columns from a sampled path"
-    )
-    p_bound.add_argument("--seed", type=_int_in(lo=0), default=1, help="sampling seed")
-    p_bound.add_argument("--other", help="second spec file for compare mode")
-    p_bound.set_defaults(func=cmd_bound)
+    modes = p_bound.add_subparsers(dest="mode", required=True)
+    p_memory = modes.add_parser("memory", parents=common, help="memory bound on windows [0, n]")
+    p_memory.add_argument("--csv", help="also write the tabular output as CSV")
+    p_memory.add_argument("--site", type=_int_in(hi=-1), default=-1, help="past site probed")
+    p_memory.add_argument("--symbol", help="indicator symbol (defaults to the second one)")
+    # each row sweeps its own column over [0, n], so the cost is quadratic in --max-n
+    p_memory.add_argument("--max-n", type=_int_in(lo=1, hi=1000), default=8, help="largest n")
+    p_memory.add_argument("--verify", action="store_true", help="add exact oracle columns")
+    p_memory.set_defaults(func=cmd_bound, table=_memory_table)
+    p_corr = modes.add_parser("correlation", parents=common, help="correlation bound per lag")
+    _add_lag_flags(p_corr, lags=8, length=None)
+    p_corr.add_argument("--verify", action="store_true", help="add exact oracle columns")
+    p_corr.set_defaults(func=cmd_bound, table=_correlation_table, burn_in=None)
+    p_compare = modes.add_parser("compare", parents=common, help="gap to a second kernel")
+    p_compare.add_argument("--csv", help="also write the tabular output as CSV")
+    p_compare.add_argument("--other", required=True, help="second spec file")
+    p_compare.set_defaults(func=cmd_bound, table=_compare_table)
 
-    p_verify = sub.add_parser("verify", help="run the exact property suite")
-    _add_common(p_verify)
+    p_verify = sub.add_parser("verify", parents=common, help="run the exact property suite")
     p_verify.add_argument(
         "--trials", type=_int_in(lo=1), default=200, help="randomised trial budget"
     )
     p_verify.add_argument("--seed", type=_int_in(lo=0), default=0)
     p_verify.set_defaults(func=cmd_verify)
 
-    p_sim = sub.add_parser("simulate", help="sample a path and estimate correlations")
-    _add_common(p_sim)
-    p_sim.add_argument("--csv", help="also write the tabular output as CSV")
-    p_sim.add_argument("--length", type=_int_in(lo=1), default=100000)
-    p_sim.add_argument("--seed", type=_int_in(lo=0), default=1)
-    p_sim.add_argument("--lags", type=_parse_lags, default=list(range(1, 6)))
+    p_sim = sub.add_parser("simulate", parents=common, help="sample a path, estimate correlations")
+    _add_lag_flags(p_sim, lags=5, length=100000)
     p_sim.add_argument("--burn-in", type=_int_in(lo=0), help="override the heuristic burn-in")
-    p_sim.add_argument("--symbol", help="indicator symbol (defaults to the second one)")
-    p_sim.set_defaults(func=cmd_simulate)
+    p_sim.set_defaults(func=cmd_simulate, verify=False)
     return parser
 
 
@@ -445,8 +454,7 @@ def main(argv=None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-        if not (args.spec or args.example):  # before the command loads any library module
-            raise _UsageError("a spec file or --example is required")
+        _check_source(args)  # before the command loads any library module
         return args.func(args)
     except (_UsageError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -480,18 +480,43 @@ def test_rejects_non_finite_and_boolean_input(command, kernel, depth, tmp_path, 
         "bound memory --example markov --site 5",
         "bound memory --example markov --symbol z",
         "bound memory --example markov --max-n 0",
+        "bound memory --example markov --max-n 1001",
         "verify --example markov --trials -5",
         "simulate --example markov --length 1000000000000000",
         "bound correlation --example markov --lags 1 --length 1000000000000000",
         "bound correlation --example markov --lags 0:1000000000000",
+        "check {spec} --example markov",
+        "check {spec} --epsilon 0.3",
+        "check --example markov --depth 8",
+        "bound memory --example markov --other {spec}",
+        "bound correlation --example markov --site -2",
+        "bound compare {spec} --verify",
+        "bound compare {spec}",
+        "bound compare --example markov --other {spec} --verify --lags 1:50 --site -3",
     ],
 )
-def test_input_errors_exit_one_with_one_line(argv, capsys):
-    assert main(argv.split()) == 1
+def test_input_errors_exit_one_with_one_line(argv, k1_path, capsys):
+    assert main(argv.format(spec=k1_path).split()) == 1
     captured = capsys.readouterr()
     assert "Traceback" not in captured.err
     lines = captured.err.strip().splitlines()
     assert len(lines) == 1 and lines[0].startswith("error:")
+
+
+def test_bound_modes_reject_the_flags_they_do_not_read(k1_path, capsys):
+    unread = {
+        "memory": ["--lags=1", "--length=99", "--seed=1", f"--other={k1_path}"],
+        "correlation": ["--site=-1", "--max-n=2", f"--other={k1_path}"],
+        "compare": ["--site=-1", "--symbol=1", "--max-n=2", "--lags=1", "--verify",
+                    "--length=99", "--seed=1"],
+    }
+    for mode, flags in unread.items():
+        argv = ["bound", mode, k1_path, *([f"--other={k1_path}"] if mode == "compare" else [])]
+        for flag in flags:
+            assert main(argv + [flag]) == 1, flag
+            assert capsys.readouterr().err == f"error: unrecognized arguments: {flag}\n"
+        assert main(argv) == 0
+        capsys.readouterr()
 
 
 @pytest.mark.parametrize("flag", ["--out", "--csv"])
@@ -562,11 +587,16 @@ _FUZZ_CHOICES = {
     "--p01": ["1e-05", *_FUZZ_VALUES, "1" * 20],
     "--p11": ["0.99998", *_FUZZ_VALUES, "1" * 20],
 }
+# the flags each command or bound mode reads, and each example's own parameters
 _FUZZ_FLAGS = {
     "check": ["--criterion"],
-    "bound": ["--site", "--symbol", "--max-n", "--lags", "--length", "--seed", "--other"],
+    "memory": ["--site", "--symbol", "--max-n", "--verify"],
+    "correlation": ["--symbol", "--lags", "--length", "--seed", "--verify"],
+    "compare": ["--other"],
     "verify": ["--trials", "--seed"],
     "simulate": ["--length", "--seed", "--lags", "--burn-in", "--symbol"],
+    "markov": ["--p01", "--p11"],
+    "paper-powerlaw": ["--epsilon", "--depth"],
 }
 
 
@@ -589,20 +619,19 @@ def test_main_never_escapes(fuzz_sources, data):
          ["verify"], ["simulate"]]
     ))
     argv = command + data.draw(st.sampled_from(fuzz_sources))
-    # the sizes that default large are always set
-    needed = {"verify": ["--trials"], "simulate": ["--length"]}.get(command[0], [])
-    if "paper-powerlaw" in argv:
-        needed.append("--depth")
-    own = ["--epsilon", "--depth", "--p01", "--p11", *_FUZZ_FLAGS[command[0]]]
+    # the sizes that default large and the required --other are always set
+    needed = {"verify": ["--trials"], "simulate": ["--length"], "compare": ["--other"]}
+    needed = needed.get(command[-1], []) + (["--depth"] if "paper-powerlaw" in argv else [])
+    own = _FUZZ_FLAGS[command[-1]] + _FUZZ_FLAGS.get(argv[-1], [])
     flags = needed + data.draw(st.lists(st.sampled_from(own), max_size=4, unique=True))
     for flag in dict.fromkeys(flags):
-        if flag == "--other":
-            value = data.draw(st.sampled_from(fuzz_sources[2:]))[0]
+        if flag == "--verify":
+            argv.append(flag)
+        elif flag == "--other":
+            argv.append(f"--other={data.draw(st.sampled_from(fuzz_sources[2:]))[0]}")
         else:
             value = data.draw(st.sampled_from(_FUZZ_CHOICES.get(flag, [*_FUZZ_VALUES, "1" * 20])))
-        argv.append(f"{flag}={value}")
-    if data.draw(st.booleans()):
-        argv.append("--verify")
+            argv.append(f"{flag}={value}")
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         code = main(argv)
@@ -660,7 +689,8 @@ def test_powerlaw_commands_leave_scipy_unloaded(argv):
         ("bound --help", 0),
         ("bogus-command", 1),
         ("check", 1),  # no spec, no example
-        ("bound --example markov", 1),  # no mode: the --lags default is converted first
+        ("bound --example markov", 1),  # no mode
+        ("bound memory --example markov --lags 1:4", 1),  # a flag memory does not read
         ("simulate --example markov --length 0", 1),
         ("bound memory --example markov --criterion both", 1),
     ],
