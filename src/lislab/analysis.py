@@ -144,9 +144,9 @@ def sensitivity_estimator(f: KernelSpec, i: int, j: int) -> float:
     rows = f.table_at(i)
     # axes: sites left of j, the symbol at j, sites between j and i, next symbol
     table = rows.reshape(n ** (depth - lag), n, n ** (lag - 1), n)
-    a, b = np.triu_indices(n, k=1)
+    a, b, dist = f.alphabet.symbol_pairs
     cost = vkr_distance(table[:, a], table[:, b], f.alphabet)
-    return float((cost / f.alphabet.metric_array()[a, b][:, None]).max())
+    return float((cost / dist[:, None]).max())
 
 
 @dataclass(frozen=True)
@@ -230,15 +230,6 @@ class CriterionVerdict:
         for name, value in self.scalars.items():
             if not np.isfinite(value) or value < 0.0:
                 raise ValueError(f"criterion scalar {name} = {value!r} must be finite and >= 0")
-
-    def as_dict(self) -> dict:
-        return {
-            "criterion": self.criterion,
-            "satisfied": self.satisfied,
-            "scalars": dict(self.scalars),
-            "truncation_tail": self.truncation_tail,
-            "notes": list(self.notes),
-        }
 
 
 def dobrushin_check(alpha: SensitivityMatrix) -> CriterionVerdict:

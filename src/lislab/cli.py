@@ -3,8 +3,9 @@
 Every report embeds the spec source hash, library version, memory depth,
 caps, tolerances, and seeds, so a report alone identifies its inputs.
 Exit codes: 0 pass, 1 usage or input error, 2 criterion or verification
-failure.  Handlers only parse, call the library and build the report:
-``verify`` times ``oracle.verify_suite``, which holds the suite and its admission.
+failure.  Every command runs one lifecycle, ``_run``: load the kernel,
+write the metadata, let the command's fill function call the library and
+add its own fields, then emit the report.
 """
 
 from __future__ import annotations
@@ -94,7 +95,8 @@ def _csv_text(table: dict) -> str:
 
 def _emit_report(report: dict, out: str | None, csv_path: str | None = None) -> None:
     """Print the JSON report or write it to ``out``; ``csv_path`` also gets its table as CSV."""
-    text = json.dumps(_canonical(report), indent=2, sort_keys=True)
+    report = _canonical(report)
+    text = json.dumps(report, indent=2, sort_keys=True)
     texts = {csv_path: _csv_text(report["table"])} if csv_path else {}
     if out:
         texts[out] = text + "\n"
@@ -110,8 +112,8 @@ _EXAMPLES = {
 }
 
 
-def _check_source(args) -> None:
-    """Require one kernel source: a spec file, or ``--example`` with only its own parameters."""
+def _check_args(args) -> None:
+    """Require one kernel source, each example parameter with its example, --seed with a path."""
     if not (args.spec or args.example):
         raise _UsageError("a spec file or --example is required")
     if args.spec and args.example:
@@ -120,6 +122,10 @@ def _check_source(args) -> None:
         given = [name for name in defaults if getattr(args, name) is not None]
         if given and example != args.example:
             raise _UsageError(f"--{given[0]} applies only to --example {example}")
+    if getattr(args, "seed", 1) is None:  # bound correlation's --seed: 1 when a path is sampled
+        args.seed = 1 if args.length else None
+    elif getattr(args, "length", 1) is None:
+        raise _UsageError("--seed applies only with --length")
 
 
 def _load_kernel(args) -> tuple[KernelSpec, dict]:
@@ -137,7 +143,7 @@ def _load_kernel(args) -> tuple[KernelSpec, dict]:
     return f, {"example": args.example, **params, "sha256": specio.spec_sha256(doc.encode())}
 
 
-def _metadata(f: KernelSpec, source: dict, seed: int | None = None) -> dict:
+def _metadata(f: KernelSpec, source: dict) -> dict:
     from .core import ABS_TOL, DEFAULT_CONFIG_CAP, SUM_TOL
 
     family = type(f.family).__name__
@@ -154,7 +160,6 @@ def _metadata(f: KernelSpec, source: dict, seed: int | None = None) -> dict:
         },
         "caps": {"config_cap": DEFAULT_CONFIG_CAP},
         "tolerances": {"sum_tol": SUM_TOL, "abs_tol": ABS_TOL},
-        "seed": seed,
     }
 
 
@@ -209,26 +214,20 @@ def _parse_lags(raw: str) -> list[int]:
     return lags
 
 
-def cmd_check(args) -> int:
+def _check_fill(f, args, report: dict) -> bool:
+    from dataclasses import asdict  # here, so that --help loads no dataclasses or inspect
+
     from .analysis import boundary_uniformity_check, build_sensitivity_matrix, dobrushin_check
 
-    f, source = _load_kernel(args)
-    alpha = build_sensitivity_matrix(f)
     verdicts = {
-        "dobrushin": dobrushin_check(alpha),
+        "dobrushin": dobrushin_check(build_sensitivity_matrix(f)),
         "boundary": boundary_uniformity_check(f),
     }
-    report = _metadata(f, source)
-    report["command"] = "check"
-    report["criteria"] = {name: v.as_dict() for name, v in verdicts.items()}
+    report["criteria"] = {name: asdict(v) for name, v in verdicts.items()}
     report["selected"] = args.criterion
-    if args.criterion == "both":
-        passed = all(v.satisfied for v in verdicts.values())
-    else:
-        passed = verdicts[args.criterion].satisfied
-    report["passed"] = passed
-    _emit_report(report, args.out)
-    return 0 if passed else 2
+    selected = verdicts.values() if args.criterion == "both" else [verdicts[args.criterion]]
+    report["passed"] = all(v.satisfied for v in selected)
+    return report["passed"]
 
 
 def _memory_table(f, args, report: dict) -> tuple[list, list]:
@@ -304,8 +303,14 @@ def _lag_table(f, args, header: list) -> tuple[list, int | None]:
 
 def _correlation_table(f, args, report: dict) -> tuple[list, list]:
     header = ["lag", "bound", "exact", "empirical", "se"]
-    report["seed"] = args.seed if args.length else None
     return header, _lag_table(f, args, header)[0]
+
+
+def _simulate_table(f, args, report: dict) -> tuple[list, list]:
+    header = ["lag", "empirical", "se", "bound"]
+    rows, report["burn_in"] = _lag_table(f, args, header)
+    report["length"] = args.length
+    return header, rows
 
 
 def _compare_table(f, args, report: dict) -> tuple[list, list]:
@@ -332,45 +337,32 @@ def _compare_table(f, args, report: dict) -> tuple[list, list]:
     return ["symbol", "bound", "exact"], [list(r) for r in zip(f.alphabet.symbols, bounds, exact)]
 
 
-def cmd_bound(args) -> int:
-    """Run the mode's table builder, which adds its own fields to the report."""
-    f, source = _load_kernel(args)
-    report = _metadata(f, source)
-    report["command"] = f"bound {args.mode}"
+def _table_fill(f, args, report: dict) -> bool:
+    """Fill the report's table from the command's builder, which adds its own fields."""
     header, rows = args.table(f, args, report)
-    report["table"] = {"header": header, "rows": _canonical(rows)}
-    _emit_report(report, args.out, args.csv)
-    return 0
+    report["table"] = {"header": header, "rows": rows}
+    return True
 
 
-def cmd_verify(args) -> int:
-    f, source = _load_kernel(args)
+def _verify_fill(f, args, report: dict) -> bool:
     from .oracle import verify_suite
 
     started = time.monotonic()
-    results = verify_suite(f, args.trials, args.seed)
-    elapsed = time.monotonic() - started
-    report = _metadata(f, source, seed=args.seed)
-    report["command"] = "verify"
-    report["elapsed_seconds"] = elapsed
-    report["properties"] = results
-    passed = all(r["passed"] for r in results)
-    report["passed"] = passed
-    _emit_report(report, args.out)
-    return 0 if passed else 2
+    report["properties"] = verify_suite(f, args.trials, args.seed)
+    report["elapsed_seconds"] = time.monotonic() - started
+    report["passed"] = all(r["passed"] for r in report["properties"])
+    return report["passed"]
 
 
-def cmd_simulate(args) -> int:
+def _run(args) -> int:
+    """The one command lifecycle: 0 if the command's ``fill`` says the report passed, else 2."""
     f, source = _load_kernel(args)
-    header = ["lag", "empirical", "se", "bound"]
-    rows, burn = _lag_table(f, args, header)
-    report = _metadata(f, source, seed=args.seed)
-    report["command"] = "simulate"
-    report["length"] = args.length
-    report["burn_in"] = burn
-    report["table"] = {"header": header, "rows": _canonical(rows)}
-    _emit_report(report, args.out, args.csv)
-    return 0
+    report = _metadata(f, source)
+    report["command"] = args.command
+    report["seed"] = getattr(args, "seed", None)  # None where nothing is sampled or drawn
+    passed = args.fill(f, args, report)
+    _emit_report(report, args.out, getattr(args, "csv", None))
+    return 0 if passed else 2
 
 
 def _common_flags() -> _Parser:
@@ -380,7 +372,9 @@ def _common_flags() -> _Parser:
     p.add_argument("--example", choices=list(_EXAMPLES), help="builtin kernel family")
     for example, (_, defaults) in _EXAMPLES.items():
         for name, value in defaults.items():
-            p.add_argument(f"--{name}", type=type(value), help=f"{example} only, default {value}")
+            # sweeps grow faster than the depth: at 5000, bound memory --max-n 1000 takes 29-31 s
+            kind = _int_in(hi=5000) if name == "depth" else type(value)
+            p.add_argument(f"--{name}", type=kind, help=f"{example} only, default {value}")
     p.add_argument("--out", help="write the JSON report here instead of stdout")
     return p
 
@@ -391,7 +385,7 @@ def _add_lag_flags(p: argparse.ArgumentParser, lags: int, length: int | None) ->
     p.add_argument("--symbol", help="indicator symbol (defaults to the second one)")
     p.add_argument("--lags", type=_parse_lags, default=[*range(1, lags + 1)], help="1:8 or 1,2,5")
     p.add_argument("--length", type=_int_in(lo=1), default=length, help="sampled path length")
-    p.add_argument("--seed", type=_int_in(lo=0), default=1, help="sampling seed")
+    p.add_argument("--seed", type=_int_in(lo=0), default=1, help="sampling seed, default 1")
 
 
 def build_parser() -> _Parser:
@@ -406,7 +400,7 @@ def build_parser() -> _Parser:
         default="dobrushin",
         help="criterion deciding the exit code",
     )
-    p_check.set_defaults(func=cmd_check)
+    p_check.set_defaults(fill=_check_fill)
 
     p_bound = sub.add_parser("bound", help="evaluate decay bounds")
     modes = p_bound.add_subparsers(dest="mode", required=True)
@@ -417,27 +411,28 @@ def build_parser() -> _Parser:
     # each row sweeps its own column over [0, n], so the cost is quadratic in --max-n
     p_memory.add_argument("--max-n", type=_int_in(lo=1, hi=1000), default=8, help="largest n")
     p_memory.add_argument("--verify", action="store_true", help="add exact oracle columns")
-    p_memory.set_defaults(func=cmd_bound, table=_memory_table)
+    p_memory.set_defaults(command="bound memory", fill=_table_fill, table=_memory_table)
     p_corr = modes.add_parser("correlation", parents=common, help="correlation bound per lag")
     _add_lag_flags(p_corr, lags=8, length=None)
     p_corr.add_argument("--verify", action="store_true", help="add exact oracle columns")
-    p_corr.set_defaults(func=cmd_bound, table=_correlation_table, burn_in=None)
+    p_corr.set_defaults(command="bound correlation", fill=_table_fill, table=_correlation_table)
+    p_corr.set_defaults(burn_in=None, seed=None)  # _check_args sets seed 1 where --length samples
     p_compare = modes.add_parser("compare", parents=common, help="gap to a second kernel")
     p_compare.add_argument("--csv", help="also write the tabular output as CSV")
     p_compare.add_argument("--other", required=True, help="second spec file")
-    p_compare.set_defaults(func=cmd_bound, table=_compare_table)
+    p_compare.set_defaults(command="bound compare", fill=_table_fill, table=_compare_table)
 
     p_verify = sub.add_parser("verify", parents=common, help="run the exact property suite")
     p_verify.add_argument(
         "--trials", type=_int_in(lo=1), default=200, help="randomised trial budget"
     )
     p_verify.add_argument("--seed", type=_int_in(lo=0), default=0)
-    p_verify.set_defaults(func=cmd_verify)
+    p_verify.set_defaults(fill=_verify_fill)
 
     p_sim = sub.add_parser("simulate", parents=common, help="sample a path, estimate correlations")
     _add_lag_flags(p_sim, lags=5, length=100000)
     p_sim.add_argument("--burn-in", type=_int_in(lo=0), help="override the heuristic burn-in")
-    p_sim.set_defaults(func=cmd_simulate, verify=False)
+    p_sim.set_defaults(fill=_table_fill, table=_simulate_table, verify=False)
     return parser
 
 
@@ -454,8 +449,8 @@ def main(argv=None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-        _check_source(args)  # before the command loads any library module
-        return args.func(args)
+        _check_args(args)  # before the command loads any library module
+        return _run(args)
     except (_UsageError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

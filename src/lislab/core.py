@@ -140,6 +140,15 @@ class AlphabetSpec:
     def metric_array(self) -> np.ndarray:
         return np.asarray(self.metric, dtype=float)
 
+    @cached_property
+    def symbol_pairs(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Read-only ``(a, b, d)``: every symbol pair ``a < b`` and its distance ``d(a, b)``."""
+        a, b = np.triu_indices(self.size, k=1)
+        pairs = (a, b, self.metric_array()[a, b])
+        for array in pairs:
+            array.setflags(write=False)
+        return pairs
+
     def index_of(self, symbol: str) -> int:
         try:
             return self.symbols.index(symbol)
@@ -252,11 +261,11 @@ class Observable:
 def axis_oscillation(h: Observable, axis: int) -> float:
     """Oscillation of ``h`` at its ``axis``-th support site, not cached (see ``oscillation``)."""
     n = h.alphabet.size
-    a, b = np.triu_indices(n, k=1)
+    a, b, dist = h.alphabet.symbol_pairs
     # axis 1 is the site's symbol; the sites left and right of it run on axes 0 and 2
     t = h.table.reshape(n**axis, n, -1)
     gaps = np.abs(t[:, a] - t[:, b]).max(axis=(0, 2))  # each symbol pair's largest gap
-    return float((gaps / h.alphabet.metric_array()[a, b]).max())
+    return float((gaps / dist).max())
 
 
 def oscillation(h: Observable, j: int) -> float:
@@ -315,7 +324,7 @@ def product_observable(h1: Observable, h2: Observable) -> Observable:
         raise ValueError("observables live on different alphabets")
     hull = Window(min(h1.support.lo, h2.support.lo), max(h1.support.hi, h2.support.hi))
     n = h1.alphabet.size
-    check_cap(n, len(hull))
+    check_cap(n, hull.hi - hull.lo + 1)  # len() overflows before the cap check past sys.maxsize
 
     def on_hull(h: Observable) -> np.ndarray:
         # one axis per hull site, of length 1 where h does not depend on the site

@@ -10,7 +10,7 @@ import sys
 import time
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from lislab import KernelSpec
@@ -274,12 +274,13 @@ def test_bound_correlation_site_budget_leaves_cell_empty(capsys):
     assert "Traceback" not in captured.err
     assert json.loads(captured.out)["table"]["rows"] == [[1, "", "", "", ""]]
     # a lag past the site budget and past sys.maxsize: no sweep and no enumeration
-    lag = 10**19 + 1
-    argv = ["bound", "correlation", "--example", "paper-powerlaw", "--depth", "8", "--verify"]
-    assert main(argv + ["--lags", str(lag)]) == 0
-    captured = capsys.readouterr()
-    assert "Traceback" not in captured.err
-    assert json.loads(captured.out)["table"]["rows"] == [[lag, "", "", "", ""]]
+    deep, markov = ["paper-powerlaw", "--depth", "8"], ["markov"]
+    for lag, source in [(10**19 + 1, deep), (int("1" * 20), markov)]:
+        argv = ["bound", "correlation", "--example", *source, "--verify"]
+        assert main(argv + ["--lags", str(lag)]) == 0
+        captured = capsys.readouterr()
+        assert "Traceback" not in captured.err
+        assert json.loads(captured.out)["table"]["rows"] == [[lag, "", "", "", ""]]
 
 
 def test_deep_power_law_sweep(capsys):
@@ -440,6 +441,32 @@ def test_simulate_reproducible(k1_path, tmp_path):
     assert header == "lag,empirical,se,bound"
 
 
+_METADATA = {"version", "spec", "kernel", "caps", "tolerances", "seed", "command"}
+
+
+@pytest.mark.parametrize(
+    ("argv", "own", "seed", "code"),
+    [
+        ("check {k1} --criterion both", {"criteria", "selected", "passed"}, None, 0),
+        ("check --example markov --p01 1 --p11 0", {"criteria", "selected", "passed"}, None, 2),
+        ("verify {k1} --trials 5 --seed 3", {"properties", "elapsed_seconds", "passed"}, 3, 0),
+        ("bound memory {k1} --max-n 2", {"table"}, None, 0),
+        ("bound correlation {k1} --lags 1", {"table"}, None, 0),
+        ("bound correlation {k1} --lags 1 --length 2000", {"table"}, 1, 0),
+        ("bound correlation {k1} --lags 1 --length 2000 --seed 0", {"table"}, 0, 0),
+        ("bound compare {k1} --other {k1}", {"table", "other_spec"}, None, 0),
+        ("simulate {k1} --length 2000 --lags 1", {"table", "length", "burn_in"}, 1, 0),
+    ],
+)
+def test_each_command_fills_one_report(argv, own, seed, code, k1_path, capsys):
+    words = argv.format(k1=k1_path).split()
+    assert main(words) == code
+    report = json.loads(capsys.readouterr().out)
+    assert set(report) == _METADATA | own
+    assert report["command"] == " ".join(words[: 2 if words[0] == "bound" else 1])
+    assert report["seed"] == seed
+
+
 @pytest.mark.parametrize(
     "command, kernel, depth",
     [
@@ -493,6 +520,8 @@ def test_rejects_non_finite_and_boolean_input(command, kernel, depth, tmp_path, 
         "bound compare {spec} --verify",
         "bound compare {spec}",
         "bound compare --example markov --other {spec} --verify --lags 1:50 --site -3",
+        "bound correlation --example markov --seed 3",
+        "check --example paper-powerlaw --depth 5001",
     ],
 )
 def test_input_errors_exit_one_with_one_line(argv, k1_path, capsys):
@@ -601,37 +630,47 @@ _FUZZ_FLAGS = {
 
 
 @pytest.fixture(scope="module")
-def fuzz_sources(tmp_path_factory):
+def fuzz_paths(tmp_path_factory):
     root = tmp_path_factory.mktemp("fuzz")
-    files = []
-    for name, doc in (("k1.json", K1_DOC), ("three.json", _VALID_DOCS[2])):
-        (root / name).write_text(json.dumps(doc))
-        files.append([str(root / name)])
-    missing = [str(root / "missing.json")]
-    return [["--example", "markov"], ["--example", "paper-powerlaw"], *files, missing]
+    for name, doc in (("k1", K1_DOC), ("three", _VALID_DOCS[2])):
+        (root / f"{name}.json").write_text(json.dumps(doc))
+    return {name: str(root / f"{name}.json") for name in ("k1", "three", "missing")}
 
 
-@given(data=st.data())
-@settings(max_examples=200, deadline=None)
-def test_main_never_escapes(fuzz_sources, data):
-    command = data.draw(st.sampled_from(
+# the kernel sources; a spec file is named by a placeholder the test fills with its path
+_FUZZ_SOURCES = [["--example", "markov"], ["--example", "paper-powerlaw"], ["{k1}"], ["{three}"],
+                 ["{missing}"]]
+
+
+@st.composite
+def _fuzz_argv(draw):
+    command = draw(st.sampled_from(
         [["check"], ["bound", "memory"], ["bound", "correlation"], ["bound", "compare"],
          ["verify"], ["simulate"]]
     ))
-    argv = command + data.draw(st.sampled_from(fuzz_sources))
+    argv = command + draw(st.sampled_from(_FUZZ_SOURCES))
     # the sizes that default large and the required --other are always set
     needed = {"verify": ["--trials"], "simulate": ["--length"], "compare": ["--other"]}
     needed = needed.get(command[-1], []) + (["--depth"] if "paper-powerlaw" in argv else [])
     own = _FUZZ_FLAGS[command[-1]] + _FUZZ_FLAGS.get(argv[-1], [])
-    flags = needed + data.draw(st.lists(st.sampled_from(own), max_size=4, unique=True))
+    flags = needed + draw(st.lists(st.sampled_from(own), max_size=4, unique=True))
     for flag in dict.fromkeys(flags):
         if flag == "--verify":
             argv.append(flag)
         elif flag == "--other":
-            argv.append(f"--other={data.draw(st.sampled_from(fuzz_sources[2:]))[0]}")
+            argv.append(f"--other={draw(st.sampled_from(_FUZZ_SOURCES[2:]))[0]}")
         else:
-            value = data.draw(st.sampled_from(_FUZZ_CHOICES.get(flag, [*_FUZZ_VALUES, "1" * 20])))
+            value = draw(st.sampled_from(_FUZZ_CHOICES.get(flag, [*_FUZZ_VALUES, "1" * 20])))
             argv.append(f"{flag}={value}")
+    return argv
+
+
+@given(argv=_fuzz_argv())
+# a lag past sys.maxsize reached the exact cell's enumeration with a traceback
+@example(argv=["bound", "correlation", "--example", "markov", "--verify", "--lags=" + "1" * 20])
+@settings(max_examples=200, deadline=None)
+def test_main_never_escapes(fuzz_paths, argv):
+    argv = [arg.format(**fuzz_paths) for arg in argv]
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         code = main(argv)
@@ -693,6 +732,8 @@ def test_powerlaw_commands_leave_scipy_unloaded(argv):
         ("bound memory --example markov --lags 1:4", 1),  # a flag memory does not read
         ("simulate --example markov --length 0", 1),
         ("bound memory --example markov --criterion both", 1),
+        ("bound correlation --example markov --seed 3", 1),  # --seed without --length
+        ("check --example paper-powerlaw --depth 5001", 1),
     ],
 )
 def test_help_and_usage_errors_load_no_numpy(argv, expected):
@@ -700,6 +741,7 @@ def test_help_and_usage_errors_load_no_numpy(argv, expected):
     assert code == expected
     assert _under(modules, "numpy") == []
     assert _under(modules, "lislab") == ["lislab", "lislab.cli"]
+    assert not {"dataclasses", "inspect"} & set(modules)
 
 
 def test_check_loads_no_bounds_oracle_or_sampler(k1_path):

@@ -32,6 +32,16 @@ def test_discrete_alphabet_basics():
         e.index_of("z")
 
 
+def test_symbol_pairs_are_built_once_and_read_only():
+    e = AlphabetSpec(("x", "y", "z"), ((0.0, 1.0, 2.0), (1.0, 0.0, 1.5), (2.0, 1.5, 0.0)))
+    a, b, dist = e.symbol_pairs
+    triples = [(0, 1, 1.0), (0, 2, 2.0), (1, 2, 1.5)]
+    assert list(zip(a.tolist(), b.tolist(), dist.tolist())) == triples
+    assert all(not array.flags.writeable for array in (a, b, dist))
+    assert e.symbol_pairs is e.symbol_pairs
+    assert e == AlphabetSpec(e.symbols, e.metric)  # the cached pairs are not a field
+
+
 def test_alphabet_rejects_broken_triangle():
     # d(0,2) = 5 > d(0,1) + d(1,2) = 2
     metric = ((0.0, 1.0, 5.0), (1.0, 0.0, 1.0), (5.0, 1.0, 0.0))
@@ -165,6 +175,8 @@ def test_shift_and_product():
     assert prod.support == Window(0, 3)
     assert prod.value_at((1, 0, 0, 1)) == 1.0
     assert prod.value_at((1, 0, 0, 0)) == 0.0
+    with pytest.raises(CapExceededError):  # a hull longer than sys.maxsize sites
+        product_observable(h, shift_observable(h, 2**63))
 
 
 @given(
