@@ -185,7 +185,10 @@ def _gammas(alpha: SensitivityMatrix, decay: DecaySpec) -> tuple[float, dict[int
     """Tilted row sums: the stationary one and one per overridden site."""
 
     def row_gamma(row: tuple[float, ...]) -> float:
-        return float(sum(a * math.exp(decay.weight(lag)) for lag, a in enumerate(row, start=1)))
+        try:  # a zero entry adds nothing even where its tilt overflows; any other overflow is inf
+            return float(sum(a * math.exp(decay.weight(lag)) for lag, a in enumerate(row, 1) if a))
+        except OverflowError:
+            return math.inf
 
     return row_gamma(alpha.stationary_row), {site: row_gamma(row) for site, row in alpha.site_rows}
 

@@ -46,24 +46,14 @@ def _fmt(x: float) -> str:
     return f"{x:.17g}"
 
 
-def _canonical(obj):
-    """Make every number in ``obj`` a plain Python ``int`` or ``float``.
+def _plain_number(obj):
+    """``json.dumps`` fallback: a numpy integer becomes an ``int``, any other numpy real a ``float``.
 
-    numpy scalars register as ``numbers.Integral`` and ``numbers.Real``, so
-    they become Python numbers without this module importing numpy; ``bool``
-    is an ``Integral`` too and stays as it is.
+    numpy registers its scalars with ``numbers``, so this module imports no numpy.
     """
-    if isinstance(obj, dict):
-        return {k: _canonical(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_canonical(v) for v in obj]
-    if isinstance(obj, bool):
-        return obj
-    if isinstance(obj, numbers.Integral):
-        return int(obj)
     if isinstance(obj, numbers.Real):
-        return float(obj)
-    return obj
+        return int(obj) if isinstance(obj, numbers.Integral) else float(obj)
+    raise TypeError(f"{type(obj).__name__} is not JSON serializable")
 
 
 def _write_all(texts: dict[str, str]) -> None:
@@ -95,8 +85,7 @@ def _csv_text(table: dict) -> str:
 
 def _emit_report(report: dict, out: str | None, csv_path: str | None = None) -> None:
     """Print the JSON report or write it to ``out``; ``csv_path`` also gets its table as CSV."""
-    report = _canonical(report)
-    text = json.dumps(report, indent=2, sort_keys=True)
+    text = json.dumps(report, indent=2, sort_keys=True, default=_plain_number)
     texts = {csv_path: _csv_text(report["table"])} if csv_path else {}
     if out:
         texts[out] = text + "\n"
@@ -139,7 +128,7 @@ def _load_kernel(args) -> tuple[KernelSpec, dict]:
         f = getattr(specio, builder)(*params.values(), label=args.example)
     except ValueError as exc:
         raise _UsageError(f"--example {args.example}: {exc}") from None
-    doc = json.dumps(_canonical(specio.kernel_to_doc(f)), sort_keys=True)
+    doc = json.dumps(specio.kernel_to_doc(f), sort_keys=True)
     return f, {"example": args.example, **params, "sha256": specio.spec_sha256(doc.encode())}
 
 

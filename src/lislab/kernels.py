@@ -16,6 +16,7 @@ evaluation.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from typing import Sequence, Union
 
@@ -249,18 +250,28 @@ def family_row(family: SingleFamily, alphabet: AlphabetSpec, past: Sequence[int]
     return family.rows[config_code(trailing, alphabet.size)]
 
 
-def eval_singleton(f: KernelSpec, i: int, past: Sequence[int]) -> FiniteDistribution:
-    """Distribution of the symbol at site ``i`` given the R preceding symbols."""
-    symbols = tuple(int(s) for s in past)
-    if len(symbols) != f.memory_depth:
-        raise ValueError(
-            f"past has length {len(symbols)}, kernel memory depth is {f.memory_depth}"
-        )
-    n = f.alphabet.size
-    if any(not 0 <= s < n for s in symbols):
+def _read_past(f: KernelSpec, past: Sequence[int], need: int, exact: bool = False) -> tuple[int, ...]:
+    """``past`` as a tuple of Python ints, the one rule for a past; else ``ValueError``.
+
+    At least ``need`` symbols (exactly ``need`` with ``exact``), each an integer by
+    ``operator.index`` (no float, ``nan`` or numpy float) in ``0 .. |E| - 1``.
+    """
+    try:
+        symbols = tuple(map(operator.index, past))
+    except TypeError as exc:
+        raise ValueError(f"past symbols must be integers: {exc}") from None
+    if len(symbols) != need if exact else len(symbols) < need:
+        rule = "" if exact else "at least "
+        raise ValueError(f"past has length {len(symbols)}, need {rule}{need}")
+    if min(symbols, default=0) < 0 or max(symbols, default=0) >= f.alphabet.size:
         raise ValueError("past contains a symbol outside the alphabet")
-    row = family_row(f.family_at(i), f.alphabet, symbols)
-    return FiniteDistribution(row)
+    return symbols
+
+
+def eval_singleton(f: KernelSpec, i: int, past: Sequence[int]) -> FiniteDistribution:
+    """Law of the symbol at site ``i`` given exactly R past symbols (``_read_past``)."""
+    symbols = _read_past(f, past, f.memory_depth, exact=True)
+    return FiniteDistribution(family_row(f.family_at(i), f.alphabet, symbols))
 
 
 def _required_past(f: KernelSpec, window: Window, h: Observable) -> int:
@@ -359,18 +370,12 @@ def compose_window(
 
     Sums ``h`` against the product of singleton conditionals over every
     window configuration; dependence of ``h`` left of the window is
-    resolved against ``past``, which must cover both the kernel memory
-    and the support overhang.
+    resolved against ``past``, which ``_read_past`` reads: enough symbols
+    to cover both the kernel memory and the support overhang.
     """
     _check_compose_args(f, window, h)
-    symbols = tuple(int(s) for s in past)
-    need = _required_past(f, window, h)
-    if len(symbols) < need:
-        raise ValueError(f"past has length {len(symbols)}, need at least {need}")
-    n = f.alphabet.size
-    if any(not 0 <= s < n for s in symbols):
-        raise ValueError("past contains a symbol outside the alphabet")
-    codes = np.array([config_code(symbols, n)], dtype=np.int64)
+    symbols = _read_past(f, past, _required_past(f, window, h))
+    codes = np.array([config_code(symbols, f.alphabet.size)], dtype=np.int64)
     w = window_weights(f, window, codes, len(symbols))
     vals = _observable_values(h, window, codes, len(symbols))
     return float((w * vals).sum(axis=1)[0])
@@ -379,12 +384,8 @@ def compose_window(
 def marginal_distribution(
     f: KernelSpec, window: Window, past: Sequence[int]
 ) -> FiniteDistribution:
-    """Law of the window configuration given ``past`` (lexicographic order)."""
-    symbols = tuple(int(s) for s in past)
-    if len(symbols) < f.memory_depth:
-        raise ValueError(
-            f"past has length {len(symbols)}, kernel memory depth is {f.memory_depth}"
-        )
+    """Law of the window configuration (lexicographic) given at least R past symbols."""
+    symbols = _read_past(f, past, f.memory_depth)
     codes = np.array([config_code(symbols, f.alphabet.size)], dtype=np.int64)
     w = window_weights(f, window, codes, len(symbols))[0]
     return FiniteDistribution(w)

@@ -25,7 +25,8 @@ from typing import Sequence
 import numpy as np
 
 from .core import Observable
-from .kernels import KernelSpec, LinearLongMemory, family_order, family_row
+from .kernels import KernelSpec, LinearLongMemory, _dense_table, _read_past
+from .kernels import family_order, family_row
 from .analysis import SensitivityMatrix
 
 #: Number of batches used for batch-means standard errors.
@@ -63,7 +64,8 @@ def sample_path(
 ) -> np.ndarray:
     """Draw ``length`` symbols site by site from sites 0, 1, ....
 
-    The initial past defaults to the all-first-symbol configuration.
+    The initial past defaults to the all-first-symbol configuration; a
+    given one is read by ``kernels._read_past``, exactly R symbols.
     Site ``t`` is decided by the ``t``-th uniform of the seeded generator;
     the samplers draw them as they go, ``_CHUNK`` or a few more at a
     time, which gives the same doubles in the same order as one draw of
@@ -77,9 +79,7 @@ def sample_path(
     if length < 1:
         raise ValueError("path length must be at least 1")
     depth = f.memory_depth
-    past = (0,) * depth if initial_past is None else tuple(int(s) for s in initial_past)
-    if len(past) != depth:
-        raise ValueError(f"initial past has length {len(past)}, expected {depth}")
+    past = (0,) * depth if initial_past is None else _read_past(f, initial_past, depth, exact=True)
     draw = np.random.default_rng(seed).random
     if isinstance(f.families()[0], LinearLongMemory):
         return _sample_linear(f, draw, length, past)
@@ -167,11 +167,8 @@ def _sample_linear(f: KernelSpec, draw, length: int, past: tuple[int, ...]) -> n
     depth = f.memory_depth
     coeffs = np.asarray(fam.coefficients, dtype=float)
     near = min(depth, _NEAR_LAGS)
-    codes = np.arange(1 << near)
-    table = np.full(len(codes), fam.intercept)
-    for k in range(near):
-        table += coeffs[k] * ((codes >> k) & 1)
-    table = table.tolist()
+    near_fam = LinearLongMemory(fam.intercept, fam.coefficients[:near])
+    table = _dense_table(near_fam, 2, near)[:, 1].tolist()
     far = coeffs[near:]
     unit = 2.0**-53
     gamma = (depth + 2) * unit / (1.0 - (depth + 2) * unit)
@@ -258,7 +255,8 @@ def estimate_correlation(
     ``_MEAN_CHUNK`` sites at a time.  The first ``BATCH_COUNT`` equal
     batches of the centred product are built one at a time; the standard
     error comes from their means, and the estimate is the mean of those
-    means.  Only one batch of values is ever held beside the path.
+    means.  Only one batch of values is ever held beside the path, an
+    integer array of symbols in ``0 .. |E| - 1``.
     """
     if lag < 0:
         raise ValueError("lag must be non-negative")
@@ -267,6 +265,9 @@ def estimate_correlation(
     span1, span2 = len(h1.support), len(h2.support)
     if len(path) < max(span1, span2):
         raise ValueError("path shorter than the observable support")
+    n = min(h1.alphabet.size, h2.alphabet.size)
+    if path.dtype.kind not in "iu" or path.min() < 0 or path.max() >= n:
+        raise ValueError(f"path symbols must be integers in 0 .. {n - 1}")
     t_max = min(len(path) - span1 + 1, len(path) - span2 + 1 - lag)
     if t_max - burn_in < BATCH_COUNT * 2:
         raise ValueError("path too short for the requested burn-in and batches")

@@ -332,8 +332,8 @@ def power_law_linear(
     no scipy module, and every coefficient, and so the spec hash over
     them, is the one scipy's values give.
     """
-    if not 0.0 < epsilon < 1.0:
-        raise ValueError("epsilon must lie strictly between 0 and 1")
+    if not 0.0 < epsilon < 1.0 or 1.0 + epsilon == 1.0:  # zeta has its pole at 1
+        raise ValueError(f"epsilon must lie in (0, 1) with 1 + epsilon > 1, got {epsilon!r}")
     if depth < 1:
         raise ValueError("depth must be at least 1")
     exponent = 1.0 + epsilon

@@ -228,6 +228,31 @@ def test_fit_decay_rate_powerlog_series():
     assert gamma2 > 1.0 - 1e-6
 
 
+@pytest.mark.parametrize("depth, rate", [(16, 0.1905), (64, 0.0613)])
+def test_fit_decay_rate_exponential_on_deep_rows(depth, rate):
+    # the first probe, rate 50, tilts lag 15 and deeper past the float range
+    alpha = build_sensitivity_matrix(power_law_linear(0.5, depth))
+    spec = fit_decay_rate(alpha, "exponential")
+    assert spec.rate == pytest.approx(rate, abs=5e-5)
+
+    def gamma(r):
+        return sum(a * math.exp(r * lag) for lag, a in enumerate(alpha.stationary_row, start=1))
+
+    assert gamma(spec.rate) <= 1.0 - 1e-6 + 1e-12
+    assert gamma(spec.rate * 1.001) > 1.0 - 1e-6
+
+
+def test_decay_bounds_refuse_a_rate_whose_tilt_overflows():
+    alpha = build_sensitivity_matrix(power_law_linear(0.5, 16))
+    decay = DecaySpec("exponential", 60.0)  # exp(60 * 12) is past the float range
+    h = indicator(2, 1, AlphabetSpec.binary())
+    with pytest.raises(BoundNotApplicableError) as err:
+        memory_bound_exponential(alpha, decay, Window(0, 2), h, -1)
+    assert err.value.gamma == math.inf
+    with pytest.raises(BoundNotApplicableError):
+        series_decay_margin(alpha, decay, Window(0, 2))
+
+
 def test_fit_decay_rate_infeasible():
     alpha = SensitivityMatrix.from_stationary((1.0,))
     with pytest.raises(BoundNotApplicableError):

@@ -522,6 +522,7 @@ def test_rejects_non_finite_and_boolean_input(command, kernel, depth, tmp_path, 
         "bound compare --example markov --other {spec} --verify --lags 1:50 --site -3",
         "bound correlation --example markov --seed 3",
         "check --example paper-powerlaw --depth 5001",
+        "check --example paper-powerlaw --epsilon 1e-320",
     ],
 )
 def test_input_errors_exit_one_with_one_line(argv, k1_path, capsys):
@@ -594,12 +595,13 @@ def test_csv_is_rejected_where_no_table_is_written(tmp_path, capsys):
     assert not target.exists()
 
 
-def test_canonical_converts_numpy_scalars_and_keeps_bools():
+def test_canonical_converts_numpy_scalars_and_keeps_bools(capsys):
     import numpy as np
 
-    from lislab.cli import _canonical
+    from lislab.cli import _emit_report
 
-    out = _canonical({"b": True, "f": np.float32(0.1), "i": np.int64(3), "l": (np.float64(0.5), 2)})
+    _emit_report({"b": True, "f": np.float32(0.1), "i": np.int64(3), "l": (np.float64(0.5), 2)}, None)
+    out = json.loads(capsys.readouterr().out)
     assert out == {"b": True, "f": float(f"{float(np.float32(0.1)):.17g}"), "i": 3, "l": [0.5, 2]}
     assert out["b"] is True and type(out["i"]) is int and type(out["f"]) is float
 

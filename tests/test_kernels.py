@@ -3,6 +3,7 @@
 import importlib
 import inspect
 import itertools
+import math
 import pkgutil
 
 import numpy as np
@@ -25,6 +26,7 @@ from lislab import (
     indicator,
     kernel_average_observable,
     marginal_distribution,
+    sample_path,
     verify_consistency,
 )
 import lislab
@@ -56,6 +58,58 @@ def test_eval_singleton_rejects_bad_input(k1):
         eval_singleton(k1, 0, [1, 0])
     with pytest.raises(ValueError, match="symbol"):
         eval_singleton(k1, 0, [3])
+
+
+def _random_past_kernel(kind: str, seed: int) -> KernelSpec:
+    """A table, linear or site-indexed kernel of depth 1 to 3, for the past-rule tests."""
+    rng = np.random.default_rng(seed)
+    depth = int(rng.integers(1, 4))
+    if kind == "linear":
+        a = rng.random(depth) * rng.random() / depth
+        fam = LinearLongMemory(float(rng.random() * (1.0 - a.sum())), tuple(a.tolist()))
+        return KernelSpec(AlphabetSpec.binary(), depth, fam)
+    table = random_table_kernel(rng, depth=depth)
+    if kind == "table":
+        return table
+    override = random_table_kernel(rng, table.alphabet.size, depth).family
+    return KernelSpec(table.alphabet, depth, SiteIndexed(table.family, ((0, override),)))
+
+
+def _past_readers(f: KernelSpec, past) -> list:
+    """The four readers of a past, each a call giving plain Python values."""
+    h = indicator(1, 1, f.alphabet)
+    return [
+        lambda: eval_singleton(f, 0, past).weights.tolist(),
+        lambda: marginal_distribution(f, Window(0, 1), past).weights.tolist(),
+        lambda: compose_window(f, Window(0, 1), past, h),
+        lambda: sample_path(f, 40, 3, initial_past=past).tolist(),
+    ]
+
+
+@given(
+    kind=st.sampled_from(["table", "linear", "site-indexed"]),
+    seed=st.integers(0, 10**6),
+    bad=st.sampled_from([-1, "|E|", 1.5, 1.0, math.nan, math.inf, np.float64(1.0)]),
+    position=st.integers(0, 2),
+)
+@settings(max_examples=60, deadline=None)
+def test_every_past_reader_refuses_a_bad_symbol(kind, seed, bad, position):
+    f = _random_past_kernel(kind, seed)
+    past = np.random.default_rng(seed).integers(0, f.alphabet.size, f.memory_depth).tolist()
+    past[position % len(past)] = f.alphabet.size if bad == "|E|" else bad
+    for read in _past_readers(f, past):
+        with pytest.raises(ValueError, match="symbol"):
+            read()
+
+
+@given(kind=st.sampled_from(["table", "linear", "site-indexed"]), seed=st.integers(0, 10**6))
+@settings(max_examples=30, deadline=None)
+def test_every_past_reader_reads_lists_tuples_and_integer_arrays_alike(kind, seed):
+    f = _random_past_kernel(kind, seed)
+    past = np.random.default_rng(seed).integers(0, f.alphabet.size, f.memory_depth).tolist()
+    expected = [read() for read in _past_readers(f, past)]
+    for same in (tuple(past), np.array(past, dtype=np.int8), np.array(past, dtype=np.int64)):
+        assert [read() for read in _past_readers(f, same)] == expected
 
 
 def test_kernel_validation():

@@ -121,6 +121,19 @@ def test_estimate_rejects_negative_lag_and_burn_in(k1):
         estimate_correlation(path, h, h, 1, -5)
 
 
+def test_estimate_rejects_a_path_off_the_alphabet(k1):
+    h = indicator(0, 1, k1.alphabet)
+    path = sample_path(k1, 1000, seed=1)
+    path[::7] = -1  # evaluate_along would read -1 as the last symbol
+    with pytest.raises(ValueError, match="symbol"):
+        estimate_correlation(path, h, h, 1, 10)
+    path[::7] = 2
+    with pytest.raises(ValueError, match="symbol"):
+        estimate_correlation(path, h, h, 1, 10)
+    with pytest.raises(ValueError, match="symbol"):
+        estimate_correlation(sample_path(k1, 1000, seed=1).astype(float), h, h, 1, 10)
+
+
 def _whole_path_estimate(path, h1, h2, lag, burn_in):
     """Reference estimator: both observables over the whole path, one centred product array."""
     y1 = evaluate_along(path, h1)

@@ -87,6 +87,12 @@ def test_source_tree_never_names_scipy_special():
     assert offenders == []
 
 
+def test_power_law_refuses_an_epsilon_that_vanishes_beside_one():
+    with pytest.raises(ValueError, match="epsilon"):
+        power_law_linear(1e-320, 8)  # 1 + 1e-320 rounds to 1, where zeta has its pole
+    assert power_law_linear(2.0**-52, 8).family.coefficient_tail > 0.0
+
+
 def test_power_law_build_leaves_scipy_unloaded():
     code = (
         "import sys; from lislab.specio import power_law_linear; power_law_linear(0.5, 64); "
