@@ -33,7 +33,7 @@ _PUBLIC = {
     "bounds": (
         "BoundNotApplicableError", "BoundReport", "DecaySpec", "comparison_bound",
         "correlation_bound", "correlation_bound_semi_exact", "fit_decay_rate",
-        "memory_bound_exponential", "memory_bound_general",
+        "memory_bound_exponential", "memory_bound_general", "memory_bound_rows",
     ),
     "oracle": (
         "exact_correlation", "exact_oscillation_of_average", "series_decay_margin",

@@ -19,7 +19,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .core import AlphabetSpec, check_cap, worse
+from .core import AlphabetSpec, check_cap, site_index, worse
 from .kernels import KernelSpec, LinearLongMemory, family_order
 
 
@@ -176,10 +176,10 @@ class SensitivityMatrix:
             raise ValueError("duplicate override site")
 
     def row(self, i: int) -> tuple[float, ...]:
-        return self._rows.get(i, self.stationary_row)
+        return self._rows.get(site_index(i), self.stationary_row)
 
     def entry(self, i: int, j: int) -> float:
-        lag = i - j
+        lag = site_index(i) - site_index(j)
         if not 1 <= lag <= self.depth:
             return 0.0
         return self.row(i)[lag - 1]

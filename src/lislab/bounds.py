@@ -1,18 +1,23 @@
 """Quantitative decay bounds driven by a sensitivity matrix.
 
-Every bound here reads one object, the oscillation-weighted Neumann
-column ``G(k) = osc(k) + sum_lag A(k + lag, k) G(k + lag)``: the
-oscillations of an observable carried down to site ``k`` through
-``sum_t A^t``.  One array engine, ``_columns``, fills ``G`` downward for
-one or more oscillation vectors, one numpy sum per site.  The matrix is
-strictly banded below the diagonal, so sums over a finite window are
-exact.  Deeper sums stop at the first site whose geometric tail
-certificate (``_tails``) is small against the sum so far, and add it.
-It shrinks by a fixed factor per site, so the deepest site a stop can
-need is known in closed form before the sweep; a sum that cannot certify
-within ``_SITE_BUDGET`` sites raises before any column is built.  The
-semi-exact correlation bound is ``correlation_bound`` less what exact
-oracle oscillation factors save.
+Two sweeps carry oscillations through ``sum_t A^t``, one numpy sum per
+site over its lags in order, lag 1 first (``np.cumsum``, not a BLAS dot,
+whose order depends on the build).  The matrix is strictly banded below
+the diagonal, so sums over a finite window are exact.
+
+- The correlation and comparison bounds read the oscillation-weighted
+  Neumann column ``G(k) = osc(k) + sum_lag A(k + lag, k) G(k + lag)``,
+  which ``_columns`` fills downward for one or more oscillation vectors.
+  Deeper sums stop at the first site whose geometric tail certificate
+  (``_tails``) is small against the sum so far, and add it.  It shrinks by
+  a fixed factor per site, so the deepest site a stop can need is known in
+  closed form before the sweep; a sum that cannot certify within
+  ``_SITE_BUDGET`` sites raises before any column is built.  The
+  semi-exact correlation bound is ``correlation_bound`` less what exact
+  oracle oscillation factors save.
+- The memory bound reads the probe's forward row ``R``, filled upward by
+  ``_reach``.  ``R(k)`` does not depend on the top of the window, so one
+  sweep gives every row of ``memory_bound_rows``.
 """
 
 from __future__ import annotations
@@ -24,7 +29,7 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from .core import DEFAULT_CONFIG_CAP, CapExceededError, Observable, Window, check_cap
-from .core import oscillation_vector
+from .core import oscillation_vector, shift_observable
 from .analysis import SensitivityMatrix, dobrushin_check, vkr_distance
 from .kernels import KernelSpec
 
@@ -164,21 +169,54 @@ def _check_probe(window: Window, h: Observable, j: int) -> None:
         raise ValueError("observable support must lie inside the window")
 
 
+def _reach(alpha: SensitivityMatrix, lo: int, hi: int, j: int) -> np.ndarray:
+    """``R`` at the sites ``lo, lo + 1, ..., hi``: every path from there down to ``j``.
+
+    ``R(k) = A(k, j) + sum_lag A(k, k - lag) R(k - lag)`` over ``k - lag >= lo``:
+    the paths step down through ``[lo, k)`` and end with one step to ``j``.
+    Each site reads its own row, override or stationary.
+    """
+    depth = alpha.depth
+    r = np.zeros(depth + hi - lo + 1)  # R(k) at depth + k - lo; below lo it stays 0
+    if not depth:
+        return r
+    stationary = np.array(alpha.stationary_row)
+    overrides = {site: np.array(row) for site, row in alpha.site_rows}
+    for i, k in enumerate(range(lo, hi + 1), depth):
+        row = overrides.get(k, stationary)
+        r[i] = alpha.entry(k, j) + np.cumsum(row * r[i - 1 :: -1][:depth])[-1]  # lag 1 first
+    return r[depth:]
+
+
 def memory_bound_general(
     alpha: SensitivityMatrix, window: Window, h: Observable, j: int
 ) -> BoundReport:
     """Oscillation bound at a past site for the window average of ``h``.
 
-    Sweeps the support oscillations of ``h`` down the window and takes
-    the final step to ``j``; paths stay inside the window, so the sum is
-    exact.
+    The support oscillations of ``h`` times the probe's forward row
+    ``_reach`` over the window; paths stay inside the window, so the sum
+    is exact.
     """
     _check_probe(window, h, j)
-    [g] = _columns(alpha, (oscillation_vector(h),), window.hi, window.lo).tolist()
-    near = range(min(window.hi, j + alpha.depth), max(window.lo, j + 1) - 1, -1)  # reach j
-    value = float(sum(g[window.hi - k] * alpha.entry(k, j) for k in near))
+    r = _reach(alpha, window.lo, window.hi, j)
+    value = float(sum(w * r[k - window.lo] for k, w in oscillation_vector(h).items()))
     row_sum_sup = max(alpha.row_sum(i) for i in window.sites())
     return BoundReport(name="memory-general", value=value, quantities={"row_sum_sup": row_sum_sup})
+
+
+def memory_bound_rows(alpha: SensitivityMatrix, h: Observable, j: int, max_n: int) -> list[float]:
+    """``memory_bound_general`` of ``h`` moved right by ``n`` on ``[0, n]``, for ``n = 1 .. max_n``.
+
+    One ``_reach`` sweep over ``[0, max_n]`` serves every row, and each row
+    sums the same products in the same order, so row ``n`` (at index
+    ``n - 1``) equals ``memory_bound_general(...).value`` bit for bit.
+    """
+    _check_probe(Window(0, 1), shift_observable(h, 1), j)  # the narrowest window
+    r = _reach(alpha, 0, max_n, j)
+    rows = np.zeros(max_n)
+    for k, w in oscillation_vector(h).items():
+        rows += w * r[k + 1 : k + 1 + max_n]
+    return rows.tolist()
 
 
 def _gammas(alpha: SensitivityMatrix, decay: DecaySpec) -> tuple[float, dict[int, float]]:

@@ -22,6 +22,7 @@ Conventions used throughout the package:
 from __future__ import annotations
 
 import itertools
+import operator
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Callable, Iterator, Sequence
@@ -154,6 +155,14 @@ class AlphabetSpec:
             return self.symbols.index(symbol)
         except ValueError:
             raise ValueError(f"unknown symbol {symbol!r}") from None
+
+
+def site_index(site: int) -> int:
+    """``site`` as a Python int by ``operator.index`` (numpy integers too); else ``ValueError``."""
+    try:
+        return operator.index(site)
+    except TypeError:
+        raise ValueError(f"a site must be an integer, got {site!r}") from None
 
 
 @dataclass(frozen=True, order=True)

@@ -33,6 +33,7 @@ from .core import (
     check_cap,
     config_code,
     exceeds_cap,
+    site_index,
 )
 
 #: Largest conditional table that may be materialised as a dense array.
@@ -207,7 +208,7 @@ class KernelSpec:
         return tuple(self._site_index)
 
     def family_at(self, site: int) -> SingleFamily:
-        return self._families[self._site_index.get(site, 0)]
+        return self._families[self._site_index.get(site_index(site), 0)]
 
     def table_at(self, site: int) -> np.ndarray:
         """Dense read-only ``(|E|**R, |E|)`` conditional table of the site's family.
@@ -215,7 +216,7 @@ class KernelSpec:
         Built on first use at the spec's memory depth and kept for the
         life of the spec; rows are indexed by big-endian past code.
         """
-        index = self._site_index.get(site, 0)
+        index = self._site_index.get(site_index(site), 0)
         table = self._tables[index]
         if table is None:
             table = _dense_table(self._families[index], self.alphabet.size, self.memory_depth)

@@ -299,6 +299,15 @@ def test_sensitivity_matrix_rejects_a_repeated_site():
     assert (alpha.row(0), alpha.entry(1, 0), alpha.sup_row_sum()) == ((0.2,), 0.9, 0.9)
 
 
+def test_sensitivity_matrix_refuses_non_integer_sites():
+    alpha = SensitivityMatrix(1, (0.1,), ((1, (0.9,)),))
+    for read in (lambda: alpha.entry(1.5, 0.5), lambda: alpha.entry(2, 1.0),
+                 lambda: alpha.row(math.nan), lambda: alpha.row_sum(1.0)):
+        with pytest.raises(ValueError, match="a site must be an integer"):
+            read()
+    assert (alpha.entry(np.int64(1), np.int64(0)), alpha.row_sum(np.int64(1))) == (0.9, 0.9)
+
+
 def test_site_indexed_default_row_ignores_far_override():
     # a stay-put chain (row sum 1) with an i.i.d. override far to the right:
     # the default row must come from the default family, not from the

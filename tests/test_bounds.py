@@ -12,6 +12,7 @@ from lislab import (
     DecaySpec,
     GeneralTable,
     KernelSpec,
+    LinearLongMemory,
     MarkovTable,
     SensitivityMatrix,
     SiteIndexed,
@@ -26,12 +27,18 @@ from lislab import (
     kernel_average_observable,
     memory_bound_exponential,
     memory_bound_general,
+    memory_bound_rows,
     series_decay_margin,
     vkr_distance,
 )
 from lislab import bounds
 from lislab.bounds import BoundNotApplicableError
-from lislab.core import oscillation_vector, product_observable, random_observable
+from lislab.core import (
+    oscillation_vector,
+    product_observable,
+    random_observable,
+    shift_observable,
+)
 from lislab.oracle import (
     _dusting_matrix,
     exact_correlation,
@@ -70,8 +77,12 @@ def dense_sensitivity(alpha: SensitivityMatrix, lo: int, hi: int, row_lo: int | 
 
 
 def spread_entry(alpha: SensitivityMatrix, window: Window, k: int, j: int) -> float:
-    """Entry ``(k, j)`` of the window's dense power sum ``oracle._dusting_matrix``."""
-    return float(_dusting_matrix(alpha, window)[k - window.lo, j - (window.lo - alpha.depth)])
+    """Entry ``(k, j)`` of the window's dense power sum ``oracle._dusting_matrix``.
+
+    No path reaches more than ``depth`` sites below the window, where the entry is 0.
+    """
+    column = j - (window.lo - alpha.depth)
+    return float(_dusting_matrix(alpha, window)[k - window.lo, column]) if column >= 0 else 0.0
 
 
 # --- neumann power sums -----------------------------------------------------
@@ -99,30 +110,33 @@ def test_neumann_divergence_flag():
     assert spread_entry(alpha, Window(0, 4), 4, 0) == pytest.approx(1.0)
 
 
-@pytest.mark.parametrize("site_indexed", [False, True], ids=["stationary", "site-indexed"])
-def test_neumann_matches_dense_reference(site_indexed):
-    # the sweep behind memory_bound_general against dense site-grid matrix powers:
-    # a unit oscillation at k probed at j reads entry (k, j) of the power sum
+def _sweep_cases(base_depth: int) -> list:
+    """Stationary and site-indexed matrices of depth 0 to 8; ``base_depth`` keeps the bare ids."""
+    return [
+        pytest.param(site_indexed, depth, id=name if depth == base_depth else f"{name}-depth{depth}")
+        for depth in range(9)
+        for site_indexed, name in ((False, "stationary"), (True, "site-indexed"))
+    ]
+
+
+@pytest.mark.parametrize("site_indexed, depth", _sweep_cases(2))
+def test_neumann_matches_dense_reference(site_indexed, depth):
+    # the sweep behind memory_bound_general against the dense power sums of
+    # oracle._dusting_matrix: a unit oscillation at k probed at j reads entry
+    # (k, j) of the power sum of the window (j, 5], or [0, 5] below 0
     rng = np.random.default_rng(3)
     if site_indexed:
-        alpha = random_site_indexed(rng, 2, (-1, 1, 2, 4))
+        alpha = random_site_indexed(rng, depth, (-1, 1, 2, 4))
     else:
-        alpha = random_sub_dobrushin(rng, depth=2)
-    window = Window(0, 5)
-    lo = window.lo - alpha.depth
-    dense = dense_sensitivity(alpha, lo, window.hi, row_lo=window.lo)
-    expected = np.zeros_like(dense)
-    power = np.eye(len(dense))
-    for _ in range(len(window) + 2):
-        power = power @ dense
-        expected += power
+        alpha = random_sub_dobrushin(rng, depth=depth)
     e = iid_kernel((0.5, 0.5)).alphabet
-    for k in window.sites():
+    for k in range(6):
         h = indicator(k, 1, e)
-        for j in range(lo, k):
-            # paths from k to j pass only through (j, k), which lies in this window
-            rep = memory_bound_general(alpha, Window(max(j + 1, window.lo), window.hi), h, j)
-            assert rep.value == pytest.approx(expected[k - lo, j - lo], abs=1e-12)
+        for j in range(-depth, k):
+            window = Window(max(j + 1, 0), 5)
+            rep = memory_bound_general(alpha, window, h, j)
+            expected = spread_entry(alpha, window, k, j)
+            assert rep.value == pytest.approx(expected, rel=1e-12, abs=1e-15)
 
 
 # --- memory bounds ----------------------------------------------------------
@@ -404,21 +418,62 @@ def test_comparison_bound_site_indexed_matches_dense_inverse(depth, placement):
     assert 0.0 < tail <= 1e-12 * max(1.0, rep.value - tail)
 
 
-@pytest.mark.parametrize("site_indexed", [False, True], ids=["stationary", "site-indexed"])
-def test_memory_bound_general_matches_spread_entry(site_indexed):
+@pytest.mark.parametrize("site_indexed, depth", _sweep_cases(3))
+def test_memory_bound_general_matches_spread_entry(site_indexed, depth):
     # the bound of a window average is its oscillations through the window's power sum
     rng = np.random.default_rng(23)
     if site_indexed:
-        alpha = random_site_indexed(rng, 3, (-2, 0, 2, 5))
+        alpha = random_site_indexed(rng, depth, (-2, 0, 2, 5))
     else:
-        alpha = random_sub_dobrushin(rng, depth=3)
+        alpha = random_sub_dobrushin(rng, depth=depth)
     window = Window(0, 5)
     h = random_observable(Window(1, 4), iid_kernel((0.5, 0.5)).alphabet, rng)
     osc = oscillation_vector(h)
-    for j in range(window.lo - alpha.depth, window.lo):
+    for j in range(window.lo - alpha.depth - 1, window.lo):  # one probe below the band
         expected = sum(w * spread_entry(alpha, window, k, j) for k, w in osc.items())
         rep = memory_bound_general(alpha, window, h, j)
         assert rep.value == pytest.approx(expected, rel=1e-12, abs=1e-15)
+
+
+def _rows_matrix(rng: np.random.Generator, kind: str, depth: int, max_n: int) -> SensitivityMatrix:
+    if kind == "linear":
+        a = rng.random(depth) * rng.uniform(0.1, 0.9) / max(depth, 1)
+        f = KernelSpec(AlphabetSpec.binary(), depth, LinearLongMemory(0.05, tuple(a.tolist())))
+        return build_sensitivity_matrix(f)
+    if kind == "site-indexed":  # overrides inside [0, max_n] and below it, within a depth
+        sites = rng.choice(np.arange(-depth - 2, max_n + 1), size=3, replace=False)
+        return random_site_indexed(rng, depth, tuple(sorted(int(x) for x in sites)))
+    return random_sub_dobrushin(rng, depth)
+
+
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    kind=st.sampled_from(["stationary", "site-indexed", "linear"]),
+    depth=st.integers(0, 8),
+)
+@settings(max_examples=80, deadline=None)
+def test_memory_bound_rows_equal_per_row_bounds(seed, kind, depth):
+    # one sweep for every row, equal bit for bit to one bound per row
+    rng = np.random.default_rng(seed)
+    max_n = int(rng.integers(1, 16))
+    alpha = _rows_matrix(rng, kind, depth, max_n)
+    h = random_observable(Window(int(rng.integers(-1, 1)), 0), AlphabetSpec.binary(), rng)
+    for j in range(-1, -depth - 2, -1):
+        rows = memory_bound_rows(alpha, h, j, max_n)
+        expected = [
+            memory_bound_general(alpha, Window(0, n), shift_observable(h, n), j).value
+            for n in range(1, max_n + 1)
+        ]
+        assert [x.hex() for x in rows] == [x.hex() for x in expected]
+
+
+def test_memory_bound_rows_validate_like_the_first_row(k1):
+    alpha = build_sensitivity_matrix(k1)
+    h0 = indicator(0, 1, k1.alphabet)
+    with pytest.raises(ValueError, match="left of the window"):
+        memory_bound_rows(alpha, h0, 0, 4)
+    with pytest.raises(ValueError, match="inside the window"):
+        memory_bound_rows(alpha, indicator(1, 1, k1.alphabet), -1, 4)
 
 
 def test_bounds_past_the_site_budget_raise_before_sweeping(monkeypatch):

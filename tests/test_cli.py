@@ -507,7 +507,7 @@ def test_rejects_non_finite_and_boolean_input(command, kernel, depth, tmp_path, 
         "bound memory --example markov --site 5",
         "bound memory --example markov --symbol z",
         "bound memory --example markov --max-n 0",
-        "bound memory --example markov --max-n 1001",
+        "bound memory --example markov --max-n 200001",
         "verify --example markov --trials -5",
         "simulate --example markov --length 1000000000000000",
         "bound correlation --example markov --lags 1 --length 1000000000000000",
@@ -808,6 +808,33 @@ def test_one_stationary_solve_per_kernel(argv, solves, k1_path, tmp_path, monkey
     assert len(calls) == solves
     rows = json.loads(capsys.readouterr().out)["table"]["rows"]
     assert all(isinstance(row[2], float) for row in rows)
+
+
+def test_bound_memory_sweeps_once_and_stops_the_oracle_at_the_cap(monkeypatch, capsys):
+    # one forward sweep gives all 50 rows; the oracle answers rows 1-11 and
+    # refuses row 12 (2**13 configurations), so no wider window is tried
+    import lislab.bounds
+    import lislab.oracle
+
+    calls = {"_reach": 0, "exact_oscillation_of_average": 0}
+
+    def counting(module, name):
+        fn = getattr(module, name)
+
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, wrapper)
+
+    counting(lislab.bounds, "_reach")
+    counting(lislab.oracle, "exact_oscillation_of_average")
+    assert main("bound memory --example markov --max-n 50 --verify".split()) == 0
+    assert calls == {"_reach": 1, "exact_oscillation_of_average": 12}
+    rows = json.loads(capsys.readouterr().out)["table"]["rows"]
+    assert [n for n, *_ in rows] == list(range(1, 51))
+    assert all(isinstance(row[2], float) for row in rows[:11])
+    assert all(row[2:] == ["", ""] for row in rows[11:])
 
 
 def test_bound_correlation_verify_builds_no_second_kernel(k1_path, tmp_path, monkeypatch, capsys):

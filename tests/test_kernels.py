@@ -220,6 +220,20 @@ def test_site_indexed_dispatch():
     assert rep.passed
 
 
+@pytest.mark.parametrize("site", [1.5, math.nan, "1", None], ids=repr)
+def test_site_lookups_refuse_non_integer_sites(site):
+    # a float site once fell through to the default family instead of raising
+    e = AlphabetSpec.binary()
+    default = MarkovTable(1, ((0.9, 0.1), (0.9, 0.1)))
+    f = KernelSpec(e, 1, SiteIndexed(default, ((1, MarkovTable(1, ((0.5, 0.5),) * 2)),)))
+    with pytest.raises(ValueError, match="a site must be an integer"):
+        eval_singleton(f, site, [0])
+    with pytest.raises(ValueError, match="a site must be an integer"):
+        f.table_at(site)
+    assert eval_singleton(f, np.int64(1), [0]).weights.tolist() == [0.5, 0.5]
+    assert f.table_at(np.int64(1)) is f.table_at(1)
+
+
 @given(seed=st.integers(0, 10**6))
 @settings(max_examples=40, deadline=None)
 def test_factorization_property(seed):
