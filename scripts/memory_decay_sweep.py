@@ -10,9 +10,8 @@ import argparse
 import sys
 
 from lislab import (
-    Window,
     build_sensitivity_matrix,
-    exact_oscillation_of_average,
+    exact_oscillation_rows,
     indicator,
     memory_bound_rows,
     two_state_markov,
@@ -30,9 +29,10 @@ def main() -> None:
     alpha = build_sensitivity_matrix(f)
     writer = sys.stdout
     writer.write("n,bound,exact,ratio\n")
-    bounds = memory_bound_rows(alpha, indicator(0, 1, f.alphabet), -1, args.max_n)
-    for n, bound in enumerate(bounds, 1):
-        exact = exact_oscillation_of_average(f, Window(0, n), indicator(n, 1, f.alphabet), -1)
+    h0 = indicator(0, 1, f.alphabet)
+    bounds = memory_bound_rows(alpha, h0, -1, args.max_n)
+    exact_rows = exact_oscillation_rows(f, h0, -1, args.max_n)
+    for n, (bound, exact) in enumerate(zip(bounds, exact_rows), 1):
         ratio = exact / bound if bound else float("nan")
         writer.write(f"{n},{bound:.17g},{exact:.17g},{ratio:.6f}\n")
 

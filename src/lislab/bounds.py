@@ -28,7 +28,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .core import DEFAULT_CONFIG_CAP, CapExceededError, Observable, Window, check_cap
+from .core import Observable, Window, check_cap
 from .core import oscillation_vector, shift_observable
 from .analysis import SensitivityMatrix, dobrushin_check, vkr_distance
 from .kernels import KernelSpec
@@ -39,6 +39,12 @@ _SITE_BUDGET = 200000
 #: A sweep stops once its tail certificate is at most this fraction of the
 #: value so far (or of 1, whichever is larger).
 _TAIL_TOL = 1e-12
+
+#: Sites below ``delta.hi`` whose ``G2`` the semi-exact correlation bound
+#: replaces by an exact oscillation.  Each saves the product of two columns
+#: that shrink geometrically with depth, and costs one backward sweep a site
+#: longer than the last, so the work grows with the square of the reach.
+_EXACT_REACH = 13
 
 
 class BoundNotApplicableError(RuntimeError):
@@ -372,31 +378,26 @@ def correlation_bound_semi_exact(
     """``correlation_bound`` less what exact oscillation factors save.
 
     Takes the plain bound at the diameter of the kernel's alphabet.  At
-    each site ``k < delta.hi``, from the top down while the oracle fits
-    under the cap, ``G2(k)`` gives way to the exact oscillation at ``k``
-    of the average of ``h2`` over ``(k, delta.hi]``, which is at most
-    ``G2(k)`` (dusting); the plain tail still covers deeper sites.
+    each of the ``_EXACT_REACH`` sites ``k < delta.hi``, ``G2(k)`` gives
+    way to the exact oscillation at ``k`` of the average of ``h2`` over
+    ``(k, delta.hi]``, which is at most ``G2(k)`` (dusting); the plain
+    tail still covers deeper sites.  Raises ``CapExceededError`` where
+    the oracle's blocks exceed the cap.
     """
     from .oracle import exact_oscillation_of_average
 
     diameter = f.alphabet.diameter
     plain = correlation_bound(alpha, lam, delta, h1, h2, diameter)
-    reach = DEFAULT_CONFIG_CAP.bit_length()  # (k, delta.hi] this long exceeds the cap
     oscs = oscillation_vector(h1), oscillation_vector(h2)
-    g1, g2 = _columns(alpha, oscs, lam.hi, delta.hi - reach).tolist()
+    g1, g2 = _columns(alpha, oscs, lam.hi, delta.hi - _EXACT_REACH).tolist()
     saved = 0.0
-    exact_terms = 0
-    for k in range(delta.hi - 1, delta.hi - reach - 1, -1):
-        try:
-            exact = exact_oscillation_of_average(f, Window(k + 1, delta.hi), h2, k)
-        except CapExceededError:
-            break
+    for k in range(delta.hi - 1, delta.hi - _EXACT_REACH - 1, -1):
+        exact = exact_oscillation_of_average(f, Window(k + 1, delta.hi), h2, k)
         saved += g1[lam.hi - k] * (g2[lam.hi - k] - exact)
-        exact_terms += 1
     return BoundReport(
         name="correlation-semi-exact",
         value=plain.value - diameter * diameter / 4.0 * saved,
-        quantities={**plain.quantities, "exact_terms": float(exact_terms)},
+        quantities={**plain.quantities, "exact_terms": float(_EXACT_REACH)},
     )
 
 

@@ -230,25 +230,22 @@ def _check_fill(f, args, report: dict) -> bool:
 
 
 def _memory_table(f, args, report: dict) -> tuple[list, list]:
-    """One bound sweep gives every row; ``exact`` stops at the first window past the cap."""
+    """One bound sweep gives every row, and with ``--verify`` one oracle call every ``exact``.
+
+    An ``exact`` cell stays empty past the oracle's cap or step budget.
+    """
     from .analysis import build_sensitivity_matrix
     from .bounds import memory_bound_rows
-    from .core import CapExceededError, Window, indicator
+    from .core import indicator
 
-    symbol = _indicator_symbol(f, args.symbol)
-    h0 = indicator(0, symbol, f.alphabet)
+    h0 = indicator(0, _indicator_symbol(f, args.symbol), f.alphabet)
     bounds = memory_bound_rows(build_sensitivity_matrix(f), h0, args.site, args.max_n)
     rows = [[n, bound, "", ""] for n, bound in enumerate(bounds, 1)]
     if args.verify:
-        from . import oracle
+        from .oracle import exact_oscillation_rows
 
-        for n, row in enumerate(rows, 1):
-            h = indicator(n, symbol, f.alphabet)
-            try:
-                row[2] = oracle.exact_oscillation_of_average(f, Window(0, n), h, args.site)
-            except CapExceededError:
-                break  # every later window is wider
-            row[3] = row[1] - row[2]
+        for row, exact in zip(rows, exact_oscillation_rows(f, h0, args.site, args.max_n)):
+            row[2:] = exact, row[1] - exact
     return ["n", "bound", "exact", "slack"], rows
 
 

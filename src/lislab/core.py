@@ -167,12 +167,14 @@ def site_index(site: int) -> int:
 
 @dataclass(frozen=True, order=True)
 class Window:
-    """Finite integer interval of sites ``[lo, hi]``."""
+    """Finite integer interval of sites ``[lo, hi]``, both bounds read by ``site_index``."""
 
     lo: int
     hi: int
 
     def __post_init__(self) -> None:
+        object.__setattr__(self, "lo", site_index(self.lo))
+        object.__setattr__(self, "hi", site_index(self.hi))
         if self.lo > self.hi:
             raise ValueError(f"window requires lo <= hi, got [{self.lo}, {self.hi}]")
 
@@ -262,17 +264,18 @@ class Observable:
     @cached_property
     def oscillations(self) -> np.ndarray:
         """Read-only oscillation at each support site, left to right (see ``oscillation``)."""
-        out = np.array([axis_oscillation(self, axis) for axis in range(len(self.support))])
+        axes = range(len(self.support))
+        out = np.array([axis_oscillation(self.table, self.alphabet, axis) for axis in axes])
         out.setflags(write=False)
         return out
 
 
-def axis_oscillation(h: Observable, axis: int) -> float:
-    """Oscillation of ``h`` at its ``axis``-th support site, not cached (see ``oscillation``)."""
-    n = h.alphabet.size
-    a, b, dist = h.alphabet.symbol_pairs
+def axis_oscillation(table: np.ndarray, alphabet: AlphabetSpec, axis: int) -> float:
+    """Oscillation at the ``axis``-th site of a value table in code order (see ``oscillation``)."""
+    n = alphabet.size
+    a, b, dist = alphabet.symbol_pairs
     # axis 1 is the site's symbol; the sites left and right of it run on axes 0 and 2
-    t = h.table.reshape(n**axis, n, -1)
+    t = table.reshape(n**axis, n, -1)
     gaps = np.abs(t[:, a] - t[:, b]).max(axis=(0, 2))  # each symbol pair's largest gap
     return float((gaps / dist).max())
 

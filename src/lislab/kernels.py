@@ -392,24 +392,14 @@ def marginal_distribution(
     return FiniteDistribution(w)
 
 
-def kernel_average_observable(
-    f: KernelSpec,
-    window: Window,
-    h: Observable,
-    depth: int | None = None,
-) -> Observable:
+def kernel_average_observable(f: KernelSpec, window: Window, h: Observable) -> Observable:
     """Tabulate the kernel average of ``h`` as an observable on the past.
 
-    The result lives on the ``depth`` sites left of the window; ``depth``
-    defaults to (and must be at least) the dependence depth of the
-    average, so the tabulation is exact.
+    The result lives on the sites left of the window that the average
+    depends on (at least one), so the tabulation is exact.
     """
     _check_compose_args(f, window, h)
-    need = _required_past(f, window, h)
-    if depth is None:
-        depth = max(need, 1)
-    elif depth < need:
-        raise ValueError(f"depth {depth} is below the required past depth {need}")
+    depth = max(_required_past(f, window, h), 1)
     n = f.alphabet.size
     n_pasts = check_cap(n, depth)
     codes = np.arange(n_pasts, dtype=np.int64)

@@ -1,8 +1,11 @@
 """Exact brute-force ground truth at desk scale.
 
-Everything here is computed by direct enumeration or exact linear
-algebra, never through the bound formulas it is used to validate:
-agreement between the two is evidence, not tautology.  Random value
+Everything here is computed by direct enumeration, exact linear algebra
+or the block transfer of one-dimensional statistical mechanics, never
+through the bound formulas it is used to validate: agreement between the
+two is evidence, not tautology.  The transfer (``_backward_sweep``)
+averages a window out site by site from the right, so one sweep gives
+exact oscillations of window averages at every length.  Random value
 tables are drawn i.i.d. uniform on [0, 1) with per-trial seeds derived
 deterministically from the run seed, so parallel and serial runs report
 identically.  The transport reference ``_vkr_vertex_enum`` enumerates
@@ -21,6 +24,7 @@ its admission rule; every worst-residual fold in it goes through
 
 from __future__ import annotations
 
+import contextlib
 import itertools
 import math
 from dataclasses import dataclass
@@ -67,21 +71,93 @@ class ChainStructureError(RuntimeError):
     """The induced block chain is reducible or periodic."""
 
 
+#: Backward steps that the rows of a site-indexed kernel may take in all
+#: (``exact_oscillation_rows``): each row is its own sweep, so a one-site
+#: observable gets rows 1-61.
+_STEP_BUDGET = 2000
+
+
+def _backward_sweep(f: KernelSpec, h: Observable, lo: int, gap: int) -> list[float]:
+    """Exact oscillation at site ``s - gap`` of the average of ``h`` over ``[s, h.support.hi]``.
+
+    One entry per ``s``, from ``h.support.hi`` down to ``lo``.  The vector
+    ``v`` holds the average given the block of ``width = max(order, |support|)``
+    sites ending just left of ``s``, in code order.  Stepping ``s`` reads
+    its own ``table_at(s)`` at row ``b % len(table)``, and block ``b`` moves
+    to ``(b * n + x) % n**width``.  Each step subtracts ``v[0]``: rows sum
+    to 1, so every difference is kept while the values stay near 0, and a
+    vector that reaches 0 stays 0, so the sweep stops there.  A probe
+    further back than the block reads 0.0; blocks past the cap raise
+    ``CapExceededError``.
+    """
+    n = f.alphabet.size
+    width = max(f.effective_order, len(h.support))
+    top = h.support.hi
+    if gap > width:  # no average reads the probed site
+        return [0.0] * (top - lo + 1)
+    size = check_cap(n, width)
+    v = np.tile(h.table, size // len(h.table))  # the block's leading sites are free
+    v -= v[0]
+    blocks = np.arange(size)
+    table = rows = None
+    out: list[float] = []
+    for s in range(top, lo - 1, -1):
+        if not v.any():
+            return out + [0.0] * (s - lo + 1)
+        if f.table_at(s) is not table:
+            table = f.table_at(s)
+            rows = table[blocks % len(table)].reshape(n, -1, n)  # (leading symbol, rest, x)
+        v = (rows * v.reshape(-1, n)).sum(axis=2).ravel()
+        v -= v[0]
+        out.append(axis_oscillation(v, f.alphabet, width - gap))
+    return out
+
+
 def exact_oscillation_of_average(f: KernelSpec, window: Window, h: Observable, j: int) -> float:
     """Exact oscillation at site ``j`` of the window average of ``h``.
 
-    Tabulates the average over every past deep enough to leave site ``j``
-    free, then measures the oscillation of the resulting table.  Sites
-    inside the window come out exactly zero: the average no longer
+    One backward sweep (``_backward_sweep``) from the top of the support
+    down to the window; blocks past the cap raise ``CapExceededError``.
+    The average of an ``h`` wholly left of the window is ``h`` itself.
+    Sites inside the window come out exactly zero: the average no longer
     depends on them.
     """
     if window.contains(j):
         return 0.0
     if j >= window.lo:
         raise ValueError("the probed site must lie left of the window or inside it")
-    depth = max(f.memory_depth, window.lo - j, window.lo - h.support.lo, 1)
-    g = kernel_average_observable(f, window, h, depth=depth)
-    return axis_oscillation(g, j - g.support.lo)  # j lies on the support of g
+    _check_compose_args(f, window, h)
+    if h.support.hi < window.lo:
+        return oscillation(h, j)
+    return _backward_sweep(f, h, window.lo, window.lo - j)[-1]
+
+
+def exact_oscillation_rows(f: KernelSpec, h: Observable, j: int, max_n: int) -> list[float]:
+    """Exact oscillation of the average of ``h`` moved right by ``n`` on ``[0, n]``, ``n <= max_n``.
+
+    The exact twin of ``bounds.memory_bound_rows``, on the same ``h`` and
+    ``j``.  A stationary kernel steps every site alike, so one sweep over
+    ``[0, max_n]`` gives every row, each equal bit for bit to its own call.
+    A site-indexed kernel takes one sweep per row while all of them stay
+    within ``_STEP_BUDGET`` steps.  Rows past the budget are left out, and
+    so is every row when the blocks exceed the cap.
+    """
+    from .bounds import _check_probe
+
+    _check_probe(Window(0, 1), shift_observable(h, 1), j)  # the narrowest window
+    rows: list[float] = []
+    with contextlib.suppress(CapExceededError):
+        if f.stationary:
+            rows = _backward_sweep(f, shift_observable(h, max_n), 0, -j)[-max_n:]
+        else:
+            steps = 0
+            for n in range(1, max_n + 1):
+                steps += n + h.support.hi + 1  # from the top of the moved support down to 0
+                if steps > _STEP_BUDGET:
+                    break
+                h_n = shift_observable(h, n)
+                rows.append(exact_oscillation_of_average(f, Window(0, n), h_n, j))
+    return rows
 
 
 def _dusting_matrix(alpha: SensitivityMatrix, window: Window) -> np.ndarray:
@@ -240,9 +316,10 @@ def verify_suite(f: KernelSpec, trials: int, seed: int) -> list[dict]:
     Normalisation, nested-window consistency and factorisation of window
     averages (worst residual at most ``RESIDUAL_TOL``), the spread (dusting)
     inequality, and domination of the exact oscillation by
-    ``memory_bound_general``.  A spec whose dusting observables, the
-    suite's largest enumeration at ``max(R, 1) + 3`` sites, exceed the
-    configuration cap raises ``CapExceededError`` before any work.
+    ``memory_bound_general``.  The dusting step draws value tables on up
+    to ``max(R, 1) + 3`` sites, so a spec whose ``n**(max(R, 1) + 3)``
+    configurations exceed the configuration cap raises
+    ``CapExceededError`` before any work.
     """
     n, sites = f.alphabet.size, max(f.memory_depth, 1) + 3
     if exceeds_cap(n, sites, DEFAULT_CONFIG_CAP):

@@ -810,13 +810,13 @@ def test_one_stationary_solve_per_kernel(argv, solves, k1_path, tmp_path, monkey
     assert all(isinstance(row[2], float) for row in rows)
 
 
-def test_bound_memory_sweeps_once_and_stops_the_oracle_at_the_cap(monkeypatch, capsys):
-    # one forward sweep gives all 50 rows; the oracle answers rows 1-11 and
-    # refuses row 12 (2**13 configurations), so no wider window is tried
+def test_bound_memory_sweeps_once_for_the_bound_and_once_for_the_oracle(monkeypatch, capsys):
+    # one forward sweep gives all 50 bounds and one backward sweep all 50 exact
+    # values, past n = 11 where enumerating the window [0, n] would exceed the cap
     import lislab.bounds
     import lislab.oracle
 
-    calls = {"_reach": 0, "exact_oscillation_of_average": 0}
+    calls = {"_reach": 0, "_backward_sweep": 0}
 
     def counting(module, name):
         fn = getattr(module, name)
@@ -828,13 +828,27 @@ def test_bound_memory_sweeps_once_and_stops_the_oracle_at_the_cap(monkeypatch, c
         monkeypatch.setattr(module, name, wrapper)
 
     counting(lislab.bounds, "_reach")
-    counting(lislab.oracle, "exact_oscillation_of_average")
+    counting(lislab.oracle, "_backward_sweep")
     assert main("bound memory --example markov --max-n 50 --verify".split()) == 0
-    assert calls == {"_reach": 1, "exact_oscillation_of_average": 12}
+    assert calls == {"_reach": 1, "_backward_sweep": 1}
     rows = json.loads(capsys.readouterr().out)["table"]["rows"]
     assert [n for n, *_ in rows] == list(range(1, 51))
-    assert all(isinstance(row[2], float) for row in rows[:11])
-    assert all(row[2:] == ["", ""] for row in rows[11:])
+    for n, _, exact, _ in rows:
+        assert exact == pytest.approx(0.4 ** (n + 1), rel=1e-12, abs=0.0)
+
+
+def test_bound_memory_verify_on_a_site_indexed_spec_stops_at_the_step_budget(tmp_path, capsys):
+    # one oracle sweep per row: rows 1-61 take 1952 of the 2000 steps, row 62 would pass them
+    doc = _site_indexed_doc("2")
+    override = {"type": "markov", "range": 1, "rows": [[0.6, 0.4], [0.2, 0.8]]}
+    doc["kernel"]["overrides"]["2"] = override
+    (tmp_path / "site.json").write_text(json.dumps(doc))
+    assert main(["bound", "memory", str(tmp_path / "site.json"), "--max-n", "80", "--verify"]) == 0
+    rows = json.loads(capsys.readouterr().out)["table"]["rows"]
+    for n, bound, exact, slack in rows[:61]:
+        assert exact > 0.0 and slack == bound - exact
+        assert bound >= exact * (1.0 - 1e-12)
+    assert all(row[2:] == ["", ""] for row in rows[61:])
 
 
 def test_bound_correlation_verify_builds_no_second_kernel(k1_path, tmp_path, monkeypatch, capsys):

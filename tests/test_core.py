@@ -69,6 +69,18 @@ def test_window_and_past():
         Window(3, 1)
 
 
+@pytest.mark.parametrize("lo, hi", [(1.5, 1.5), (math.nan, math.nan), (0, 2.0), (None, 1)])
+def test_window_refuses_non_integer_bounds(lo, hi):
+    with pytest.raises(ValueError, match="must be an integer"):
+        Window(lo, hi)
+
+
+def test_window_reads_numpy_integer_bounds():
+    w = Window(np.int64(-1), np.int8(2))
+    assert w == Window(-1, 2)
+    assert type(w.lo) is int and type(w.hi) is int
+
+
 def test_enumerate_configs_order_and_count():
     e = AlphabetSpec.binary()
     configs = list(enumerate_configs(Window(0, 1), e))

@@ -7,27 +7,35 @@ import numpy as np
 import pytest
 
 from lislab import (
+    AlphabetSpec,
+    KernelSpec,
+    LinearLongMemory,
+    MarkovTable,
     SensitivityMatrix,
+    SiteIndexed,
     Window,
     build_sensitivity_matrix,
     compose_window,
     exact_correlation,
     exact_oscillation_of_average,
+    exact_oscillation_rows,
     indicator,
     memory_bound_general,
+    memory_bound_rows,
     stationary_expectations,
     stationary_measure,
     verify_dusting,
 )
 from lislab.core import (
     CapExceededError,
+    axis_oscillation,
     product_observable,
     random_observable,
     shift_observable,
 )
 from lislab.kernels import kernel_average_observable
-from lislab.oracle import ChainStructureError
-from lislab.specio import iid_kernel, two_state_markov
+from lislab.oracle import _STEP_BUDGET, ChainStructureError
+from lislab.specio import iid_kernel, power_law_linear, two_state_markov
 
 from conftest import random_table_kernel
 
@@ -54,6 +62,142 @@ def test_exact_oscillation_iid_no_past_dependence(k3):
 def test_exact_oscillation_beyond_memory_is_zero(k1):
     h = indicator(1, 1, k1.alphabet)
     assert exact_oscillation_of_average(k1, Window(0, 1), h, -2) == 0.0
+
+
+def _enumerated_oscillation(f, window, h, j) -> float:
+    """The reference: tabulate the window average over the past, read the axis of ``j``."""
+    if window.contains(j):
+        return 0.0
+    g = kernel_average_observable(f, window, h)
+    if j < g.support.lo:  # the average does not read the site
+        return 0.0
+    return axis_oscillation(g.table, g.alphabet, j - g.support.lo)
+
+
+def _random_kernel(rng: np.random.Generator, n: int, depth: int, stationary: bool) -> KernelSpec:
+    """A full table, or a lower-order one at the same depth, with overrides when not stationary."""
+
+    def family():
+        order = depth if rng.random() < 0.5 else int(rng.integers(0, depth + 1))
+        return MarkovTable(order, random_table_kernel(rng, n, order).family.rows)
+
+    f = family()
+    if not stationary:
+        sites = sorted({int(s) for s in rng.integers(-4, 4, rng.integers(1, 3))})
+        f = SiteIndexed(f, tuple((site, family()) for site in sites))
+    return KernelSpec(AlphabetSpec.discrete(tuple(str(i) for i in range(n))), depth, f)
+
+
+def test_backward_sweep_equals_the_enumeration():
+    rng = np.random.default_rng(31)
+    seen = {"overhang": 0, "wholly left": 0, "past the block": 0, "site-indexed": 0, "3 symbols": 0}
+    for case in range(320):
+        n, depth = int(rng.integers(2, 4)), int(rng.integers(0, 4))
+        f = _random_kernel(rng, n, depth, stationary=case % 2 == 0)
+        window = Window(0, int(rng.integers(0, 3)))
+        lo = int(rng.integers(-3, window.hi + 1))
+        hi = int(rng.integers(lo, min(lo + 3, window.hi) + 1))
+        h = random_observable(Window(lo, hi), f.alphabet, rng)
+        j = int(rng.integers(-depth - 5, window.hi + 1))
+        got = exact_oscillation_of_average(f, window, h, j)
+        assert got == pytest.approx(_enumerated_oscillation(f, window, h, j), rel=0.0, abs=1e-14)
+        if window.contains(j) or j < window.lo - max(f.effective_order, window.lo - h.support.lo):
+            assert got == 0.0  # the average cannot depend on the site
+            seen["past the block"] += j < window.lo - max(f.effective_order, len(h.support))
+        seen["overhang"] += h.support.lo < window.lo <= h.support.hi
+        seen["wholly left"] += h.support.hi < window.lo
+        seen["site-indexed"] += not f.stationary
+        seen["3 symbols"] += n == 3
+    assert min(seen.values()) >= 20, seen
+
+
+def test_exact_oscillation_calls_no_enumeration(monkeypatch):
+    import lislab.kernels
+    import lislab.oracle
+
+    def enumeration(*args, **kwargs):
+        raise AssertionError("the window was enumerated")
+
+    monkeypatch.setattr(lislab.oracle, "kernel_average_observable", enumeration)
+    monkeypatch.setattr(lislab.kernels, "window_weights", enumeration)
+    f = random_table_kernel(np.random.default_rng(3), n_symbols=2, depth=2)
+    h = random_observable(Window(-1, 2), f.alphabet, np.random.default_rng(4))
+    for window, j in ((Window(0, 2), -2), (Window(3, 5), -1), (Window(0, 30), -1)):
+        assert exact_oscillation_of_average(f, window, h, j) > 0.0
+
+
+def test_exact_oscillation_rows_markov_decay(k1):
+    # the bound is attained on this chain: the oscillation at n is 0.4**(n + 1)
+    rows = exact_oscillation_rows(k1, indicator(0, 1, k1.alphabet), -1, 1000)
+    assert len(rows) == 1000
+    for n, exact in enumerate(rows, 1):
+        if 0.4 ** (n + 1) > 1e-300:
+            assert exact == pytest.approx(0.4 ** (n + 1), rel=1e-12, abs=0.0), n
+    assert rows[-1] == 0.0  # the sweep stopped once the centred vector underflowed to 0
+
+
+@pytest.mark.parametrize("seed", range(12))
+def test_exact_oscillation_rows_attain_the_bound_on_linear_kernels(seed):
+    # the average is affine in the past, so the memory bound is attained; the
+    # sweep rounds on the scale of the row's largest oscillation, so deeper
+    # probes are held to that scale and the nearest one (the largest) to its own
+    rng = np.random.default_rng(seed)
+    depth = int(rng.integers(1, 9))
+    a = rng.random(depth) * rng.uniform(0.1, 0.9) / depth
+    f = KernelSpec(AlphabetSpec.binary(), depth, LinearLongMemory(0.05, tuple(a.tolist())))
+    alpha = build_sensitivity_matrix(f)
+    h0 = indicator(0, 1, f.alphabet)
+    probes = range(-1, -depth - 2, -1)
+    exact = np.array([exact_oscillation_rows(f, h0, j, 1000) for j in probes])
+    bound = np.array([memory_bound_rows(alpha, h0, j, 1000) for j in probes])
+    scale = bound.max(axis=0)
+    kept = scale > 1e-300
+    assert (np.abs(exact - bound)[:, kept] <= 1e-12 * scale[kept]).all()
+    assert (np.abs(exact[0] - bound[0])[kept] <= 1e-12 * bound[0, kept]).all()
+    assert (exact[-1] == 0.0).all()  # one site past the depth
+
+
+def test_exact_oscillation_rows_are_one_call_per_row():
+    rng = np.random.default_rng(8)
+    for stationary in (True, False):
+        f = _random_kernel(rng, 2, 2, stationary)
+        h = random_observable(Window(-1, 0), f.alphabet, rng)
+        for j in (-1, -2, -3):
+            rows = exact_oscillation_rows(f, h, j, 11)
+            calls = [
+                exact_oscillation_of_average(f, Window(0, n), shift_observable(h, n), j)
+                for n in range(1, 12)
+            ]
+            if stationary:  # one sweep, bit for bit the per-row sweeps
+                assert [x.hex() for x in rows] == [x.hex() for x in calls]
+            expected = [
+                _enumerated_oscillation(f, Window(0, n), shift_observable(h, n), j)
+                for n in range(1, 12)
+            ]
+            assert rows == pytest.approx(expected, rel=0.0, abs=1e-14)
+
+
+def test_site_indexed_rows_stop_at_the_step_budget():
+    rng = np.random.default_rng(9)
+    f = _random_kernel(rng, 2, 1, stationary=False)
+    h0 = indicator(0, 1, f.alphabet)
+    rows = exact_oscillation_rows(f, h0, -1, 200)
+    # row n sweeps the sites n .. 0, so rows 1 .. m take m (m + 3) / 2 steps
+    last = max(m for m in range(200) if m * (m + 3) // 2 <= _STEP_BUDGET)
+    assert len(rows) == last
+    h_last = shift_observable(h0, last)
+    assert rows[-1] == exact_oscillation_of_average(f, Window(0, last), h_last, -1)
+
+
+def test_exact_oscillation_past_the_cap():
+    f = power_law_linear(0.5, 64)
+    h0 = indicator(0, 1, f.alphabet)
+    with pytest.raises(CapExceededError):
+        exact_oscillation_of_average(f, Window(0, 1), shift_observable(h0, 1), -1)
+    assert exact_oscillation_rows(f, h0, -1, 5) == []
+    # the averages read only the 64 sites left of the window
+    assert exact_oscillation_of_average(f, Window(0, 1), shift_observable(h0, 1), -65) == 0.0
+    assert exact_oscillation_rows(f, h0, -65, 5) == [0.0] * 5
 
 
 def test_dusting_markov_singleton(k1):
