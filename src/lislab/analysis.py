@@ -274,16 +274,9 @@ def boundary_uniformity_check(f: KernelSpec) -> CriterionVerdict:
     depth = f.memory_depth
     m = _min_probability(f)
 
-    def v_from(n: int) -> float:
-        return sum(variation(f, i, n) for i in range(n, n + depth + 1))
-
-    if f.stationary:
-        v = v_from(0)
-    else:
-        sites = f.override_sites
-        candidates = set(range(min(sites) - depth - 1, max(sites) + 2))
-        candidates.add(max(sites) + depth + 2)
-        v = max(v_from(n) for n in sorted(candidates))
+    sites = f.override_sites  # a window [n, n + depth] without one reads the default family
+    starts = {max(sites, default=-1) + depth + 2}.union(*(range(o - depth, o + 1) for o in sites))
+    v = max(sum(variation(f, i, n) for i in range(n, n + depth + 1)) for n in starts)
     c = math.exp(-v / m) if m > 0.0 else 0.0
     return CriterionVerdict(
         criterion="boundary-uniformity",

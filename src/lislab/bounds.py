@@ -175,6 +175,14 @@ def _check_probe(window: Window, h: Observable, j: int) -> None:
         raise ValueError("observable support must lie inside the window")
 
 
+def _check_rows(h: Observable, j: int, max_n: int) -> int:
+    """``max_n`` as an int if it is an integer of at least 1, once ``h`` and ``j`` pass as row 1."""
+    _check_probe(Window(0, 1), shift_observable(h, 1), j)
+    if not isinstance(max_n, (int, np.integer)) or max_n < 1:
+        raise ValueError(f"max_n must be an integer of at least 1, got {max_n!r}")
+    return int(max_n)
+
+
 def _reach(alpha: SensitivityMatrix, lo: int, hi: int, j: int) -> np.ndarray:
     """``R`` at the sites ``lo, lo + 1, ..., hi``: every path from there down to ``j``.
 
@@ -217,7 +225,7 @@ def memory_bound_rows(alpha: SensitivityMatrix, h: Observable, j: int, max_n: in
     sums the same products in the same order, so row ``n`` (at index
     ``n - 1``) equals ``memory_bound_general(...).value`` bit for bit.
     """
-    _check_probe(Window(0, 1), shift_observable(h, 1), j)  # the narrowest window
+    max_n = _check_rows(h, j, max_n)
     r = _reach(alpha, 0, max_n, j)
     rows = np.zeros(max_n)
     for k, w in oscillation_vector(h).items():

@@ -232,7 +232,7 @@ def _check_fill(f, args, report: dict) -> bool:
 def _memory_table(f, args, report: dict) -> tuple[list, list]:
     """One bound sweep gives every row, and with ``--verify`` one oracle call every ``exact``.
 
-    An ``exact`` cell stays empty past the oracle's cap or step budget.
+    An ``exact`` cell stays empty past the oracle's cap or its ``WORK_CAP`` of steps times blocks.
     """
     from .analysis import build_sensitivity_matrix
     from .bounds import memory_bound_rows

@@ -3,7 +3,8 @@
 Everything here is computed by direct enumeration, exact linear algebra
 or the block transfer of one-dimensional statistical mechanics, never
 through the bound formulas it is used to validate: agreement between the
-two is evidence, not tautology.  The transfer (``_backward_sweep``)
+two is evidence, not tautology.  The backward block step
+(``_backward_sweep``, beside ``_step``, its forward twin on block laws)
 averages a window out site by site from the right, so one sweep gives
 exact oscillations of window averages at every length.  Random value
 tables are drawn i.i.d. uniform on [0, 1) with per-trial seeds derived
@@ -24,17 +25,17 @@ its admission rule; every worst-residual fold in it goes through
 
 from __future__ import annotations
 
-import contextlib
 import itertools
 import math
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Iterable, Sequence
+from typing import TYPE_CHECKING, Iterable, Iterator, Sequence
 
 import numpy as np
 
 from .core import (
     ABS_TOL,
     DEFAULT_CONFIG_CAP,
+    WORK_CAP,
     CapExceededError,
     FiniteDistribution,
     Observable,
@@ -71,56 +72,14 @@ class ChainStructureError(RuntimeError):
     """The induced block chain is reducible or periodic."""
 
 
-#: Backward steps that the rows of a site-indexed kernel may take in all
-#: (``exact_oscillation_rows``): each row is its own sweep, so a one-site
-#: observable gets rows 1-61.
-_STEP_BUDGET = 2000
-
-
-def _backward_sweep(f: KernelSpec, h: Observable, lo: int, gap: int) -> list[float]:
-    """Exact oscillation at site ``s - gap`` of the average of ``h`` over ``[s, h.support.hi]``.
-
-    One entry per ``s``, from ``h.support.hi`` down to ``lo``.  The vector
-    ``v`` holds the average given the block of ``width = max(order, |support|)``
-    sites ending just left of ``s``, in code order.  Stepping ``s`` reads
-    its own ``table_at(s)`` at row ``b % len(table)``, and block ``b`` moves
-    to ``(b * n + x) % n**width``.  Each step subtracts ``v[0]``: rows sum
-    to 1, so every difference is kept while the values stay near 0, and a
-    vector that reaches 0 stays 0, so the sweep stops there.  A probe
-    further back than the block reads 0.0; blocks past the cap raise
-    ``CapExceededError``.
-    """
-    n = f.alphabet.size
-    width = max(f.effective_order, len(h.support))
-    top = h.support.hi
-    if gap > width:  # no average reads the probed site
-        return [0.0] * (top - lo + 1)
-    size = check_cap(n, width)
-    v = np.tile(h.table, size // len(h.table))  # the block's leading sites are free
-    v -= v[0]
-    blocks = np.arange(size)
-    table = rows = None
-    out: list[float] = []
-    for s in range(top, lo - 1, -1):
-        if not v.any():
-            return out + [0.0] * (s - lo + 1)
-        if f.table_at(s) is not table:
-            table = f.table_at(s)
-            rows = table[blocks % len(table)].reshape(n, -1, n)  # (leading symbol, rest, x)
-        v = (rows * v.reshape(-1, n)).sum(axis=2).ravel()
-        v -= v[0]
-        out.append(axis_oscillation(v, f.alphabet, width - gap))
-    return out
-
-
 def exact_oscillation_of_average(f: KernelSpec, window: Window, h: Observable, j: int) -> float:
     """Exact oscillation at site ``j`` of the window average of ``h``.
 
     One backward sweep (``_backward_sweep``) from the top of the support
     down to the window; blocks past the cap raise ``CapExceededError``.
     The average of an ``h`` wholly left of the window is ``h`` itself.
-    Sites inside the window come out exactly zero: the average no longer
-    depends on them.
+    Sites inside the window, or left of its block of ``max(order, |support|)``
+    sites, come out exactly zero: the average does not depend on them.
     """
     if window.contains(j):
         return 0.0
@@ -129,34 +88,52 @@ def exact_oscillation_of_average(f: KernelSpec, window: Window, h: Observable, j
     _check_compose_args(f, window, h)
     if h.support.hi < window.lo:
         return oscillation(h, j)
-    return _backward_sweep(f, h, window.lo, window.lo - j)[-1]
+    width = max(f.effective_order, len(h.support))
+    if window.lo - j > width:
+        return 0.0
+    v = np.tile(h.table, check_cap(f.alphabet.size, width) // len(h.table)) - h.table[0]
+    for v in _backward_sweep(f, v, h.support.hi, window.lo):
+        pass  # down to the window, or to a vector of zeros
+    return axis_oscillation(v, f.alphabet, width - window.lo + j)
 
 
 def exact_oscillation_rows(f: KernelSpec, h: Observable, j: int, max_n: int) -> list[float]:
     """Exact oscillation of the average of ``h`` moved right by ``n`` on ``[0, n]``, ``n <= max_n``.
 
-    The exact twin of ``bounds.memory_bound_rows``, on the same ``h`` and
-    ``j``.  A stationary kernel steps every site alike, so one sweep over
-    ``[0, max_n]`` gives every row, each equal bit for bit to its own call.
-    A site-indexed kernel takes one sweep per row while all of them stay
-    within ``_STEP_BUDGET`` steps.  Rows past the budget are left out, and
-    so is every row when the blocks exceed the cap.
+    The exact twin of ``bounds.memory_bound_rows``; row ``n`` equals
+    ``exact_oscillation_of_average`` bit for bit.  Every site above the
+    highest override ``o`` that a row reads (-1 if none) reads the default
+    table, so one default sweep takes each row down to ``o + 1``, one more
+    site per row, and each row then steps its own sites ``min(top, o) .. 0``.
+    Rows whose steps times blocks would pass ``WORK_CAP`` are left out (past
+    a vector of zeros every row is 0.0), and so is every row past the cap.
     """
-    from .bounds import _check_probe
+    from .bounds import _check_rows
 
-    _check_probe(Window(0, 1), shift_observable(h, 1), j)  # the narrowest window
-    rows: list[float] = []
-    with contextlib.suppress(CapExceededError):
-        if f.stationary:
-            rows = _backward_sweep(f, shift_observable(h, max_n), 0, -j)[-max_n:]
-        else:
-            steps = 0
-            for n in range(1, max_n + 1):
-                steps += n + h.support.hi + 1  # from the top of the moved support down to 0
-                if steps > _STEP_BUDGET:
-                    break
-                h_n = shift_observable(h, n)
-                rows.append(exact_oscillation_of_average(f, Window(0, n), h_n, j))
+    max_n = _check_rows(h, j, max_n)
+    _check_compose_args(f, h.support, h)
+    width = max(f.effective_order, len(h.support))
+    if -j > width:
+        return [0.0] * max_n
+    if exceeds_cap(f.alphabet.size, width, DEFAULT_CONFIG_CAP):
+        return []
+    hi = h.support.hi
+    o = max((s for s in f.override_sites if 0 <= s <= hi + max_n), default=-1)
+    v = np.tile(h.table, f.alphabet.size**width // len(h.table)) - h.table[0]  # centred
+    default = _backward_sweep(f, v, hi + max_n, o + 1)  # every site above o reads one table
+    rows, stepped, tails = [], 0, 0  # default sites stepped, and the rows' own sites
+    for top in range(hi + 1, hi + max_n + 1):
+        if not np.count_nonzero(v):  # every later row steps a vector of zeros, at no cost
+            return rows + [0.0] * (max_n - len(rows))
+        tails += min(top, o) + 1
+        if (max(top - o, 0) + tails) * len(v) > WORK_CAP:
+            break
+        while stepped < top - o:  # the sites this row adds above o
+            v, stepped = next(default, v), stepped + 1
+        tail = v
+        for tail in _backward_sweep(f, v, min(top, o), 0):
+            pass
+        rows.append(axis_oscillation(tail, f.alphabet, width + j))
     return rows
 
 
@@ -441,6 +418,28 @@ def stationary_measure(f: KernelSpec) -> FiniteDistribution:
 def _step(v: np.ndarray, rows: np.ndarray) -> np.ndarray:
     """Block law one site on: block ``(a, r)`` moves to ``(r, x)`` with ``rows[(a, r), x]``."""
     return (v[:, None] * rows).reshape(len(rows[0]), -1, len(rows[0])).sum(axis=0).ravel()
+
+
+def _backward_sweep(f: KernelSpec, v: np.ndarray, top: int, lo: int) -> Iterator[np.ndarray]:
+    """``v`` after each backward step over the sites ``top, top - 1, ..., lo``.
+
+    ``v`` is an average given the block of sites just left of the next
+    one, in code order, less its value at block 0.  Stepping ``s`` reads
+    ``table_at(s)`` at row ``b % len(table)``; block ``b`` moves to
+    ``(b * n + x) % len(v)``.  Rows sum to 1, so subtracting ``v[0]`` keeps
+    every difference, and a vector that reaches 0 stays 0: the sweep ends.
+    """
+    n = f.alphabet.size
+    table = rows = None
+    for s in range(top, lo - 1, -1):
+        if not np.count_nonzero(v):
+            return
+        if f.table_at(s) is not table:
+            table = f.table_at(s)
+            rows = table[np.arange(len(v)) % len(table)].reshape(n, -1, n)  # (leading, rest, x)
+        v = (rows * v.reshape(-1, n)).sum(axis=2).ravel()
+        v -= v[0]
+        yield v
 
 
 def _check_irreducible_aperiodic(succ: list[list[int]], size: int) -> None:

@@ -1,6 +1,7 @@
 """Variations, transport distances, sensitivity, and criteria."""
 
 import math
+import time
 
 import numpy as np
 import pytest
@@ -379,6 +380,39 @@ def test_boundary_uniformity_iid(k3):
     assert v.scalars["min_probability"] == 0.5
     assert v.scalars["variation_sum"] == 0.0
     assert v.scalars["constant"] == 1.0
+
+
+def _contiguous_variation_sum(f: KernelSpec) -> float:
+    """Largest ``V`` over every window start from below the overrides to past them, one by one."""
+    depth = f.memory_depth
+    sites = f.override_sites or (0,)
+    starts = range(min(sites) - depth - 1, max(sites) + depth + 3)
+    return max(sum(variation(f, i, n) for i in range(n, n + depth + 1)) for n in starts)
+
+
+def test_boundary_uniformity_reads_the_windows_around_each_override():
+    rng = np.random.default_rng(12)
+    for case in range(60):
+        n, depth = int(rng.integers(2, 4)), int(rng.integers(0, 3))
+        f = random_table_kernel(rng, n, depth)
+        if case % 4:
+            sites = sorted({int(s) for s in rng.integers(-6, 7, rng.integers(1, 4))})
+            families = [random_table_kernel(rng, n, depth).family for _ in sites]
+            f = KernelSpec(f.alphabet, depth, SiteIndexed(f.family, tuple(zip(sites, families))))
+        v = boundary_uniformity_check(f).scalars
+        assert v["variation_sum"] == _contiguous_variation_sum(f), case
+        assert v["constant"] == math.exp(-v["variation_sum"] / v["min_probability"])
+
+
+def test_boundary_uniformity_with_overrides_far_apart_is_quick(k1):
+    override = MarkovTable(1, ((0.9, 0.1), (0.2, 0.8)))  # varies by 0.7 against k1's 0.4
+    f = KernelSpec(k1.alphabet, 1, SiteIndexed(k1.family, ((-10**9, override), (10**9, override))))
+    start = time.perf_counter()
+    v = boundary_uniformity_check(f).scalars
+    assert time.perf_counter() - start < 1.0
+    near = KernelSpec(k1.alphabet, 1, SiteIndexed(k1.family, ((-3, override), (3, override))))
+    assert v == boundary_uniformity_check(near).scalars
+    assert v["variation_sum"] == pytest.approx(0.7, abs=1e-12)
 
 
 def test_ergodic_coefficient_examples(k1, k3):

@@ -680,6 +680,49 @@ def test_main_never_escapes(fuzz_paths, argv):
     assert "Traceback" not in err.getvalue(), argv
 
 
+@st.composite
+def _far_override_doc(draw) -> dict:
+    """A binary site-indexed spec of depth 0-2 with 1-3 overrides anywhere in +-10**12."""
+    depth = draw(st.integers(0, 2))
+    sites = draw(st.lists(st.integers(-10**12, 10**12), min_size=1, max_size=3, unique=True))
+
+    def family() -> dict:
+        ones = draw(st.lists(st.integers(1, 99), min_size=2**depth, max_size=2**depth))
+        return {"type": "markov", "range": depth, "rows": [[1 - p / 100, p / 100] for p in ones]}
+
+    return {
+        "alphabet": {"symbols": ["0", "1"]},
+        "memory_depth": depth,
+        "kernel": {
+            "type": "site_indexed",
+            "default": family(),
+            "overrides": {str(site): family() for site in sites},
+        },
+    }
+
+
+_FAR_COMMANDS = [
+    ["check", "{spec}", "--criterion", "both"],
+    ["bound", "memory", "{spec}", "--verify", "--max-n", "50"],
+    ["bound", "correlation", "{spec}", "--verify", "--lags", "1:3"],
+    ["bound", "compare", "{spec}", "--other", "{spec}"],
+    ["simulate", "{spec}", "--length", "2000"],
+]
+
+
+@given(doc=_far_override_doc(), command=st.sampled_from(_FAR_COMMANDS))
+@settings(max_examples=60, deadline=5000)
+def test_overrides_far_apart_finish_quickly(tmp_path_factory, doc, command):
+    path = tmp_path_factory.mktemp("far") / "spec.json"
+    path.write_text(json.dumps(doc))
+    argv = [arg.format(spec=path) for arg in command]
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    assert code in (0, 1, 2), argv
+    assert len(err.getvalue().splitlines()) <= 1, err.getvalue()
+
+
 def _modules_after(argv: list[str] | None) -> tuple[int | None, list[str]]:
     """Exit code and loaded modules after ``import lislab.cli`` and, if given, one ``main(argv)``.
 
@@ -810,45 +853,71 @@ def test_one_stationary_solve_per_kernel(argv, solves, k1_path, tmp_path, monkey
     assert all(isinstance(row[2], float) for row in rows)
 
 
-def test_bound_memory_sweeps_once_for_the_bound_and_once_for_the_oracle(monkeypatch, capsys):
-    # one forward sweep gives all 50 bounds and one backward sweep all 50 exact
-    # values, past n = 11 where enumerating the window [0, n] would exceed the cap
+@pytest.fixture()
+def stepped_sites(monkeypatch):
+    """Counts of ``_reach`` calls and of the sites every ``_backward_sweep`` steps."""
     import lislab.bounds
     import lislab.oracle
 
-    calls = {"_reach": 0, "_backward_sweep": 0}
+    calls = {"_reach": 0, "sites": 0}
+    reach, sweep = lislab.bounds._reach, lislab.oracle._backward_sweep
 
-    def counting(module, name):
-        fn = getattr(module, name)
+    def counting_reach(*args):
+        calls["_reach"] += 1
+        return reach(*args)
 
-        def wrapper(*args, **kwargs):
-            calls[name] += 1
-            return fn(*args, **kwargs)
+    def counting_sweep(*args):
+        for v in sweep(*args):
+            calls["sites"] += 1
+            yield v
 
-        monkeypatch.setattr(module, name, wrapper)
+    monkeypatch.setattr(lislab.bounds, "_reach", counting_reach)
+    monkeypatch.setattr(lislab.oracle, "_backward_sweep", counting_sweep)
+    return calls
 
-    counting(lislab.bounds, "_reach")
-    counting(lislab.oracle, "_backward_sweep")
+
+def test_bound_memory_sweeps_once_for_the_bound_and_once_for_the_oracle(stepped_sites, capsys):
+    # one forward sweep gives all 50 bounds and one backward sweep of 51 sites
+    # all 50 exact values; rows that swept from their own tops would take 1325
     assert main("bound memory --example markov --max-n 50 --verify".split()) == 0
-    assert calls == {"_reach": 1, "_backward_sweep": 1}
+    assert stepped_sites == {"_reach": 1, "sites": 51}
     rows = json.loads(capsys.readouterr().out)["table"]["rows"]
     assert [n for n, *_ in rows] == list(range(1, 51))
     for n, _, exact, _ in rows:
         assert exact == pytest.approx(0.4 ** (n + 1), rel=1e-12, abs=0.0)
 
 
-def test_bound_memory_verify_on_a_site_indexed_spec_stops_at_the_step_budget(tmp_path, capsys):
-    # one oracle sweep per row: rows 1-61 take 1952 of the 2000 steps, row 62 would pass them
+def test_bound_memory_verify_fills_every_row_of_a_site_indexed_spec(
+    stepped_sites, tmp_path, capsys
+):
     doc = _site_indexed_doc("2")
     override = {"type": "markov", "range": 1, "rows": [[0.6, 0.4], [0.2, 0.8]]}
     doc["kernel"]["overrides"]["2"] = override
     (tmp_path / "site.json").write_text(json.dumps(doc))
     assert main(["bound", "memory", str(tmp_path / "site.json"), "--max-n", "80", "--verify"]) == 0
+    # rows 1 and 2 step their own 2 and 3 sites; each later row one more
+    # default site above the override, then its own sites 2 .. 0
+    assert stepped_sites == {"_reach": 1, "sites": 2 + 3 + 78 * (1 + 3)}
     rows = json.loads(capsys.readouterr().out)["table"]["rows"]
-    for n, bound, exact, slack in rows[:61]:
+    assert len(rows) == 80
+    for n, bound, exact, slack in rows:
         assert exact > 0.0 and slack == bound - exact
         assert bound >= exact * (1.0 - 1e-12)
-    assert all(row[2:] == ["", ""] for row in rows[61:])
+
+
+def test_bound_memory_verify_on_a_sticky_table_stops_at_the_work_cap(tmp_path, capsys):
+    # 4096 blocks: row n steps n + 1 sites, so rows past 1023 would pass WORK_CAP
+    rows = [[0.999, 0.001] if code % 2 == 0 else [0.001, 0.999] for code in range(4096)]
+    doc = {"alphabet": {"symbols": ["0", "1"]}, "memory_depth": 12,
+           "kernel": {"type": "markov", "range": 12, "rows": rows}}
+    (tmp_path / "sticky.json").write_text(json.dumps(doc))
+    start = time.perf_counter()
+    code = main(["bound", "memory", str(tmp_path / "sticky.json"), "--max-n", "200000", "--verify"])
+    assert code == 0 and time.perf_counter() - start < 5.0
+    table = json.loads(capsys.readouterr().out)["table"]["rows"]
+    assert len(table) == 200000
+    assert all(isinstance(row[2], float) and row[1] >= row[2] * (1.0 - 1e-12) for row in table[:1023])
+    assert all(row[2:] == ["", ""] for row in table[1023:])
 
 
 def test_bound_correlation_verify_builds_no_second_kernel(k1_path, tmp_path, monkeypatch, capsys):

@@ -27,6 +27,7 @@ from lislab import (
     verify_dusting,
 )
 from lislab.core import (
+    WORK_CAP,
     CapExceededError,
     axis_oscillation,
     product_observable,
@@ -34,7 +35,7 @@ from lislab.core import (
     shift_observable,
 )
 from lislab.kernels import kernel_average_observable
-from lislab.oracle import _STEP_BUDGET, ChainStructureError
+from lislab.oracle import ChainStructureError
 from lislab.specio import iid_kernel, power_law_linear, two_state_markov
 
 from conftest import random_table_kernel
@@ -168,8 +169,7 @@ def test_exact_oscillation_rows_are_one_call_per_row():
                 exact_oscillation_of_average(f, Window(0, n), shift_observable(h, n), j)
                 for n in range(1, 12)
             ]
-            if stationary:  # one sweep, bit for bit the per-row sweeps
-                assert [x.hex() for x in rows] == [x.hex() for x in calls]
+            assert [x.hex() for x in rows] == [x.hex() for x in calls]
             expected = [
                 _enumerated_oscillation(f, Window(0, n), shift_observable(h, n), j)
                 for n in range(1, 12)
@@ -177,16 +177,101 @@ def test_exact_oscillation_rows_are_one_call_per_row():
             assert rows == pytest.approx(expected, rel=0.0, abs=1e-14)
 
 
-def test_site_indexed_rows_stop_at_the_step_budget():
-    rng = np.random.default_rng(9)
-    f = _random_kernel(rng, 2, 1, stationary=False)
+def _rows_case(rng: np.random.Generator, case: int):
+    """A kernel, observable, probe and row count; overrides fall below 0, in the rows and above."""
+    if case % 4 == 3:  # stationary linear, depth 0-8
+        depth = int(rng.integers(0, 9))
+        a = rng.random(depth) * rng.uniform(0.1, 0.9) / max(depth, 1)
+        f = KernelSpec(AlphabetSpec.binary(), depth, LinearLongMemory(0.05, tuple(a.tolist())))
+    else:
+        n, depth = int(rng.integers(2, 5)), int(rng.integers(0, 4))
+        f = _random_kernel(rng, n, depth, stationary=True)
+        if case % 4:  # 1-3 overrides in [-4, 45]
+            sites = sorted({int(s) for s in rng.integers(-4, 46, rng.integers(1, 4))})
+            families = [_random_kernel(rng, n, depth, stationary=True).family for _ in sites]
+            f = KernelSpec(f.alphabet, depth, SiteIndexed(f.family, tuple(zip(sites, families))))
+    hi = int(rng.integers(-1, 1))
+    h = random_observable(Window(int(rng.integers(-1, hi + 1)), hi), f.alphabet, rng)
+    width = max(f.effective_order, len(h.support))
+    return f, h, -int(rng.integers(1, width + 2)), int(rng.integers(1, 41))
+
+
+def test_rows_are_their_per_row_averages_bit_for_bit():
+    rng = np.random.default_rng(41)
+    seen = dict.fromkeys(
+        ("below 0", "in the rows", "above the rows", "two-site h", "h at -1", "past the block"), 0
+    )
+    for case in range(480):
+        f, h, j, max_n = _rows_case(rng, case)
+        rows = exact_oscillation_rows(f, h, j, max_n)
+        calls = [
+            exact_oscillation_of_average(f, Window(0, n), shift_observable(h, n), j)
+            for n in range(1, max_n + 1)
+        ]
+        assert [x.hex() for x in rows] == [x.hex() for x in calls], case
+        top = h.support.hi + max_n
+        seen["below 0"] += any(s < 0 for s in f.override_sites)
+        seen["in the rows"] += any(0 <= s <= top for s in f.override_sites)
+        seen["above the rows"] += any(s > top for s in f.override_sites)
+        seen["two-site h"] += len(h.support) == 2
+        seen["h at -1"] += h.support.hi == -1
+        seen["past the block"] += -j > max(f.effective_order, len(h.support))
+    assert min(seen.values()) >= 10, seen
+
+
+@pytest.mark.parametrize("depth", [0, 4, 8])
+def test_stationary_rows_are_their_per_row_averages_at_3000_rows(depth):
+    rng = np.random.default_rng(depth)
+    markov = random_table_kernel(rng, 2, depth)
+    a = rng.random(depth) * 0.5 / max(depth, 1)
+    linear = KernelSpec(AlphabetSpec.binary(), depth, LinearLongMemory(0.05, tuple(a.tolist())))
+    for f in (markov, linear):
+        h0 = indicator(0, 1, f.alphabet)
+        rows = exact_oscillation_rows(f, h0, -1, 3000)
+        for n in (1, 2, 17, 500, 2999, 3000):
+            assert rows[n - 1] == exact_oscillation_of_average(
+                f, Window(0, n), shift_observable(h0, n), -1
+            ), n
+
+
+def _sticky(override_site: int | None) -> KernelSpec:
+    """Binary depth-12 table that keeps its last symbol with probability 0.999."""
+    rows = tuple((0.999, 0.001) if code % 2 == 0 else (0.001, 0.999) for code in range(4096))
+    f = MarkovTable(12, rows)
+    if override_site is not None:
+        f = SiteIndexed(f, ((override_site, MarkovTable(0, ((0.5, 0.5),))),))
+    return KernelSpec(AlphabetSpec.binary(), 12, f)
+
+
+@pytest.mark.parametrize("override_site", [None, 10**6])
+def test_rows_stop_at_the_work_cap(override_site):
+    # 4096 blocks: a stationary row n steps n + 1 sites in all, one more than
+    # row n - 1; below an override at 10**6 every row steps its own n + 1 sites
+    f = _sticky(override_site)
     h0 = indicator(0, 1, f.alphabet)
-    rows = exact_oscillation_rows(f, h0, -1, 200)
-    # row n sweeps the sites n .. 0, so rows 1 .. m take m (m + 3) / 2 steps
-    last = max(m for m in range(200) if m * (m + 3) // 2 <= _STEP_BUDGET)
-    assert len(rows) == last
+    rows = exact_oscillation_rows(f, h0, -1, 2 * 10**6)
+    cost = (lambda m: m + 1) if override_site is None else (lambda m: m * (m + 3) // 2)
+    last = max(m for m in range(1, 2000) if cost(m) * 4096 <= WORK_CAP)
+    assert len(rows) == last == (1023 if override_site is None else 43)
     h_last = shift_observable(h0, last)
-    assert rows[-1] == exact_oscillation_of_average(f, Window(0, last), h_last, -1)
+    assert rows[-1] == exact_oscillation_of_average(f, Window(0, last), h_last, -1) > 0.0
+
+
+@pytest.mark.parametrize("max_n", [0, -1, 2.5, "3", None])
+def test_both_row_functions_refuse_a_max_n_below_1_or_not_an_integer(k1, max_n):
+    h0 = indicator(0, 1, k1.alphabet)
+    with pytest.raises(ValueError, match="max_n"):
+        exact_oscillation_rows(k1, h0, -1, max_n)
+    with pytest.raises(ValueError, match="max_n"):
+        memory_bound_rows(build_sensitivity_matrix(k1), h0, -1, max_n)
+
+
+def test_both_row_functions_take_numpy_integers(k1):
+    h0 = indicator(0, 1, k1.alphabet)
+    exact = exact_oscillation_rows(k1, h0, -1, np.int64(3))
+    bound = memory_bound_rows(build_sensitivity_matrix(k1), h0, -1, np.int64(3))
+    assert exact == exact_oscillation_rows(k1, h0, -1, 3) and len(exact) == 3
+    assert bound == memory_bound_rows(build_sensitivity_matrix(k1), h0, -1, 3) and len(bound) == 3
 
 
 def test_exact_oscillation_past_the_cap():
