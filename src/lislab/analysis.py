@@ -155,6 +155,8 @@ class SensitivityMatrix:
 
     Entries live strictly below the diagonal within ``depth`` bands.  The
     stationary row applies everywhere except at explicit site overrides.
+    The Neumann columns that ``bounds`` sweeps from the stationary row are
+    kept per matrix, outside the fields, like ``KernelSpec``'s tables.
     """
 
     depth: int
@@ -172,6 +174,7 @@ class SensitivityMatrix:
             if not all(math.isfinite(a) and a >= 0.0 for a in row):
                 raise ValueError("sensitivity entries must be finite and non-negative")
         object.__setattr__(self, "_rows", dict(self.site_rows))
+        object.__setattr__(self, "_neumann", {})  # pattern: (column, sites filled)
         if len(self._rows) < len(self.site_rows):
             raise ValueError("duplicate override site")
 
@@ -191,10 +194,6 @@ class SensitivityMatrix:
         sums = [float(sum(self.stationary_row))]
         sums.extend(float(sum(row)) for _, row in self.site_rows)
         return max(sums)
-
-    @property
-    def stationary(self) -> bool:
-        return not self.site_rows
 
     @staticmethod
     def from_stationary(row: Sequence[float]) -> "SensitivityMatrix":

@@ -1,14 +1,15 @@
 """Quantitative decay bounds driven by a sensitivity matrix.
 
-Two sweeps carry oscillations through ``sum_t A^t``, one numpy sum per
-site over its lags in order, lag 1 first (``np.cumsum``, not a BLAS dot,
-whose order depends on the build).  The matrix is strictly banded below
-the diagonal, so sums over a finite window are exact.
+Two sweeps carry oscillations through ``sum_t A^t``, both stepped by
+``_sweep``.  The matrix is strictly banded below the diagonal, so sums
+over a finite window are exact.
 
 - The correlation and comparison bounds read the oscillation-weighted
   Neumann column ``G(k) = osc(k) + sum_lag A(k + lag, k) G(k + lag)``,
-  which ``_columns`` fills downward for one or more oscillation vectors.
-  Deeper sums stop at the first site whose geometric tail certificate
+  which ``_columns`` reads for one or more oscillation vectors.  The matrix
+  keeps the stationary column of each pattern of ``osc`` (``_stored``),
+  shared by every lag and bound; below an override row a column steps its
+  own entries.  Deeper sums stop at the first site whose tail certificate
   (``_tails``) is small against the sum so far, and add it.  It shrinks by
   a fixed factor per site, so the deepest site a stop can need is known in
   closed form before the sweep; a sum that cannot certify within
@@ -84,33 +85,61 @@ class DecaySpec:
 _Oscs = tuple[Mapping[int, float], ...]
 
 
-def _columns(alpha: SensitivityMatrix, oscs: _Oscs, top: int, floor: int) -> np.ndarray:
-    """``G`` of each of ``oscs`` at the sites ``top, top - 1, ..., floor``, one row each.
+def _sweep(alpha: SensitivityMatrix, g: np.ndarray, start: int, stop: int, rows: dict) -> None:
+    """``g[i] += sum_lag row[lag - 1] * g[i - lag]`` for ``i = start .. stop - 1``, in turn.
 
-    ``G(k)`` sums ``osc`` over the sites ``k .. top`` times the weight of all
-    strictly decreasing paths down to ``k``.  A column that meets an override
-    row at ``o``, ``k`` in ``[o - depth, o - 1]``, reads its own entries.  Each
-    site sums its lags in order, lag 1 first (``np.cumsum``, not a BLAS dot,
-    whose order depends on the build).
+    ``row`` is ``rows[i]`` if given, else the stationary row; lags add in order, lag 1 first
+    (``np.cumsum``, not a BLAS dot, whose order depends on the build).
     """
     depth = alpha.depth
-    g = np.zeros((len(oscs), depth + top - floor + 1))
-    for row, osc in zip(g, oscs):
-        for site, w in osc.items():
-            if floor <= site <= top:
-                row[depth + top - site] = w
-    if not depth:
-        return g
     stationary = np.array(alpha.stationary_row)
-    overrides = {
-        depth + top - k: np.array([alpha.entry(k + lag, k) for lag in range(1, depth + 1)])
-        for k in {k for site, _ in alpha.site_rows for k in range(site - depth, site)}
-        if floor <= k <= top
-    }
-    for i in range(depth, g.shape[1]):
-        terms = g[:, i - depth : i][:, ::-1] * overrides.get(i, stationary)  # lag 1 first
-        g[:, i] += np.cumsum(terms, axis=1)[:, -1]
-    return g[:, depth:]
+    for i in range(start, stop if depth else start):
+        g[i] += np.cumsum(g[i - depth : i][::-1] * rows.get(i, stationary))[-1]
+
+
+def _stored(alpha: SensitivityMatrix, osc: Mapping[int, float], n: int) -> np.ndarray:
+    """The stationary column of ``osc`` from ``depth`` sites above its top to ``n - 1`` below.
+
+    ``alpha`` keeps one per pattern (``osc`` relative to its top), swept
+    further down only when ``n`` asks for more sites.
+    """
+    top, depth = max(osc), alpha.depth
+    pattern = tuple(osc.get(top - m, 0.0) for m in range(top - min(osc) + 1))
+    col, filled = alpha._neumann.get(pattern) or (np.concatenate([np.zeros(depth), pattern]), 0)
+    if filled < n:
+        if len(col) < depth + n:  # doubling keeps the copies linear in the length
+            col = np.concatenate([col, np.zeros(max(depth + n - len(col), len(col)))])
+        _sweep(alpha, col, depth + filled, depth + n, {})
+        alpha._neumann[pattern] = col, n
+    return col
+
+
+def _columns(alpha: SensitivityMatrix, oscs: _Oscs, hi: int, floor: int) -> np.ndarray:
+    """``G`` of each of ``oscs`` at the sites ``hi, hi - 1, ..., floor``, one row each.
+
+    ``G(k)`` sums ``osc``, which has no site below ``floor``, over the sites
+    from ``k`` up times the weight of all strictly decreasing paths down to
+    ``k``.  Down to ``cut``, the highest override row at or below the top of
+    ``osc``, those paths read only the stationary row, so the stored column
+    (``_stored``) gives ``G``.  Below ``cut`` a site ``k`` reads its own
+    entries, which an override row ``o`` changes for ``k`` in ``[o - depth, o - 1]``.
+    """
+    depth = alpha.depth
+    g = np.zeros((len(oscs), hi - floor + 1))
+    for out, osc in zip(g, oscs):
+        top = max(osc)
+        cut = max([o for o, _ in alpha.site_rows if floor < o <= top], default=floor)
+        upper = max(min(hi, top), cut + depth - 1)
+        col = _stored(alpha, osc, top - cut + 1)
+        w = np.zeros(upper - floor + 1)  # G at the sites upper .. floor
+        w[: upper - cut + 1] = col[depth + top - upper : depth + top - cut + 1]
+        w[upper - cut + 1 :] = [osc.get(k, 0.0) for k in range(cut - 1, floor - 1, -1)]
+        steps = {k for o, _ in alpha.site_rows for k in range(o - depth, o) if floor <= k < cut}
+        lags = range(1, depth + 1)
+        rows = {upper - k: np.array([alpha.entry(k + lag, k) for lag in lags]) for k in steps}
+        _sweep(alpha, w, upper - cut + 1, len(w), rows)
+        out[max(hi - upper, 0) :] = w[max(upper - hi, 0) :]
+    return g
 
 
 def _tails(
@@ -191,14 +220,10 @@ def _reach(alpha: SensitivityMatrix, lo: int, hi: int, j: int) -> np.ndarray:
     Each site reads its own row, override or stationary.
     """
     depth = alpha.depth
-    r = np.zeros(depth + hi - lo + 1)  # R(k) at depth + k - lo; below lo it stays 0
-    if not depth:
-        return r
-    stationary = np.array(alpha.stationary_row)
-    overrides = {site: np.array(row) for site, row in alpha.site_rows}
-    for i, k in enumerate(range(lo, hi + 1), depth):
-        row = overrides.get(k, stationary)
-        r[i] = alpha.entry(k, j) + np.cumsum(row * r[i - 1 :: -1][:depth])[-1]  # lag 1 first
+    first = [alpha.entry(k, j) for k in range(lo, min(hi, j + depth) + 1)]  # A(k, j), 0 further up
+    r = np.concatenate([np.zeros(depth), first, np.zeros(hi - lo + 1 - len(first))])
+    rows = {depth + site - lo: np.array(row) for site, row in alpha.site_rows if lo <= site <= hi}
+    _sweep(alpha, r, depth, len(r), rows)
     return r[depth:]
 
 
@@ -351,14 +376,11 @@ def correlation_bound(
     # the coupling through deeper sites (acc); the certificate at
     # delta.hi + 1 bounds the two together
     tails = _tails(alpha, oscs, 1.0, lam.hi, delta.hi, delta.hi + 1)
-    g1, g2 = _columns(alpha, oscs, lam.hi, min(delta.hi + 1 - len(tails), delta.lo))
-    direct = np.zeros_like(g2)
-    for site, w in osc2.items():
-        direct[lam.hi - site] = w
-    head = slice(lam.hi - delta.lo + 1)
-    term1 = float(np.cumsum(g1[head] * direct[head])[-1])
-    below = slice(lam.hi - delta.hi, lam.hi - delta.hi + len(tails))  # delta.hi and deeper
-    acc = np.cumsum(g1[below] * (g2[below] - direct[below]))
+    g1, g2 = _columns(alpha, oscs, delta.hi, min(delta.hi + 1 - len(tails), delta.lo))
+    direct = np.array([osc2.get(k, 0.0) for k in range(delta.hi, delta.lo - 1, -1)])
+    term1 = float(np.cumsum(g1[: len(delta)] * direct)[-1])
+    g2[: len(delta)] -= direct
+    acc = np.cumsum(g1[: len(tails)] * g2[: len(tails)])  # delta.hi and deeper
     i = _stop(alpha, lam.hi, tails, term1 + acc)
     acc, tail = float(acc[i]), float(tails[i])
     value = base * (term1 + acc + tail)
@@ -397,11 +419,11 @@ def correlation_bound_semi_exact(
     diameter = f.alphabet.diameter
     plain = correlation_bound(alpha, lam, delta, h1, h2, diameter)
     oscs = oscillation_vector(h1), oscillation_vector(h2)
-    g1, g2 = _columns(alpha, oscs, lam.hi, delta.hi - _EXACT_REACH).tolist()
+    g1, g2 = _columns(alpha, oscs, delta.hi - 1, min(delta.lo, delta.hi - _EXACT_REACH)).tolist()
     saved = 0.0
-    for k in range(delta.hi - 1, delta.hi - _EXACT_REACH - 1, -1):
+    for i, k in enumerate(range(delta.hi - 1, delta.hi - _EXACT_REACH - 1, -1)):
         exact = exact_oscillation_of_average(f, Window(k + 1, delta.hi), h2, k)
-        saved += g1[lam.hi - k] * (g2[lam.hi - k] - exact)
+        saved += g1[i] * (g2[i] - exact)
     return BoundReport(
         name="correlation-semi-exact",
         value=plain.value - diameter * diameter / 4.0 * saved,

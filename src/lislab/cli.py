@@ -367,7 +367,7 @@ def _common_flags() -> _Parser:
     p.add_argument("--example", choices=list(_EXAMPLES), help="builtin kernel family")
     for example, (_, defaults) in _EXAMPLES.items():
         for name, value in defaults.items():
-            # sweeps grow with the depth: at 5000, bound correlation --lags 1 takes about 8 s
+            # sweeps grow with the depth: at 5000, bound correlation --lags 1 takes about 3.5 s
             kind = _int_in(hi=5000) if name == "depth" else type(value)
             p.add_argument(f"--{name}", type=kind, help=f"{example} only, default {value}")
     p.add_argument("--out", help="write the JSON report here instead of stdout")

@@ -428,6 +428,7 @@ def _backward_sweep(f: KernelSpec, v: np.ndarray, top: int, lo: int) -> Iterator
     ``table_at(s)`` at row ``b % len(table)``; block ``b`` moves to
     ``(b * n + x) % len(v)``.  Rows sum to 1, so subtracting ``v[0]`` keeps
     every difference, and a vector that reaches 0 stays 0: the sweep ends.
+    A vector below the smallest normal float counts as 0.
     """
     n = f.alphabet.size
     table = rows = None
@@ -439,6 +440,8 @@ def _backward_sweep(f: KernelSpec, v: np.ndarray, top: int, lo: int) -> Iterator
             rows = table[np.arange(len(v)) % len(table)].reshape(n, -1, n)  # (leading, rest, x)
         v = (rows * v.reshape(-1, n)).sum(axis=2).ravel()
         v -= v[0]
+        if np.abs(v).max() < np.finfo(float).tiny:  # subnormals would stall at 5e-324
+            v[:] = 0.0
         yield v
 
 

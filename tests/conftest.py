@@ -54,3 +54,31 @@ def random_distribution(rng: np.random.Generator, n: int) -> tuple[float, ...]:
     w = rng.random(n) + 1e-3
     w = w / w.sum()
     return tuple(float(x) for x in w)
+
+
+def per_call_columns(alpha, oscs, hi: int, floor: int) -> np.ndarray:
+    """``bounds._columns`` swept afresh from the top of ``oscs`` on every call, with no store.
+
+    The sweep the stored columns replaced, kept as their reference: ``G``
+    at the sites ``top .. floor``, ``top`` the highest of ``hi`` and every
+    oscillation site, cut to the sites ``hi .. floor``.
+    """
+    top = max(hi, *(max(osc) for osc in oscs))
+    depth = alpha.depth
+    g = np.zeros((len(oscs), depth + top - floor + 1))
+    for row, osc in zip(g, oscs):
+        for site, w in osc.items():
+            if floor <= site <= top:
+                row[depth + top - site] = w
+    if not depth:
+        return g[:, top - hi :]
+    stationary = np.array(alpha.stationary_row)
+    overrides = {
+        depth + top - k: np.array([alpha.entry(k + lag, k) for lag in range(1, depth + 1)])
+        for k in {k for site, _ in alpha.site_rows for k in range(site - depth, site)}
+        if floor <= k <= top
+    }
+    for i in range(depth, g.shape[1]):
+        terms = g[:, i - depth : i][:, ::-1] * overrides.get(i, stationary)  # lag 1 first
+        g[:, i] += np.cumsum(terms, axis=1)[:, -1]
+    return g[:, depth + top - hi :]

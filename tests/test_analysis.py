@@ -14,10 +14,13 @@ from lislab import (
     MarkovTable,
     SensitivityMatrix,
     SiteIndexed,
+    Window,
     boundary_uniformity_check,
     build_sensitivity_matrix,
+    correlation_bound,
     dobrushin_check,
     ergodic_coefficient,
+    indicator,
     sensitivity_estimator,
     variation,
     vkr_distance,
@@ -307,6 +310,20 @@ def test_sensitivity_matrix_refuses_non_integer_sites():
         with pytest.raises(ValueError, match="a site must be an integer"):
             read()
     assert (alpha.entry(np.int64(1), np.int64(0)), alpha.row_sum(np.int64(1))) == (0.9, 0.9)
+
+
+def test_neumann_columns_are_not_shared_between_equal_matrices():
+    a = SensitivityMatrix.from_stationary((0.2, 0.3))
+    b = SensitivityMatrix.from_stationary((0.2, 0.3))
+    h0, h3 = indicator(0, 1, AlphabetSpec.binary()), indicator(3, 1, AlphabetSpec.binary())
+    value = correlation_bound(a, Window(3, 3), Window(0, 0), h3, h0, 1.0).value
+    # the store sits outside the dataclass fields
+    assert a._neumann and not b._neumann
+    assert a == b and hash(a) == hash(b) and repr(a) == repr(b)
+    assert correlation_bound(b, Window(3, 3), Window(0, 0), h3, h0, 1.0).value == value
+    assert b._neumann is not a._neumann
+    [(column, _)] = b._neumann.values()
+    assert all(column is not other for other, _ in a._neumann.values())
 
 
 def test_site_indexed_default_row_ignores_far_override():

@@ -47,6 +47,8 @@ from lislab.oracle import (
 )
 from lislab.specio import iid_kernel, power_law_linear, two_state_markov
 
+from conftest import per_call_columns
+
 
 def random_sub_dobrushin(rng: np.random.Generator, depth: int | None = None) -> SensitivityMatrix:
     depth = int(rng.integers(1, 4)) if depth is None else depth
@@ -381,23 +383,27 @@ _OVERRIDES = {
 @pytest.mark.parametrize("depth", [1, 3, 8])
 def test_correlation_bound_site_indexed_matches_dense_inverse(depth, placement):
     # reference: pair the oscillations through (I - A)^{-1} on the grid
-    # [k_floor, lam.hi]; the certified tail covers everything deeper
+    # [k_floor, lam.hi]; the certified tail covers everything deeper.  The
+    # shifted windows read the columns that the first one stored in alpha
     rng = np.random.default_rng(17)
     alpha = random_site_indexed(rng, depth, _OVERRIDES[placement](depth))
     e = iid_kernel((0.5, 0.5)).alphabet
-    lam, delta = Window(3, 4), Window(-1, 1)
-    h1 = random_observable(lam, e, rng)
+    delta = Window(-1, 1)
+    h1 = random_observable(Window(3, 4), e, rng)
     h2 = random_observable(delta, e, rng)
     diameter = 2.5
-    rep = correlation_bound(alpha, lam, delta, h1, h2, diameter)
-    k_floor = int(rep.quantities["k_floor"])
-    assert k_floor < min(delta.lo, *_OVERRIDES[placement](depth))
-    g1, g2 = _grid_columns(alpha, (oscillation_vector(h1), oscillation_vector(h2)), k_floor, lam.hi)
-    below = slice(None, delta.hi - k_floor + 1)
-    expected = diameter**2 / 4.0 * float(g1[below] @ g2[below])
-    got = rep.quantities["direct_term"] + rep.quantities["coupling_term"]
-    assert got == pytest.approx(expected, rel=1e-12)
-    assert rep.value == pytest.approx(got + rep.quantities["tail_certificate"], rel=1e-15)
+    for shift in (0, 9, 0, 2):
+        lam, h = Window(3 + shift, 4 + shift), shift_observable(h1, shift)
+        rep = correlation_bound(alpha, lam, delta, h, h2, diameter)
+        k_floor = int(rep.quantities["k_floor"])
+        assert k_floor < min(delta.lo, *_OVERRIDES[placement](depth))
+        oscs = (oscillation_vector(h), oscillation_vector(h2))
+        g1, g2 = _grid_columns(alpha, oscs, k_floor, lam.hi)
+        below = slice(None, delta.hi - k_floor + 1)
+        expected = diameter**2 / 4.0 * float(g1[below] @ g2[below])
+        got = rep.quantities["direct_term"] + rep.quantities["coupling_term"]
+        assert got == pytest.approx(expected, rel=1e-12)
+        assert rep.value == pytest.approx(got + rep.quantities["tail_certificate"], rel=1e-15)
 
 
 @pytest.mark.parametrize("placement", list(_OVERRIDES))
@@ -416,6 +422,57 @@ def test_comparison_bound_site_indexed_matches_dense_inverse(depth, placement):
     tail = rep.quantities["tail_certificate"]
     assert rep.value - tail == pytest.approx(float(g.sum()), rel=1e-12)
     assert 0.0 < tail <= 1e-12 * max(1.0, rep.value - tail)
+
+
+def _bits(rep) -> list:
+    return [rep.value.hex(), *((name, float(x).hex()) for name, x in sorted(rep.quantities.items()))]
+
+
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    kind=st.sampled_from(["stationary", *_OVERRIDES, "above-lags"]),
+    depth=st.integers(0, 8),
+)
+@settings(max_examples=80, deadline=None)
+def test_bounds_from_stored_columns_equal_the_per_call_sweep(seed, kind, depth):
+    # every lag, in any order and repeated, reads the columns that one matrix
+    # stores; each bound equals the bound from a fresh sweep bit for bit
+    rng = np.random.default_rng(seed)
+    if kind == "stationary":
+        alpha = random_sub_dobrushin(rng, depth)
+    else:
+        sites = (60,) if kind == "above-lags" else _OVERRIDES[kind](depth)
+        alpha = random_site_indexed(rng, depth, sites)
+    e = AlphabetSpec.binary()
+    f = iid_kernel((0.5, 0.5))
+    delta = Window(-1, 1)
+    h1 = random_observable(Window(0, int(rng.integers(0, 2))), e, rng)
+    h2 = random_observable(Window(int(rng.integers(-1, 1)), int(rng.integers(0, 2))), e, rng)
+    lags = rng.integers(1, 50, size=10).tolist()
+    lags += [lags[0], 1]
+    rng.shuffle(lags)
+    gap = float(rng.uniform(0.01, 1.0))
+    for lag in lags:
+        h = shift_observable(h1, delta.hi + lag)
+        lam = Window(delta.hi + lag, delta.hi + lag + 1)
+        got = [
+            correlation_bound(alpha, lam, delta, h, h2, 1.5),
+            comparison_bound(alpha, f, f, lam, h, gap_override=gap),
+        ]
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(bounds, "_columns", per_call_columns)
+            expected = [
+                correlation_bound(alpha, lam, delta, h, h2, 1.5),
+                comparison_bound(alpha, f, f, lam, h, gap_override=gap),
+            ]
+        assert [_bits(rep) for rep in got] == [_bits(rep) for rep in expected]
+        # the direct term sums delta's sites only; the zeros above them add no bit
+        [g1] = per_call_columns(alpha, (oscillation_vector(h),), lam.hi, delta.lo)
+        direct = np.zeros_like(g1)
+        for site, w in oscillation_vector(h2).items():
+            direct[lam.hi - site] = w
+        term1 = 1.5 * 1.5 / 4.0 * float(np.cumsum(g1 * direct)[-1])
+        assert got[0].quantities["direct_term"].hex() == term1.hex()
 
 
 @pytest.mark.parametrize("site_indexed, depth", _sweep_cases(3))

@@ -17,6 +17,8 @@ from lislab import KernelSpec
 from lislab.cli import main
 from lislab.specio import SpecError, kernel_to_doc, load_spec_file, parse_spec
 
+from conftest import per_call_columns
+
 
 K1_DOC = {
     "label": "K1",
@@ -281,6 +283,11 @@ def test_bound_correlation_site_budget_leaves_cell_empty(capsys):
         captured = capsys.readouterr()
         assert "Traceback" not in captured.err
         assert json.loads(captured.out)["table"]["rows"] == [[lag, "", "", "", ""]]
+    # beside such a lag, lag 1 still reads its column
+    argv = ["bound", "correlation", "--example", "markov", "--lags", "1,10000000000000000001"]
+    assert main(argv) == 0
+    [[_, first, *_], [_, huge, *_]] = json.loads(capsys.readouterr().out)["table"]["rows"]
+    assert isinstance(first, float) and huge == ""
 
 
 def test_deep_power_law_sweep(capsys):
@@ -955,6 +962,93 @@ def test_simulate_and_bound_correlation_share_their_lag_columns(k1_path, capsys)
         assert by_name[0][name] == by_name[1][name]
     assert by_name[0]["bound"][0] == ""  # lag 0 has no bound
     assert simulated["seed"] == bounded["seed"] == 4
+
+
+@pytest.fixture()
+def swept(monkeypatch):
+    """Sites every ``bounds._sweep`` steps, its calls, and each ``correlation_bound``'s ``k_floor``."""
+    import lislab.bounds
+
+    counts = {"sites": 0, "calls": 0, "k_floors": []}
+    sweep, bound = lislab.bounds._sweep, lislab.bounds.correlation_bound
+
+    def counting_sweep(alpha, g, start, stop, rows):
+        counts["sites"] += max(stop - start, 0)
+        counts["calls"] += 1
+        return sweep(alpha, g, start, stop, rows)
+
+    def tracing_bound(*args):
+        report = bound(*args)
+        counts["k_floors"].append(report.quantities["k_floor"])
+        return report
+
+    monkeypatch.setattr(lislab.bounds, "_sweep", counting_sweep)
+    monkeypatch.setattr(lislab.bounds, "correlation_bound", tracing_bound)
+    return counts
+
+
+@pytest.mark.parametrize("command", ["bound correlation", "simulate"])
+def test_every_lag_reads_one_stored_column(command, swept, capsys):
+    # lag n's columns are the stationary column of its pattern moved by n, so
+    # the 50 lags step it once; sweeping per lag would step lag + stop sites each
+    assert main([*command.split(), "--example", "markov", "--lags", "1:50"]) == 0
+    assert len(swept["k_floors"]) == 50
+    deepest, depth = -min(swept["k_floors"]), 1
+    assert 0 < swept["sites"] <= 50 + deepest + depth
+
+
+def _site2_doc() -> dict:
+    """Depth 2, weakly dependent, with overrides at sites -1, 0 and 1."""
+
+    def table(p: float) -> dict:
+        rows = [[1.0 - p - 0.05 * code, p + 0.05 * code] for code in range(4)]
+        return {"type": "markov", "range": 2, "rows": rows}
+
+    overrides = {str(site): table(0.2 + 0.1 * site) for site in (-1, 0, 1)}
+    return {
+        "alphabet": {"symbols": ["0", "1"]},
+        "memory_depth": 2,
+        "kernel": {"type": "site_indexed", "default": table(0.3), "overrides": overrides},
+    }
+
+
+def test_site_indexed_lags_equal_the_per_call_sweep(tmp_path, monkeypatch, capsys):
+    # every lag continues below the override rows with its own entries
+    from lislab import bounds
+    from lislab.analysis import build_sensitivity_matrix
+    from lislab.core import Window, indicator, shift_observable
+
+    path = tmp_path / "site2.json"
+    path.write_text(json.dumps(_site2_doc()))
+    assert main(["bound", "correlation", str(path), "--lags", "1:60"]) == 0
+    got = [bound for _, bound, *_ in json.loads(capsys.readouterr().out)["table"]["rows"]]
+    f, _ = load_spec_file(str(path))
+    alpha = build_sensitivity_matrix(f)
+    h0 = indicator(0, 1, f.alphabet)
+    monkeypatch.setattr(bounds, "_columns", per_call_columns)
+    expected = [
+        bounds.correlation_bound(
+            alpha, Window(lag, lag), Window(0, 0), shift_observable(h0, lag), h0, 1.0
+        ).value
+        for lag in range(1, 61)
+    ]
+    assert [x.hex() for x in got] == [x.hex() for x in expected]
+
+
+def test_slow_chain_lags_sweep_no_column(swept, capsys):
+    argv = ["bound", "correlation", "--example", "markov", "--lags", "1:8"]
+    assert main(argv + ["--p01", "0.00001", "--p11", "0.99998"]) == 0
+    rows = json.loads(capsys.readouterr().out)["table"]["rows"]
+    assert [row[1] for row in rows] == [""] * 8
+    assert swept["calls"] == 0
+
+
+def test_two_thousand_markov_lags_take_under_two_seconds(capsys):
+    start = time.perf_counter()
+    assert main(["bound", "correlation", "--example", "markov", "--lags", "1:2000"]) == 0
+    assert time.perf_counter() - start < 2.0
+    rows = json.loads(capsys.readouterr().out)["table"]["rows"]
+    assert len(rows) == 2000 and all(isinstance(row[1], float) for row in rows)
 
 
 @pytest.mark.parametrize("command", ["check", "simulate --length 1000"])

@@ -2,6 +2,7 @@
 
 import itertools
 import math
+import time
 
 import numpy as np
 import pytest
@@ -135,6 +136,20 @@ def test_exact_oscillation_rows_markov_decay(k1):
         if 0.4 ** (n + 1) > 1e-300:
             assert exact == pytest.approx(0.4 ** (n + 1), rel=1e-12, abs=0.0), n
     assert rows[-1] == 0.0  # the sweep stopped once the centred vector underflowed to 0
+
+
+def test_exact_oscillation_rows_stop_at_the_first_subnormal_vector():
+    # 0.4**(n + 1) passes below the smallest normal float near row 773; a
+    # sweep that kept subnormals read 5e-324 from row 811 to row 200000
+    f = two_state_markov(0.2, 0.6)
+    start = time.perf_counter()
+    rows = exact_oscillation_rows(f, indicator(0, 1, f.alphabet), -1, 200000)
+    assert time.perf_counter() - start < 0.3
+    first_zero = rows.index(0.0) + 1
+    assert first_zero <= 811
+    assert set(rows[first_zero - 1 :]) == {0.0}
+    for n in range(1, 753):  # every row whose value is at least 1e-300
+        assert rows[n - 1] == pytest.approx(0.4 ** (n + 1), rel=1e-13, abs=0.0), n
 
 
 @pytest.mark.parametrize("seed", range(12))
