@@ -4,7 +4,8 @@
 Deepening the averaging window from the all-zeros and all-ones pasts
 produces two sequences that squeeze toward the stationary expectation;
 for a two-state chain the gap contracts geometrically.  Printed purely
-as an observational table.
+as an observational table.  The window ``[-n, 0]`` is enumerated whole,
+so ``--max-n`` stops where its configurations pass the cap (11 here).
 """
 
 import argparse
@@ -16,6 +17,7 @@ from lislab import (
     stationary_expectations,
     two_state_markov,
 )
+from lislab.core import DEFAULT_CONFIG_CAP, exceeds_cap
 
 
 def main() -> None:
@@ -26,6 +28,11 @@ def main() -> None:
     args = parser.parse_args()
 
     f = two_state_markov(args.p01, args.p11)
+    if exceeds_cap(f.alphabet.size, args.max_n + 1, DEFAULT_CONFIG_CAP):
+        parser.error(
+            f"--max-n {args.max_n}: the window [-{args.max_n}, 0] has more than "
+            f"{DEFAULT_CONFIG_CAP} configurations"
+        )
     h = indicator(0, 1, f.alphabet)
     print(f"stationary expectation: {stationary_expectations(f, [h])[0]:.12f}")
     print(f"{'n':>3} {'from all-0':>14} {'from all-1':>14} {'gap':>14}")

@@ -18,7 +18,7 @@ __version__ = "0.1.0"
 _PUBLIC = {
     "core": (
         "AlphabetSpec", "CapExceededError", "FiniteDistribution", "Observable", "Window",
-        "constant_observable", "enumerate_configs", "indicator", "oscillation",
+        "constant_observable", "indicator", "oscillation",
     ),
     "kernels": (
         "GeneralTable", "KernelSpec", "LinearLongMemory", "MarkovTable", "SiteIndexed",
@@ -32,8 +32,7 @@ _PUBLIC = {
     ),
     "bounds": (
         "BoundNotApplicableError", "BoundReport", "DecaySpec", "comparison_bound",
-        "correlation_bound", "correlation_bound_semi_exact", "fit_decay_rate",
-        "memory_bound_exponential", "memory_bound_general", "memory_bound_rows",
+        "correlation_bound", "fit_decay_rate", "memory_bound_general", "memory_bound_rows",
     ),
     "oracle": (
         "exact_correlation", "exact_oscillation_of_average", "exact_oscillation_rows",

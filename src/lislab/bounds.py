@@ -13,9 +13,7 @@ over a finite window are exact.
   (``_tails``) is small against the sum so far, and add it.  It shrinks by
   a fixed factor per site, so the deepest site a stop can need is known in
   closed form before the sweep; a sum that cannot certify within
-  ``_SITE_BUDGET`` sites raises before any column is built.  The
-  semi-exact correlation bound is ``correlation_bound`` less what exact
-  oracle oscillation factors save.
+  ``_SITE_BUDGET`` sites raises before any column is built.
 - The memory bound reads the probe's forward row ``R``, filled upward by
   ``_reach``.  ``R(k)`` does not depend on the top of the window, so one
   sweep gives every row of ``memory_bound_rows``.
@@ -41,12 +39,6 @@ _SITE_BUDGET = 200000
 #: value so far (or of 1, whichever is larger).
 _TAIL_TOL = 1e-12
 
-#: Sites below ``delta.hi`` whose ``G2`` the semi-exact correlation bound
-#: replaces by an exact oscillation.  Each saves the product of two columns
-#: that shrink geometrically with depth, and costs one backward sweep a site
-#: longer than the last, so the work grows with the square of the reach.
-_EXACT_REACH = 13
-
 
 class BoundNotApplicableError(RuntimeError):
     """A bound's hypothesis fails at the supplied inputs."""
@@ -67,7 +59,7 @@ class BoundReport:
 
 @dataclass(frozen=True)
 class DecaySpec:
-    """Distance-decay profile entering the exponential-form bounds."""
+    """Distance-decay profile of the envelope ``pref * exp(-weight(k - j))``."""
 
     family: str
     rate: float
@@ -283,24 +275,6 @@ def _decay_prefactor(
     return gamma, gamma / (1.0 - gamma)
 
 
-def memory_bound_exponential(
-    alpha: SensitivityMatrix, decay: DecaySpec, window: Window, h: Observable, j: int
-) -> BoundReport:
-    """Closed-form decay bound: prefactor times metric-decay weights.
-
-    Requires the decay-tilted row sums to stay below 1 on the window;
-    raises otherwise, carrying the violating value.
-    """
-    _check_probe(window, h, j)
-    gamma, pref = _decay_prefactor(alpha, decay, window)
-    value = sum(osc * math.exp(-decay.weight(k - j)) for k, osc in oscillation_vector(h).items())
-    return BoundReport(
-        name="memory-exponential",
-        value=pref * value,
-        quantities={"gamma_window": gamma, "prefactor": pref, "rate": decay.rate},
-    )
-
-
 def fit_decay_rate(alpha: SensitivityMatrix, family: str = "exponential") -> DecaySpec:
     """Largest decay rate keeping every tilted row sum below 1 - 1e-6.
 
@@ -394,40 +368,6 @@ def correlation_bound(
             "tail_certificate": base * tail,
             "k_floor": float(delta.hi - i),
         },
-    )
-
-
-def correlation_bound_semi_exact(
-    f: KernelSpec,
-    alpha: SensitivityMatrix,
-    lam: Window,
-    delta: Window,
-    h1: Observable,
-    h2: Observable,
-) -> BoundReport:
-    """``correlation_bound`` less what exact oscillation factors save.
-
-    Takes the plain bound at the diameter of the kernel's alphabet.  At
-    each of the ``_EXACT_REACH`` sites ``k < delta.hi``, ``G2(k)`` gives
-    way to the exact oscillation at ``k`` of the average of ``h2`` over
-    ``(k, delta.hi]``, which is at most ``G2(k)`` (dusting); the plain
-    tail still covers deeper sites.  Raises ``CapExceededError`` where
-    the oracle's blocks exceed the cap.
-    """
-    from .oracle import exact_oscillation_of_average
-
-    diameter = f.alphabet.diameter
-    plain = correlation_bound(alpha, lam, delta, h1, h2, diameter)
-    oscs = oscillation_vector(h1), oscillation_vector(h2)
-    g1, g2 = _columns(alpha, oscs, delta.hi - 1, min(delta.lo, delta.hi - _EXACT_REACH)).tolist()
-    saved = 0.0
-    for i, k in enumerate(range(delta.hi - 1, delta.hi - _EXACT_REACH - 1, -1)):
-        exact = exact_oscillation_of_average(f, Window(k + 1, delta.hi), h2, k)
-        saved += g1[i] * (g2[i] - exact)
-    return BoundReport(
-        name="correlation-semi-exact",
-        value=plain.value - diameter * diameter / 4.0 * saved,
-        quantities={**plain.quantities, "exact_terms": float(_EXACT_REACH)},
     )
 
 

@@ -12,7 +12,7 @@ Conventions used throughout the package:
 * a configuration of a window is a tuple of symbol indices, ordered left
   to right, and its integer code is the big-endian base-``|E|`` number of
   that tuple (leftmost site most significant);
-* ``enumerate_configs`` yields configurations in increasing code order,
+* value tables list configurations in increasing ``config_code`` order,
   which is exactly lexicographic symbol order.  This order is part of the
   contract: reports built from it are reproducible bit for bit;
 * distribution weights and observable tables are read-only float64 arrays
@@ -21,11 +21,10 @@ Conventions used throughout the package:
 
 from __future__ import annotations
 
-import itertools
 import operator
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Callable, Iterator, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -202,13 +201,6 @@ def config_code(config: Sequence[int], n_symbols: int) -> int:
     return code
 
 
-def enumerate_configs(window: Window, alphabet: AlphabetSpec) -> Iterator[tuple[int, ...]]:
-    """Yield every configuration of ``window`` once, in lexicographic order."""
-    length = window.hi - window.lo + 1  # len() overflows before the cap check past sys.maxsize
-    check_cap(alphabet.size, length)
-    yield from itertools.product(range(alphabet.size), repeat=length)
-
-
 def _read_only_floats(values: Sequence[float] | np.ndarray) -> np.ndarray:
     """A read-only float64 copy of a flat sequence of reals."""
     raw = np.asarray(values)
@@ -255,11 +247,6 @@ class Observable:
             raise ValueError(f"observable table has {len(table)} entries, expected {expected}")
         if not np.isfinite(table).all():
             raise ValueError("observable values must be finite")
-
-    def value_at(self, config: Sequence[int]) -> float:
-        if len(config) != len(self.support):
-            raise ValueError("configuration length must match the support")
-        return float(self.table[config_code(config, self.alphabet.size)])
 
     @cached_property
     def oscillations(self) -> np.ndarray:
@@ -309,13 +296,6 @@ def indicator(site: int, symbol: int, alphabet: AlphabetSpec) -> Observable:
         raise ValueError(f"symbol index {symbol} outside the alphabet")
     table = tuple(1.0 if x == symbol else 0.0 for x in range(alphabet.size))
     return Observable(Window(site, site), alphabet, table)
-
-
-def tabulate(
-    window: Window, alphabet: AlphabetSpec, fn: Callable[[tuple[int, ...]], float]
-) -> Observable:
-    table = tuple(float(fn(cfg)) for cfg in enumerate_configs(window, alphabet))
-    return Observable(window, alphabet, table)
 
 
 def random_observable(

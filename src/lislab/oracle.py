@@ -28,7 +28,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Iterable, Iterator, Sequence
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -59,9 +59,7 @@ from .kernels import (
     kernel_average_observable,
 )
 from .analysis import SensitivityMatrix
-
-if TYPE_CHECKING:
-    from .bounds import DecaySpec
+from .bounds import DecaySpec, _check_rows, _decay_prefactor, memory_bound_general
 
 
 #: Largest worst residual with which an identity of the ``verify`` suite passes.
@@ -108,8 +106,6 @@ def exact_oscillation_rows(f: KernelSpec, h: Observable, j: int, max_n: int) -> 
     Rows whose steps times blocks would pass ``WORK_CAP`` are left out (past
     a vector of zeros every row is 0.0), and so is every row past the cap.
     """
-    from .bounds import _check_rows
-
     max_n = _check_rows(h, j, max_n)
     _check_compose_args(f, h.support, h)
     width = max(f.effective_order, len(h.support))
@@ -166,8 +162,6 @@ def series_decay_margin(alpha: SensitivityMatrix, decay: DecaySpec, window: Wind
     which raises when the window's tilted row sum is not below 1.  The
     envelope holds when the margin is at least -1e-12.
     """
-    from .bounds import _decay_prefactor
-
     _, pref = _decay_prefactor(alpha, decay, window)
     spread = _dusting_matrix(alpha, window)
     lo_col = window.lo - alpha.depth
@@ -305,7 +299,6 @@ def verify_suite(f: KernelSpec, trials: int, seed: int) -> list[dict]:
             f"({n}**{sites} configurations exceed the cap of {DEFAULT_CONFIG_CAP})"
         )
     from .analysis import build_sensitivity_matrix
-    from .bounds import memory_bound_general
 
     rng = np.random.default_rng(seed)
     depth = f.memory_depth

@@ -225,13 +225,6 @@ def two_state_markov(p1_given_0: float, p1_given_1: float, label: str = "") -> K
     return KernelSpec(alphabet, 1, MarkovTable(1, rows), label=label)
 
 
-def iid_kernel(probabilities, label: str = "") -> KernelSpec:
-    """Memoryless kernel on the symbols ``"0"``, ``"1"``, ... with the given law."""
-    probs = tuple(float(p) for p in probabilities)
-    alphabet = AlphabetSpec.discrete(tuple(str(i) for i in range(len(probs))))
-    return KernelSpec(alphabet, 0, MarkovTable(0, (probs,)), label=label)
-
-
 # Cephes' rational approximation of zeta(x) - 1 on 1 < x <= 10 (zetac.c)
 _ZETAC_P = (
     5.85746514569725319540e11, 2.57534127756102572888e11, 4.87781159567948256438e10,

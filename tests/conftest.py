@@ -1,12 +1,38 @@
-"""Shared fixtures: the three reference kernels and random-kernel factories."""
+"""Shared fixtures: the three reference kernels, random-kernel factories and test helpers."""
 
 from __future__ import annotations
+
+import itertools
+from typing import Callable, Iterator
 
 import numpy as np
 import pytest
 
-from lislab import AlphabetSpec, GeneralTable, KernelSpec
-from lislab.specio import iid_kernel, power_law_linear, two_state_markov
+from lislab import AlphabetSpec, GeneralTable, KernelSpec, MarkovTable, Observable, Window
+from lislab.core import check_cap
+from lislab.specio import power_law_linear, two_state_markov
+
+
+def iid_kernel(probabilities, label: str = "") -> KernelSpec:
+    """Memoryless kernel on the symbols ``"0"``, ``"1"``, ... with the given law."""
+    probs = tuple(float(p) for p in probabilities)
+    alphabet = AlphabetSpec.discrete(tuple(str(i) for i in range(len(probs))))
+    return KernelSpec(alphabet, 0, MarkovTable(0, (probs,)), label=label)
+
+
+def enumerate_configs(window: Window, alphabet: AlphabetSpec) -> Iterator[tuple[int, ...]]:
+    """Yield every configuration of ``window`` once, in increasing ``config_code`` order."""
+    length = window.hi - window.lo + 1  # len() overflows before the cap check past sys.maxsize
+    check_cap(alphabet.size, length)
+    yield from itertools.product(range(alphabet.size), repeat=length)
+
+
+def tabulate(
+    window: Window, alphabet: AlphabetSpec, fn: Callable[[tuple[int, ...]], float]
+) -> Observable:
+    """The observable on ``window`` whose value at each configuration is ``fn`` of it."""
+    table = tuple(float(fn(cfg)) for cfg in enumerate_configs(window, alphabet))
+    return Observable(window, alphabet, table)
 
 
 @pytest.fixture(scope="session")

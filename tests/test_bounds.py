@@ -21,11 +21,9 @@ from lislab import (
     comparison_bound,
     constant_observable,
     correlation_bound,
-    correlation_bound_semi_exact,
     fit_decay_rate,
     indicator,
     kernel_average_observable,
-    memory_bound_exponential,
     memory_bound_general,
     memory_bound_rows,
     series_decay_margin,
@@ -45,9 +43,9 @@ from lislab.oracle import (
     stationary_expectations,
     stationary_measure,
 )
-from lislab.specio import iid_kernel, power_law_linear, two_state_markov
+from lislab.specio import power_law_linear, two_state_markov
 
-from conftest import per_call_columns
+from conftest import iid_kernel, per_call_columns
 
 
 def random_sub_dobrushin(rng: np.random.Generator, depth: int | None = None) -> SensitivityMatrix:
@@ -182,34 +180,13 @@ def test_memory_bound_validates_inputs(k1):
         memory_bound_general(alpha, Window(0, 0), h, -1)
 
 
-def test_memory_bound_exponential_example(k1):
-    alpha = build_sensitivity_matrix(k1)
-    decay = DecaySpec("exponential", 0.5)
-    h = indicator(3, 1, k1.alphabet)
-    rep = memory_bound_exponential(alpha, decay, Window(0, 3), h, -1)
-    gamma = 0.4 * math.exp(0.5)
-    assert rep.quantities["gamma_window"] == pytest.approx(gamma, abs=1e-12)
-    assert rep.value == pytest.approx(gamma / (1 - gamma) * math.exp(-2.0), abs=1e-12)
-    assert rep.value == pytest.approx(0.262, abs=1e-3)
-
-
-def test_memory_bound_exponential_rejects_large_rate(k1):
+def test_series_decay_margin_rejects_large_rate(k1):
     alpha = build_sensitivity_matrix(k1)
     # 0.4 e^rate >= 1 once rate >= ln 2.5
     decay = DecaySpec("exponential", math.log(2.5) + 0.01)
-    h = indicator(2, 1, k1.alphabet)
     with pytest.raises(BoundNotApplicableError) as err:
-        memory_bound_exponential(alpha, decay, Window(0, 2), h, -1)
+        series_decay_margin(alpha, decay, Window(0, 2))
     assert err.value.gamma >= 1.0
-
-
-def test_memory_bound_exponential_zero_alpha():
-    alpha = SensitivityMatrix.from_stationary((0.0,))
-    e = iid_kernel((0.5, 0.5)).alphabet
-    h = indicator(2, 1, e)
-    rep = memory_bound_exponential(alpha, DecaySpec("exponential", 1.0), Window(0, 2), h, -1)
-    assert rep.value == 0.0
-    assert rep.quantities["gamma_window"] == 0.0
 
 
 # --- decay-rate fitting -----------------------------------------------------
@@ -261,12 +238,9 @@ def test_fit_decay_rate_exponential_on_deep_rows(depth, rate):
 def test_decay_bounds_refuse_a_rate_whose_tilt_overflows():
     alpha = build_sensitivity_matrix(power_law_linear(0.5, 16))
     decay = DecaySpec("exponential", 60.0)  # exp(60 * 12) is past the float range
-    h = indicator(2, 1, AlphabetSpec.binary())
     with pytest.raises(BoundNotApplicableError) as err:
-        memory_bound_exponential(alpha, decay, Window(0, 2), h, -1)
-    assert err.value.gamma == math.inf
-    with pytest.raises(BoundNotApplicableError):
         series_decay_margin(alpha, decay, Window(0, 2))
+    assert err.value.gamma == math.inf
 
 
 def test_fit_decay_rate_infeasible():
@@ -297,24 +271,6 @@ def test_series_decay_random_property(seed):
     window = Window(0, int(rng.integers(1, 7)))
     margin = series_decay_margin(alpha, decay, window)
     assert margin >= -1e-12, f"margin {margin}"
-
-
-@given(seed=st.integers(0, 10**6))
-@settings(max_examples=60, deadline=None)
-def test_exponential_bound_dominates_general(seed):
-    # the decay-profile form upper-bounds the window-limited form
-    # entrywise, hence also after pairing with any oscillation vector
-    rng = np.random.default_rng(seed)
-    alpha = random_sub_dobrushin(rng)
-    decay = fit_decay_rate(alpha)
-    hi = int(rng.integers(0, 4))
-    window = Window(0, hi)
-    e = iid_kernel((0.5, 0.5)).alphabet
-    h = random_observable(window, e, rng)
-    j = -int(rng.integers(1, alpha.depth + 2))
-    general = memory_bound_general(alpha, window, h, j).value
-    exponential = memory_bound_exponential(alpha, decay, window, h, j).value
-    assert exponential >= general - 1e-12
 
 
 # --- correlation bound ------------------------------------------------------
@@ -558,16 +514,6 @@ def test_correlation_bound_zero_matrix_wide_second_window():
     assert rep.value == 0.0
 
 
-def test_correlation_semi_exact_between_exact_and_bound(k1):
-    alpha = build_sensitivity_matrix(k1)
-    h0 = indicator(0, 1, k1.alphabet)
-    h3 = indicator(3, 1, k1.alphabet)
-    full = correlation_bound(alpha, Window(3, 3), Window(0, 0), h3, h0, 1.0).value
-    semi = correlation_bound_semi_exact(k1, alpha, Window(3, 3), Window(0, 0), h3, h0).value
-    exact = exact_correlation(k1, h0, h0, 3)
-    assert exact - 1e-12 <= semi <= full + 1e-12
-
-
 def _binary_table(rng: np.random.Generator, depth: int) -> GeneralTable:
     """Rows within 0.2 of fair, so every sensitivity row sum stays at most 0.8."""
     return GeneralTable(tuple((p, 1.0 - p) for p in rng.uniform(0.3, 0.7, 2**depth).tolist()))
@@ -589,10 +535,9 @@ def _exact_covariance(f: KernelSpec, default: KernelSpec, h1, h2, start: int) ->
     return abs(e12 - e1 * e2)
 
 
-def test_correlation_semi_exact_property_random_binary_tables():
+def test_correlation_bound_dominates_exact_covariance_random_binary_tables():
     rng = np.random.default_rng(2024)
     alphabet = AlphabetSpec.discrete(("0", "1"))
-    strict = 0
     for case in range(48):
         depth = int(rng.integers(1, 3))
         default = KernelSpec(alphabet, depth, _binary_table(rng, depth))
@@ -609,16 +554,11 @@ def test_correlation_semi_exact_property_random_binary_tables():
         h2 = random_observable(delta, alphabet, rng)
         alpha = build_sensitivity_matrix(f)
         full = correlation_bound(alpha, lam, delta, h1, h2, alphabet.diameter).value
-        semi = correlation_bound_semi_exact(f, alpha, lam, delta, h1, h2).value
         exact = _exact_covariance(f, default, h1, h2, start)
         if f.stationary:
             separation = lam.lo - delta.lo
             assert exact == pytest.approx(exact_correlation(f, h2, h1, separation), abs=1e-15)
-        assert exact - 1e-12 <= semi <= full + 1e-12, case
-        if depth == 1 and len(delta) == 1:  # one-step binary chain: exact factors equal G2
-            assert semi == pytest.approx(full, rel=1e-9), case
-        strict += semi < full
-    assert strict > 0
+        assert exact - 1e-12 <= full, case
 
 
 # --- comparison bound -------------------------------------------------------

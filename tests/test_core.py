@@ -14,11 +14,12 @@ from lislab import (
     Observable,
     Window,
     constant_observable,
-    enumerate_configs,
     indicator,
     oscillation,
 )
-from lislab.core import product_observable, shift_observable, tabulate
+from lislab.core import config_code, product_observable, shift_observable
+
+from conftest import enumerate_configs, tabulate
 
 
 def test_discrete_alphabet_basics():
@@ -185,8 +186,8 @@ def test_shift_and_product():
     assert g.support == Window(3, 3)
     prod = product_observable(h, g)
     assert prod.support == Window(0, 3)
-    assert prod.value_at((1, 0, 0, 1)) == 1.0
-    assert prod.value_at((1, 0, 0, 0)) == 0.0
+    assert prod.table[config_code((1, 0, 0, 1), 2)] == 1.0
+    assert prod.table[config_code((1, 0, 0, 0), 2)] == 0.0
     with pytest.raises(CapExceededError):  # a hull longer than sys.maxsize sites
         product_observable(h, shift_observable(h, 2**63))
 
@@ -210,7 +211,10 @@ def test_product_matches_pointwise_values(n, len1, lo2, len2, seed):
     prod = product_observable(h1, h2)
     assert prod.support == hull
     at1, at2 = slice(-hull.lo, len1 - hull.lo), slice(lo2 - hull.lo, lo2 + len2 - hull.lo)
-    expected = [h1.value_at(cfg[at1]) * h2.value_at(cfg[at2]) for cfg in enumerate_configs(hull, e)]
+    expected = [
+        h1.table[config_code(cfg[at1], n)] * h2.table[config_code(cfg[at2], n)]
+        for cfg in enumerate_configs(hull, e)
+    ]
     assert prod.table.tobytes() == np.array(expected).tobytes()
 
 

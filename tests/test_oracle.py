@@ -37,9 +37,9 @@ from lislab.core import (
 )
 from lislab.kernels import kernel_average_observable
 from lislab.oracle import ChainStructureError
-from lislab.specio import iid_kernel, power_law_linear, two_state_markov
+from lislab.specio import power_law_linear, two_state_markov
 
-from conftest import random_table_kernel
+from conftest import iid_kernel, random_table_kernel
 
 
 def test_exact_oscillation_markov(k1):

@@ -1,8 +1,5 @@
 """Smoke runs of the sweep scripts against the public API."""
 
-import csv
-import io
-import math
 import os
 import subprocess
 import sys
@@ -13,16 +10,12 @@ import pytest
 ROOT = Path(__file__).resolve().parents[1]
 SCRIPTS = sorted((ROOT / "scripts").glob("*.py"))
 
-#: Arguments by script; the memory sweep runs past n = 11, where enumerating
-#: the window [0, n] would exceed the configuration cap.
-ARGS = {"memory_decay_sweep": ["--max-n", "40"]}
 
-
-def _run(script: Path) -> subprocess.CompletedProcess:
+def _run(script: Path, *args: str) -> subprocess.CompletedProcess:
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
     return subprocess.run(
-        [sys.executable, str(script), *ARGS.get(script.stem, [])],
+        [sys.executable, str(script), *args],
         capture_output=True,
         text=True,
         env=env,
@@ -41,9 +34,12 @@ def test_script_runs(script):
     assert proc.stdout.strip()
 
 
-def test_memory_decay_sweep_fills_every_exact_row():
-    proc = _run(ROOT / "scripts" / "memory_decay_sweep.py")
+def test_finite_volume_convergence_refuses_a_window_past_the_cap():
+    # the window [-12, 0] has 2**13 configurations; n = 11 is the last that fits
+    proc = _run(ROOT / "scripts" / "finite_volume_convergence.py", "--max-n", "12")
+    assert proc.returncode == 2
+    assert "Traceback" not in proc.stderr
+    assert "--max-n 12" in proc.stderr
+    proc = _run(ROOT / "scripts" / "finite_volume_convergence.py", "--max-n", "11")
     assert proc.returncode == 0, proc.stderr
-    rows = list(csv.DictReader(io.StringIO(proc.stdout)))
-    assert [int(row["n"]) for row in rows] == list(range(1, 41))
-    assert all(math.isfinite(float(row["exact"])) for row in rows)
+    assert proc.stdout.splitlines()[-1].split()[0] == "11"

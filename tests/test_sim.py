@@ -8,13 +8,13 @@ import pytest
 
 from lislab import Window, build_sensitivity_matrix, estimate_correlation, indicator, sample_path
 from lislab import sim
-from lislab.core import AlphabetSpec, tabulate
+from lislab.core import AlphabetSpec
 from lislab.kernels import GeneralTable, KernelSpec, LinearLongMemory, MarkovTable, SiteIndexed
 from lislab.oracle import exact_correlation, sample_path_stepwise
 from lislab.sim import default_burn_in, evaluate_along
 from lislab.specio import power_law_linear, two_state_markov
 
-from conftest import random_distribution
+from conftest import random_distribution, tabulate
 
 
 def test_reproducible_paths(k1):
@@ -61,7 +61,6 @@ def test_evaluate_along_multisite(k1):
     h = indicator(0, 1, k1.alphabet)
     path = np.array([0, 1, 1, 0], dtype=np.int8)
     assert evaluate_along(path, h).tolist() == [0.0, 1.0, 1.0, 0.0]
-    from lislab.core import tabulate
 
     pair = tabulate(Window(0, 1), k1.alphabet, lambda c: float(c[0] * c[1]))
     assert evaluate_along(path, pair).tolist() == [0.0, 1.0, 0.0]
