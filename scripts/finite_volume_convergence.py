@@ -27,7 +27,10 @@ def main() -> None:
     parser.add_argument("--max-n", type=int, default=10)
     args = parser.parse_args()
 
-    f = two_state_markov(args.p01, args.p11)
+    try:
+        f = two_state_markov(args.p01, args.p11)
+    except ValueError as exc:
+        parser.error(f"--p01 {args.p01} --p11 {args.p11}: {exc}")
     if exceeds_cap(f.alphabet.size, args.max_n + 1, DEFAULT_CONFIG_CAP):
         parser.error(
             f"--max-n {args.max_n}: the window [-{args.max_n}, 0] has more than "

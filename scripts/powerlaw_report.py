@@ -18,20 +18,26 @@ def main() -> None:
     parser.add_argument("--depths", default="8,16,32,64")
     args = parser.parse_args()
 
+    try:  # every kernel is built before the table starts, so a bad value prints no rows
+        kernels = [
+            (eps, depth, power_law_linear(eps, depth))
+            for eps in (float(x) for x in args.epsilons.split(","))
+            for depth in (int(x) for x in args.depths.split(","))
+        ]
+    except ValueError as exc:
+        parser.error(f"--epsilons {args.epsilons} --depths {args.depths}: {exc}")
     print(f"{'eps':>5} {'depth':>5} {'row_sum':>12} {'margin':>12} {'tail':>12} {'log_rate':>10}")
-    for eps in (float(x) for x in args.epsilons.split(",")):
-        for depth in (int(x) for x in args.depths.split(",")):
-            f = power_law_linear(eps, depth)
-            alpha = build_sensitivity_matrix(f)
-            verdict = dobrushin_check(alpha)
-            try:
-                rate = fit_decay_rate(alpha, "powerlog").rate
-            except BoundNotApplicableError:
-                rate = float("nan")
-            print(
-                f"{eps:5.2f} {depth:5d} {verdict.scalars['row_sum_sup']:12.8f} "
-                f"{verdict.scalars['margin']:12.8f} {verdict.truncation_tail:12.8f} {rate:10.5f}"
-            )
+    for eps, depth, f in kernels:
+        alpha = build_sensitivity_matrix(f)
+        verdict = dobrushin_check(alpha)
+        try:
+            rate = fit_decay_rate(alpha, "powerlog").rate
+        except BoundNotApplicableError:
+            rate = float("nan")
+        print(
+            f"{eps:5.2f} {depth:5d} {verdict.scalars['row_sum_sup']:12.8f} "
+            f"{verdict.scalars['margin']:12.8f} {verdict.truncation_tail:12.8f} {rate:10.5f}"
+        )
 
 
 if __name__ == "__main__":

@@ -35,8 +35,8 @@ _PUBLIC = {
         "correlation_bound", "fit_decay_rate", "memory_bound_general", "memory_bound_rows",
     ),
     "oracle": (
-        "exact_correlation", "exact_oscillation_of_average", "exact_oscillation_rows",
-        "series_decay_margin",
+        "exact_correlation", "exact_correlations", "exact_oscillation_of_average",
+        "exact_oscillation_rows", "series_decay_margin",
         "stationary_expectations", "stationary_measure", "verify_consistency", "verify_dusting",
     ),
     "sim": ("estimate_correlation", "sample_path"),

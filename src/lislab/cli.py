@@ -253,10 +253,10 @@ def _lag_table(f, args, header: list) -> tuple[list, int | None]:
     """Rows of the per-lag columns named in ``header``, each computed once, and the burn-in.
 
     ``bound`` is empty at lag 0 and where the row-sum criterion fails;
-    ``exact`` (with ``args.verify``) reads one stationary law; ``empirical``
-    and ``se`` (with ``args.length``, else ``args.burn_in`` comes back as
-    given) come from a path sampled last, so nothing before it adds to its
-    peak memory.  A path too short is an input error.
+    ``exact`` (with ``args.verify``) comes from one forward sweep, empty past
+    its work cap; ``empirical`` and ``se`` (with ``args.length``, else
+    ``args.burn_in`` comes back as given) come from a path sampled last, so
+    nothing before it adds to its peak memory.  A path too short is an input error.
     """
     from .analysis import build_sensitivity_matrix
     from .bounds import BoundNotApplicableError, correlation_bound
@@ -276,11 +276,9 @@ def _lag_table(f, args, header: list) -> tuple[list, int | None]:
     if args.verify:
         from . import oracle
 
-        with contextlib.suppress(ValueError, oracle.ChainStructureError):
-            law = oracle.stationary_measure(f)  # one law per command; every lag reads it
-            for i, lag in enumerate(args.lags):
-                with contextlib.suppress(ValueError):  # past the cap
-                    cols["exact"][i] = oracle.exact_correlation(f, h0, h0, lag, law)
+        with contextlib.suppress(ValueError, oracle.ChainStructureError):  # no law, or past the cap
+            exact = oracle.exact_correlations(f, h0, h0, args.lags)
+            cols["exact"] = [exact.get(lag, "") for lag in args.lags]
     burn = args.burn_in
     if args.length:
         from . import sim

@@ -14,9 +14,11 @@ the spanning-tree vertices of the transportation polytope; the
 library's ``vkr_distance`` never calls it.  Dense matrix powers
 (``_dusting_matrix``) are the one power-sum reference; the spread and
 decay-envelope checks read them.  The stationary block law is one exact
-linear solve on a view of the kernel's own table, which expectations
-extend site by site.  ``sample_path_stepwise`` is the per-step sampling
-loop both of the library's samplers are held to, bit for bit.
+linear solve on a view of the kernel's own table; ``_step`` carries it
+forward to expectations and, weighted by a centred observable, to every
+lag of a correlation in one sweep.  ``sample_path_stepwise`` is the
+per-step sampling loop both of the library's samplers are held to, bit
+for bit.
 
 ``verify_suite`` is the property suite behind ``lis-lab verify``, with
 its admission rule; every worst-residual fold in it goes through
@@ -45,9 +47,7 @@ from .core import (
     constant_observable,
     exceeds_cap,
     oscillation,
-    product_observable,
     random_observable,
-    shift_observable,
     worse,
 )
 from .kernels import (
@@ -439,64 +439,87 @@ def _backward_sweep(f: KernelSpec, v: np.ndarray, top: int, lo: int) -> Iterator
 
 
 def _check_irreducible_aperiodic(succ: list[list[int]], size: int) -> None:
-    def reachable(adj: list[list[int]]) -> set[int]:
-        seen = {0}
-        stack = [0]
-        while stack:
-            v = stack.pop()
+    def levels(adj: list[list[int]]) -> dict[int, int]:  # breadth-first, from block 0
+        level, queue = {0: 0}, [0]
+        for v in queue:
             for w in adj[v]:
-                if w not in seen:
-                    seen.add(w)
-                    stack.append(w)
-        return seen
+                if w not in level:
+                    level[w] = level[v] + 1
+                    queue.append(w)
+        return level
 
-    if len(reachable(succ)) != size:
-        raise ChainStructureError("block chain is reducible (forward reachability fails)")
     rev: list[list[int]] = [[] for _ in range(size)]
     for v, outs in enumerate(succ):
         for w in outs:
             rev[w].append(v)
-    if len(reachable(rev)) != size:
-        raise ChainStructureError("block chain is reducible (backward reachability fails)")
+    level = levels(succ)
+    for reached, way in ((level, "forward"), (levels(rev), "backward")):
+        if len(reached) != size:
+            raise ChainStructureError(f"block chain is reducible ({way} reachability fails)")
     # period = gcd over edges of (level[u] + 1 - level[v]) on a BFS tree
-    level = {0: 0}
-    queue = [0]
-    g = 0
-    while queue:
-        v = queue.pop(0)
-        for w in succ[v]:
-            if w not in level:
-                level[w] = level[v] + 1
-                queue.append(w)
-            else:
-                g = math.gcd(g, level[v] + 1 - level[w])
-    if abs(g) != 1:
-        raise ChainStructureError(f"block chain is periodic with period {abs(g)}")
+    g = math.gcd(*(level[v] + 1 - level[w] for v, outs in enumerate(succ) for w in outs))
+    if g != 1:
+        raise ChainStructureError(f"block chain is periodic with period {g}")
+
+
+def _block_law(
+    f: KernelSpec, law: FiniteDistribution, *observables: Observable
+) -> tuple[np.ndarray, np.ndarray, list[np.ndarray]]:
+    """The stepped ``law`` on blocks wide enough for every observable, the block rows, each table.
+
+    ``law`` is stepped one block on (``_step`` shrinks the solve's rounding
+    error), then extended one site at a time, ``P(block x) = P(block) P(x |
+    block)``, within the cap; each table is read on the blocks' trailing sites.
+    """
+    rows = _block_rows(f)
+    mu = law.weights
+    for _ in range(max(f.effective_order, 1)):
+        mu = _step(mu, rows)
+    for h in observables:
+        _check_compose_args(f, h.support, h)
+    size = check_cap(f.alphabet.size, max((len(h.support) for h in observables), default=1))
+    while mu.size < size:
+        mu = (mu[:, None] * rows[np.arange(mu.size) % len(rows)]).ravel()
+    blocks = np.arange(mu.size)
+    return mu, rows[blocks % len(rows)], [h.table[blocks % len(h.table)] for h in observables]
 
 
 def stationary_expectations(
     f: KernelSpec, observables: Sequence[Observable], law: FiniteDistribution | None = None
 ) -> list[float]:
-    """Stationary expectation of each observable.
+    """Stationary expectation of each observable on one ``_block_law`` (``law`` solved if None)."""
+    mu, _, tables = _block_law(f, stationary_measure(f) if law is None else law, *observables)
+    return [float(mu @ table) for table in tables]
 
-    ``law`` is ``stationary_measure(f)``, solved here when not given.  It
-    is stepped one block on (``_step`` shrinks the solve's rounding error),
-    then extended one site at a time, ``P(block x) = P(block) P(x | block)``,
-    to blocks as long as each support; each observable is read on their
-    trailing sites.
+
+def exact_correlations(
+    f: KernelSpec,
+    h1: Observable,
+    h2: Observable,
+    separations: Sequence[int],
+    law: FiniteDistribution | None = None,
+) -> dict[int, float]:
+    """|Cov| of ``h1`` and ``h2`` moved to start ``s`` sites right of ``h1``, by separation ``s``.
+
+    One forward transfer of ``_block_law`` (``law`` solved when not given)
+    weighted by the centred ``h1``; ``s`` reads the centred ``h2`` after ``s
+    + |supp h2| - |supp h1|`` steps (where ``h2`` ends first, they swap).  A
+    separation whose steps times blocks pass ``WORK_CAP`` is left out, unstepped.
     """
-    rows = _block_rows(f)
-    mu = (stationary_measure(f) if law is None else law).weights
-    for _ in range(max(f.effective_order, 1)):
-        mu = _step(mu, rows)
-    out = []
-    for h in observables:
-        _check_compose_args(f, h.support, h)
-        size = check_cap(f.alphabet.size, len(h.support))
-        v = mu
-        while v.size < size:
-            v = (v[:, None] * rows[np.arange(v.size) % len(rows)]).ravel()
-        out.append(float(v @ h.table[np.arange(v.size) % size]))
+    law = stationary_measure(f) if law is None else law
+    shift = len(h2.support) - len(h1.support)
+    back = [-s for s in separations if s + shift < 0]
+    out = {-s: c for s, c in exact_correlations(f, h2, h1, back, law).items()} if back else {}
+    mu, rows, (c1, c2) = _block_law(f, law, h1, h2)
+    v, c2 = mu * (c1 - mu @ c1), c2 - mu @ c2  # centred first: E[h1 h2] - E h1 E h2 cancels
+    top = max((s + shift for s in separations if s + shift <= WORK_CAP // mu.size), default=-1)
+    values = []
+    for k in range(top + 1):
+        if k:  # mass 0 stays 0: rounding would pile up along mu, swamping a small covariance
+            v = _step(v, rows)
+            v -= v.sum() * mu
+        values.append(abs(float(v @ c2)))
+    out.update({s: values[s + shift] for s in separations if 0 <= s + shift <= top})
     return out
 
 
@@ -507,15 +530,11 @@ def exact_correlation(
     separation: int,
     law: FiniteDistribution | None = None,
 ) -> float:
-    """|Cov| of ``h1`` and ``h2`` shifted ``separation`` sites to the right.
-
-    Exact: the stationary block law (``law``, solved when not given)
-    extended over the joint window, within the configuration cap.
-    """
-    shifted = shift_observable(h2, separation + h1.support.lo - h2.support.lo)
-    joint = product_observable(h1, shifted)
-    e_joint, e1, e2 = stationary_expectations(f, (joint, h1, h2), law)
-    return abs(e_joint - e1 * e2)
+    """The one-separation case of ``exact_correlations``; past its work cap, CapExceededError."""
+    out = exact_correlations(f, h1, h2, [separation], law)
+    if separation not in out:
+        raise CapExceededError(f"separation {separation} steps past the work cap of {WORK_CAP}")
+    return out[separation]
 
 
 def _solve_tree(

@@ -35,6 +35,27 @@ def tabulate(
     return Observable(window, alphabet, table)
 
 
+def product_observable(h1: Observable, h2: Observable) -> Observable:
+    """Pointwise product on the hull of the two supports: the joint-window enumeration reference.
+
+    ``stationary_expectations`` of it, less the product of the two means, is
+    the covariance that ``oracle.exact_correlations`` sweeps without a hull.
+    """
+    if h1.alphabet != h2.alphabet:
+        raise ValueError("observables live on different alphabets")
+    hull = Window(min(h1.support.lo, h2.support.lo), max(h1.support.hi, h2.support.hi))
+    n = h1.alphabet.size
+    check_cap(n, hull.hi - hull.lo + 1)  # len() overflows before the cap check past sys.maxsize
+
+    def on_hull(h: Observable) -> np.ndarray:
+        # one axis per hull site, of length 1 where h does not depend on the site
+        shape = (1,) * (h.support.lo - hull.lo) + (n,) * len(h.support)
+        return h.table.reshape(shape + (1,) * (hull.hi - h.support.hi))
+
+    product = np.broadcast_to(on_hull(h1) * on_hull(h2), (n,) * len(hull))
+    return Observable(hull, h1.alphabet, product.reshape(-1))
+
+
 @pytest.fixture(scope="session")
 def k1() -> KernelSpec:
     """Two-state chain, P(1|0) = 0.3, P(1|1) = 0.7."""

@@ -33,19 +33,19 @@ from lislab import bounds
 from lislab.bounds import BoundNotApplicableError
 from lislab.core import (
     oscillation_vector,
-    product_observable,
     random_observable,
     shift_observable,
 )
 from lislab.oracle import (
     _dusting_matrix,
     exact_correlation,
+    exact_correlations,
     stationary_expectations,
     stationary_measure,
 )
 from lislab.specio import power_law_linear, two_state_markov
 
-from conftest import iid_kernel, per_call_columns
+from conftest import iid_kernel, per_call_columns, product_observable
 
 
 def random_sub_dobrushin(rng: np.random.Generator, depth: int | None = None) -> SensitivityMatrix:
@@ -559,6 +559,25 @@ def test_correlation_bound_dominates_exact_covariance_random_binary_tables():
             separation = lam.lo - delta.lo
             assert exact == pytest.approx(exact_correlation(f, h2, h1, separation), abs=1e-15)
         assert exact - 1e-12 <= full, case
+
+
+@pytest.mark.parametrize("depth", [1, 2, 3, 5, 8])
+def test_correlation_bound_dominates_the_sweep_to_lag_1000(depth):
+    # past lag 11, where the joint-window enumeration stopped
+    rng = np.random.default_rng(300 + depth)
+    half = 0.45 / depth  # each lag moves a row by at most 0.9 / depth: row sums up to 0.9
+    rows = tuple((p, 1.0 - p) for p in rng.uniform(0.5 - half, 0.5 + half, 2**depth).tolist())
+    f = KernelSpec(AlphabetSpec.discrete(("0", "1")), depth, GeneralTable(rows))
+    alpha = build_sensitivity_matrix(f)
+    early = random_observable(Window(0, 1), f.alphabet, rng)
+    late = random_observable(Window(0, 0), f.alphabet, rng)
+    lags = range(1, 1001)  # from the top of early to late
+    exact = exact_correlations(f, early, late, [lag + 1 for lag in lags])
+    for lag in lags:
+        moved = shift_observable(late, lag + 1)
+        bound = correlation_bound(alpha, moved.support, early.support, moved, early, 1.0).value
+        assert exact[lag + 1] - 1e-12 <= bound, lag
+        assert exact[lag + 1] <= bound * (1 + 1e-9), lag  # past lag 20 both lie below 1e-12
 
 
 # --- comparison bound -------------------------------------------------------

@@ -267,6 +267,22 @@ def test_bound_correlation_with_verify(k1_path, capsys):
     assert lag3[2] == pytest.approx(0.016, abs=1e-12)
 
 
+def test_bound_correlation_verify_fills_every_lag(capsys):
+    # the joint-window enumeration left lags past 11 empty and lag 11 4e-12 relative off
+    argv = ["bound", "correlation", "--example", "markov", "--verify", "--lags"]
+    assert main(argv + ["1:60"]) == 0
+    rows = json.loads(capsys.readouterr().out)["table"]["rows"]
+    assert [row[0] for row in rows] == list(range(1, 61))
+    for lag, bound, exact, _, _ in rows:
+        assert exact == pytest.approx(0.25 * 0.4**lag, rel=1e-12, abs=0.0), lag
+        assert bound >= exact - 1e-12
+    # a lag past sys.maxsize is past the work cap: an empty cell, and nothing stepped
+    start = time.perf_counter()
+    assert main(argv + ["1" * 20]) == 0
+    assert time.perf_counter() - start < 1.0
+    assert json.loads(capsys.readouterr().out)["table"]["rows"] == [[int("1" * 20), "", "", "", ""]]
+
+
 def test_bound_correlation_site_budget_leaves_cell_empty(capsys):
     # row sum 1 - 2e-10: the tail certificate would need ~1e11 sites
     argv = ["bound", "correlation", "--example", "markov", "--lags", "1"]

@@ -4,7 +4,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from lislab import (
@@ -17,7 +17,6 @@ from lislab import (
     indicator,
     oscillation,
 )
-from lislab.core import config_code, product_observable, shift_observable
 
 from conftest import enumerate_configs, tabulate
 
@@ -177,45 +176,6 @@ def test_observable_rejects_non_finite(table):
     for convert in (tuple, list, np.array):
         with pytest.raises(ValueError, match="finite"):
             Observable(Window(0, 0), AlphabetSpec.binary(), convert(table))
-
-
-def test_shift_and_product():
-    e = AlphabetSpec.binary()
-    h = indicator(0, 1, e)
-    g = shift_observable(h, 3)
-    assert g.support == Window(3, 3)
-    prod = product_observable(h, g)
-    assert prod.support == Window(0, 3)
-    assert prod.table[config_code((1, 0, 0, 1), 2)] == 1.0
-    assert prod.table[config_code((1, 0, 0, 0), 2)] == 0.0
-    with pytest.raises(CapExceededError):  # a hull longer than sys.maxsize sites
-        product_observable(h, shift_observable(h, 2**63))
-
-
-@given(
-    n=st.integers(2, 4),
-    len1=st.integers(1, 3),
-    lo2=st.integers(-4, 4),
-    len2=st.integers(1, 3),
-    seed=st.integers(0, 2**32 - 1),
-)
-@settings(max_examples=200, deadline=None)
-def test_product_matches_pointwise_values(n, len1, lo2, len2, seed):
-    # lo2 spans supports that are disjoint, gapped, overlapping and nested in either order
-    hull = Window(min(0, lo2), max(len1 - 1, lo2 + len2 - 1))
-    assume(n ** len(hull) <= 4096)
-    e = AlphabetSpec.discrete([str(a) for a in range(n)])
-    rng = np.random.default_rng(seed)
-    h1 = Observable(Window(0, len1 - 1), e, rng.uniform(-1.0, 1.0, n**len1))
-    h2 = Observable(Window(lo2, lo2 + len2 - 1), e, rng.uniform(-1.0, 1.0, n**len2))
-    prod = product_observable(h1, h2)
-    assert prod.support == hull
-    at1, at2 = slice(-hull.lo, len1 - hull.lo), slice(lo2 - hull.lo, lo2 + len2 - hull.lo)
-    expected = [
-        h1.table[config_code(cfg[at1], n)] * h2.table[config_code(cfg[at2], n)]
-        for cfg in enumerate_configs(hull, e)
-    ]
-    assert prod.table.tobytes() == np.array(expected).tobytes()
 
 
 @given(

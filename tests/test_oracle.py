@@ -6,6 +6,8 @@ import time
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from lislab import (
     AlphabetSpec,
@@ -18,6 +20,7 @@ from lislab import (
     build_sensitivity_matrix,
     compose_window,
     exact_correlation,
+    exact_correlations,
     exact_oscillation_of_average,
     exact_oscillation_rows,
     indicator,
@@ -30,8 +33,9 @@ from lislab import (
 from lislab.core import (
     WORK_CAP,
     CapExceededError,
+    Observable,
     axis_oscillation,
-    product_observable,
+    config_code,
     random_observable,
     shift_observable,
 )
@@ -39,7 +43,7 @@ from lislab.kernels import kernel_average_observable
 from lislab.oracle import ChainStructureError
 from lislab.specio import power_law_linear, two_state_markov
 
-from conftest import iid_kernel, random_table_kernel
+from conftest import enumerate_configs, iid_kernel, product_observable, random_table_kernel
 
 
 def test_exact_oscillation_markov(k1):
@@ -434,6 +438,76 @@ def test_stationary_solve_on_slow_two_state_chains(p01, p11):
     assert np.abs(_block_flow(f, mu) - mu).sum() <= 1e-12
 
 
+def test_shift_and_product():
+    e = AlphabetSpec.binary()
+    h = indicator(0, 1, e)
+    g = shift_observable(h, 3)
+    assert g.support == Window(3, 3)
+    prod = product_observable(h, g)
+    assert prod.support == Window(0, 3)
+    assert prod.table[config_code((1, 0, 0, 1), 2)] == 1.0
+    assert prod.table[config_code((1, 0, 0, 0), 2)] == 0.0
+    with pytest.raises(CapExceededError):  # a hull longer than sys.maxsize sites
+        product_observable(h, shift_observable(h, 2**63))
+
+
+@given(
+    n=st.integers(2, 4),
+    len1=st.integers(1, 3),
+    lo2=st.integers(-4, 4),
+    len2=st.integers(1, 3),
+    seed=st.integers(0, 2**32 - 1),
+)
+@settings(max_examples=200, deadline=None)
+def test_product_matches_pointwise_values(n, len1, lo2, len2, seed):
+    # lo2 spans supports that are disjoint, gapped, overlapping and nested in either order
+    hull = Window(min(0, lo2), max(len1 - 1, lo2 + len2 - 1))
+    assume(n ** len(hull) <= 4096)
+    e = AlphabetSpec.discrete([str(a) for a in range(n)])
+    rng = np.random.default_rng(seed)
+    h1 = Observable(Window(0, len1 - 1), e, rng.uniform(-1.0, 1.0, n**len1))
+    h2 = Observable(Window(lo2, lo2 + len2 - 1), e, rng.uniform(-1.0, 1.0, n**len2))
+    prod = product_observable(h1, h2)
+    assert prod.support == hull
+    at1, at2 = slice(-hull.lo, len1 - hull.lo), slice(lo2 - hull.lo, lo2 + len2 - hull.lo)
+    expected = [
+        h1.table[config_code(cfg[at1], n)] * h2.table[config_code(cfg[at2], n)]
+        for cfg in enumerate_configs(hull, e)
+    ]
+    assert prod.table.tobytes() == np.array(expected).tobytes()
+
+
+@given(
+    n=st.integers(2, 3),
+    depth=st.integers(0, 4),
+    lo1=st.integers(-3, 3),
+    len1=st.integers(1, 3),
+    len2=st.integers(1, 3),
+    seed=st.integers(0, 2**32 - 1),
+)
+@settings(max_examples=100, deadline=None)
+def test_sweep_matches_joint_window_enumeration(n, depth, lo1, len1, len2, seed):
+    # separations 0-11 take in overlapping supports and an h2 that ends before h1
+    rng = np.random.default_rng(seed)
+    f = random_table_kernel(rng, n_symbols=n, depth=depth)
+    h1 = random_observable(Window(lo1, lo1 + len1 - 1), f.alphabet, rng)
+    h2 = random_observable(Window(5, 4 + len2), f.alphabet, rng)
+    law = stationary_measure(f)
+    sweep = exact_correlations(f, h1, h2, range(12), law)
+    assert sweep.keys() == set(range(12))
+    # centred before the product: uncentred, E[h1 h2] - E h1 E h2 on a 12-site law loses 3e-15
+    means = stationary_expectations(f, [h1, h2], law)
+    c1, c2 = (Observable(h.support, h.alphabet, h.table - e) for h, e in zip((h1, h2), means))
+    for separation in range(12):
+        if n ** max(len1, separation + len2, depth) > 4096:
+            continue
+        moved = shift_observable(c2, lo1 + separation - 5)
+        [cov] = stationary_expectations(f, [product_observable(c1, moved)], law)
+        assert sweep[separation] == pytest.approx(abs(cov), rel=0.0, abs=1e-15)
+    separation = int(rng.integers(12))
+    assert exact_correlation(f, h1, h2, separation, law) == sweep[separation]
+
+
 def test_expectations_batch_over_4096_blocks():
     f = random_table_kernel(np.random.default_rng(12), n_symbols=2, depth=12)
     law = stationary_measure(f)
@@ -446,9 +520,17 @@ def test_expectations_batch_over_4096_blocks():
     )
     [batched] = stationary_expectations(f, [joint], law)
     assert batched == pytest.approx(loop, rel=0.0, abs=1e-13)
-    assert exact_correlation(f, h, h, 11, law) > 0.0
-    with pytest.raises(CapExceededError):
-        exact_correlation(f, h, h, 12, law)
+    [e1] = stationary_expectations(f, [h], law)
+    assert exact_correlation(f, h, h, 11, law) == pytest.approx(abs(batched - e1 * e1), abs=1e-15)
+    # the sweep has no joint window: lag 12 steps the same 4096 blocks, and so does lag 1000
+    sweep = exact_correlations(f, h, h, range(1, 2000), law)
+    assert sweep.keys() == set(range(1, WORK_CAP // 4096 + 1))  # lags 1-1024, in steps x blocks
+    assert exact_correlation(f, h, h, 12, law) == sweep[12] > 0.0
+    with pytest.raises(CapExceededError, match="work cap"):
+        exact_correlation(f, h, h, 1025, law)
+    wide = Observable(Window(0, 12), f.alphabet, np.random.default_rng(13).random(2**13))
+    with pytest.raises(CapExceededError):  # 13 sites: 8192 blocks
+        exact_correlation(f, wide, h, 12, law)
 
 
 def test_finite_volume_convergence_gap(k1):

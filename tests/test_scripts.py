@@ -43,3 +43,21 @@ def test_finite_volume_convergence_refuses_a_window_past_the_cap():
     proc = _run(ROOT / "scripts" / "finite_volume_convergence.py", "--max-n", "11")
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.splitlines()[-1].split()[0] == "11"
+
+
+@pytest.mark.parametrize(
+    ("script", "args"),
+    [
+        ("finite_volume_convergence", ("--p01", "1.5")),
+        ("powerlaw_report", ("--depths", "0")),
+        ("powerlaw_report", ("--epsilons", "2")),
+    ],
+)
+def test_scripts_refuse_a_bad_model_parameter(script, args):
+    # each ended in a ValueError traceback from the kernel builder
+    proc = _run(ROOT / "scripts" / f"{script}.py", *args)
+    assert proc.returncode == 2
+    assert "Traceback" not in proc.stderr
+    assert proc.stdout == ""
+    [error] = [line for line in proc.stderr.splitlines() if "error:" in line]
+    assert error.startswith(f"{script}.py: error: ") and " ".join(args) in error
