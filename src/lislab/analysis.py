@@ -9,6 +9,9 @@ metric on two or three symbols and the discrete metric of any size) the
 cost is the closed form of transport on a tree.  Any other metric solves
 one HiGHS transport LP per pair; ``scipy`` is imported only then.
 ``oracle._vkr_vertex_enum`` is the independent reference in the tests.
+
+Row sums are summed by ``math.fsum``, which rounds the exact sum once, so
+the strict row-sum criterion fails on a row whose real sum is 1.
 """
 
 from __future__ import annotations
@@ -188,12 +191,13 @@ class SensitivityMatrix:
         return self.row(i)[lag - 1]
 
     def row_sum(self, i: int) -> float:
-        return float(sum(self.row(i)))
+        """Sum of row ``i``, correctly rounded (``math.fsum``): an exact sum >= 1 reads >= 1."""
+        return math.fsum(self.row(i))
 
     def sup_row_sum(self) -> float:
-        sums = [float(sum(self.stationary_row))]
-        sums.extend(float(sum(row)) for _, row in self.site_rows)
-        return max(sums)
+        """Largest row sum, each one summed as in ``row_sum``."""
+        rows = (self.stationary_row, *(row for _, row in self.site_rows))
+        return max(math.fsum(row) for row in rows)
 
     @staticmethod
     def from_stationary(row: Sequence[float]) -> "SensitivityMatrix":

@@ -10,7 +10,10 @@ reads conditional laws.  Interval kernels are products of singletons
 swept left to right; composition against an observable is an exact
 enumeration over the window, vectorised over pasts so that tabulating a
 kernel average over every relevant past costs about as much as one
-evaluation.
+evaluation.  One rule reads a past (``_read_past``): a composition needs
+the memory depth or the observable's overhang left of the window,
+whichever is longer, and codes only those last symbols, so a past of any
+length gives the value of its tail.
 """
 
 from __future__ import annotations
@@ -252,10 +255,12 @@ def family_row(family: SingleFamily, alphabet: AlphabetSpec, past: Sequence[int]
 
 
 def _read_past(f: KernelSpec, past: Sequence[int], need: int, exact: bool = False) -> tuple[int, ...]:
-    """``past`` as a tuple of Python ints, the one rule for a past; else ``ValueError``.
+    """The last ``need`` symbols of ``past`` as Python ints, the one rule for a past.
 
     At least ``need`` symbols (exactly ``need`` with ``exact``), each an integer by
-    ``operator.index`` (no float, ``nan`` or numpy float) in ``0 .. |E| - 1``.
+    ``operator.index`` (no float, ``nan`` or numpy float) in ``0 .. |E| - 1``;
+    else ``ValueError``.  Every symbol is checked, and only the last ``need``
+    are returned, so a past of any length codes to ``|E|**need`` at most.
     """
     try:
         symbols = tuple(map(operator.index, past))
@@ -266,20 +271,13 @@ def _read_past(f: KernelSpec, past: Sequence[int], need: int, exact: bool = Fals
         raise ValueError(f"past has length {len(symbols)}, need {rule}{need}")
     if min(symbols, default=0) < 0 or max(symbols, default=0) >= f.alphabet.size:
         raise ValueError("past contains a symbol outside the alphabet")
-    return symbols
+    return symbols[len(symbols) - need :]
 
 
 def eval_singleton(f: KernelSpec, i: int, past: Sequence[int]) -> FiniteDistribution:
     """Law of the symbol at site ``i`` given exactly R past symbols (``_read_past``)."""
     symbols = _read_past(f, past, f.memory_depth, exact=True)
     return FiniteDistribution(family_row(f.family_at(i), f.alphabet, symbols))
-
-
-def _required_past(f: KernelSpec, window: Window, h: Observable) -> int:
-    need = f.memory_depth
-    if h.support.lo < window.lo:
-        need = max(need, window.lo - h.support.lo)
-    return need
 
 
 def window_weights(
@@ -292,6 +290,8 @@ def window_weights(
 
     ``past_codes`` are big-endian codes of depth-``past_len`` pasts with
     ``past_len >= memory_depth``.  Returns shape ``(n_pasts, |E|**|W|)``.
+    The state of window site ``t`` is the code of its ``R`` preceding
+    sites: the past's last ``R - t`` symbols, then the window's first ``t``.
     """
     n = f.alphabet.size
     length = len(window)
@@ -303,18 +303,14 @@ def window_weights(
     depth = f.memory_depth
     if past_len < depth:
         raise ValueError(f"past has length {past_len}, kernel memory depth is {depth}")
-    state_mod = n**depth if depth else 1
-    tail_codes = past_codes % state_mod
     w = np.ones((past_codes.size, 1), dtype=float)
     for t, site in enumerate(window.sites()):
         kernel = f.table_at(site)
         c = np.arange(n**t, dtype=np.int64)
-        if depth == 0:
-            states = np.zeros((past_codes.size, c.size), dtype=np.int64)
-        elif t >= depth:
-            states = np.broadcast_to(c % state_mod, (past_codes.size, c.size))
+        if t >= depth:  # the state lies in the window: one row for every past
+            states = np.broadcast_to(c % n**depth, (past_codes.size, c.size))
         else:
-            offsets = (tail_codes % (n ** (depth - t))) * (n**t)
+            offsets = (past_codes % n ** (depth - t)) * n**t
             states = offsets[:, None] + c[None, :]
         w = (w[:, :, None] * kernel[states]).reshape(past_codes.size, n ** (t + 1))
     return w
@@ -327,38 +323,36 @@ def _observable_values(
 
     Returns shape ``(n_pasts, |E|**|W|)`` broadcastable against weights.
     The support may overlap the window and reach into the past, but not
-    extend right of the window.
+    extend right of the window.  A support inside the window is one row for
+    every past; one reaching into the past is read off the joint past and
+    window code, a broadcast view where it reads no window site.
     """
     n = h.alphabet.size
     a, b = h.support.lo, h.support.hi
-    l, m = window.lo, window.hi
-    table = h.table
     size = n ** len(window)
-    if a >= l:
-        shift = n ** (m - b)
-        idx = (np.arange(size, dtype=np.int64) // shift) % (n ** (b - a + 1))
-        return np.broadcast_to(table[idx], (past_codes.size, size))
-    if l - a > past_len:
+    step = n ** (window.hi - b)  # window codes that agree on every site of h
+    if a >= window.lo:
+        idx = (np.arange(size, dtype=np.int64) // step) % (n ** (b - a + 1))
+        return np.broadcast_to(h.table[idx], (past_codes.size, size))
+    if window.lo - a > past_len:
         raise ValueError(
-            f"past has length {past_len} but the observable reaches {l - a} sites back"
+            f"past has length {past_len} but the observable reaches {window.lo - a} sites back"
         )
-    code_p = past_codes % (n ** (l - a))
-    if b < l:
-        vals = table[code_p // (n ** (l - 1 - b))]
-        return np.broadcast_to(vals[:, None], (past_codes.size, size))
-    inner = n ** (b - l + 1)
-    shift = n ** (m - b)
-    idx_in = (np.arange(size, dtype=np.int64) // shift) % inner
-    return table[code_p[:, None] * inner + idx_in[None, :]]
+    joint = (past_codes % n ** (window.lo - a))[:, None] * size + np.arange(0, size, step)
+    vals = h.table[joint // step]  # one column per run of window codes that agree on h
+    runs = vals.shape[1]
+    return np.broadcast_to(vals[:, :, None], (*vals.shape, size // runs)).reshape(-1, size)
 
 
-def _check_compose_args(f: KernelSpec, window: Window, h: Observable) -> None:
+def _check_compose_args(f: KernelSpec, window: Window, h: Observable) -> int:
+    """Past an average of ``h`` reads: the memory depth, or the support's overhang if longer."""
     if h.alphabet.size != f.alphabet.size:
         raise ValueError("observable alphabet does not match the kernel alphabet")
     if h.support.hi > window.hi:
         raise ValueError(
             f"observable depends on site {h.support.hi}, right of the window end {window.hi}"
         )
+    return max(f.memory_depth, window.lo - h.support.lo)
 
 
 def compose_window(
@@ -371,14 +365,15 @@ def compose_window(
 
     Sums ``h`` against the product of singleton conditionals over every
     window configuration; dependence of ``h`` left of the window is
-    resolved against ``past``, which ``_read_past`` reads: enough symbols
-    to cover both the kernel memory and the support overhang.
+    resolved against the last symbols of ``past`` that ``_read_past``
+    returns: enough to cover both the kernel memory and the support
+    overhang, so a longer past gives the same value.
     """
-    _check_compose_args(f, window, h)
-    symbols = _read_past(f, past, _required_past(f, window, h))
+    need = _check_compose_args(f, window, h)
+    symbols = _read_past(f, past, need)
     codes = np.array([config_code(symbols, f.alphabet.size)], dtype=np.int64)
-    w = window_weights(f, window, codes, len(symbols))
-    vals = _observable_values(h, window, codes, len(symbols))
+    w = window_weights(f, window, codes, need)
+    vals = _observable_values(h, window, codes, need)
     return float((w * vals).sum(axis=1)[0])
 
 
@@ -388,7 +383,7 @@ def marginal_distribution(
     """Law of the window configuration (lexicographic) given at least R past symbols."""
     symbols = _read_past(f, past, f.memory_depth)
     codes = np.array([config_code(symbols, f.alphabet.size)], dtype=np.int64)
-    w = window_weights(f, window, codes, len(symbols))[0]
+    w = window_weights(f, window, codes, f.memory_depth)[0]
     return FiniteDistribution(w)
 
 
@@ -398,8 +393,7 @@ def kernel_average_observable(f: KernelSpec, window: Window, h: Observable) -> O
     The result lives on the sites left of the window that the average
     depends on (at least one), so the tabulation is exact.
     """
-    _check_compose_args(f, window, h)
-    depth = max(_required_past(f, window, h), 1)
+    depth = max(_check_compose_args(f, window, h), 1)
     n = f.alphabet.size
     n_pasts = check_cap(n, depth)
     codes = np.arange(n_pasts, dtype=np.int64)

@@ -24,7 +24,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .core import Observable
+from .core import Observable, config_code
 from .kernels import KernelSpec, LinearLongMemory, _dense_table, _read_past
 from .kernels import family_order, family_row
 from .analysis import SensitivityMatrix
@@ -108,9 +108,7 @@ def _sample_tabulated(f: KernelSpec, draw, length: int, past: tuple[int, ...]) -
     # hist[keep + t] is the symbol at site t
     hist = np.empty(keep + length, dtype=np.int8)
     hist[:keep] = past[len(past) - keep :]
-    state = 0
-    for s in past[len(past) - order :]:
-        state = state * n + s
+    state = config_code(past[len(past) - order :], n)
     for t0 in range(0, length, _CHUNK):
         block = []
         for t, u_t in enumerate(draw(min(_CHUNK, length - t0)).tolist(), start=t0):
@@ -177,9 +175,7 @@ def _sample_linear(f: KernelSpec, draw, length: int, past: tuple[int, ...]) -> n
     # hist[depth + t] is the symbol at site t
     hist = np.empty(depth + length, dtype=np.int8)
     hist[:depth] = past
-    state = 0
-    for k in range(near):
-        state |= past[depth - 1 - k] << k
+    state = config_code(past[depth - near :], 2)
     mask = (1 << near) - 1
     step = near + 1
     span = step * -(-_CHUNK // step)

@@ -2,6 +2,7 @@
 
 import math
 import time
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -26,6 +27,7 @@ from lislab import (
     vkr_distance,
 )
 from lislab.analysis import _vkr_linprog
+from lislab.bounds import BoundNotApplicableError
 from lislab.kernels import GeneralTable, LinearLongMemory
 from lislab.oracle import _vkr_vertex_enum
 from lislab.specio import power_law_linear, two_state_markov
@@ -374,6 +376,29 @@ def test_dobrushin_monotone(row, bump_idx, bump):
     bumped = SensitivityMatrix.from_stationary(tuple(bumped_row))
     if not dobrushin_check(base).satisfied:
         assert not dobrushin_check(bumped).satisfied
+
+
+@given(
+    weights=st.lists(st.floats(0.01, 1.0), min_size=1, max_size=12),
+    excess=st.sampled_from([0.0, 2.0**-60, 2.0**-52, 1e-13, 9e-13]),
+)
+@settings(max_examples=200, deadline=None)
+def test_no_row_whose_exact_sum_reaches_one_passes(weights, excess):
+    # the last coefficient makes the exact sum at least 1 + excess, which the spec admits
+    first = [w / sum(weights) for w in weights[:-1]]
+    rest = sum(map(Fraction, first))
+    last = float(1 + Fraction(excess) - rest)
+    while rest + Fraction(last) < 1 + Fraction(excess):
+        last = math.nextafter(last, math.inf)
+    coefficients = (*first, last)
+    assert sum(map(Fraction, coefficients)) >= 1
+    f = KernelSpec(AlphabetSpec.binary(), len(coefficients), LinearLongMemory(0.0, coefficients))
+    alpha = build_sensitivity_matrix(f)
+    assert alpha.sup_row_sum() >= 1.0
+    assert not dobrushin_check(alpha).satisfied
+    e = AlphabetSpec.binary()
+    with pytest.raises(BoundNotApplicableError, match="row-sum criterion"):
+        correlation_bound(alpha, Window(3, 3), Window(0, 0), indicator(3, 1, e), indicator(0, 1, e), 1.0)
 
 
 def test_boundary_uniformity_markov(k1):

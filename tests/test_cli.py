@@ -211,6 +211,27 @@ def test_check_fails_at_row_sum_one(tmp_path):
     assert main(["check", str(path)]) == 2
 
 
+@pytest.mark.parametrize(
+    ("coefficients", "passed"),
+    [
+        ([0.1] * 10, False),  # float sum 0.9999999999999999, exact sum 1 + 5.6e-17
+        ([2.0**-4] * 9 + [7 / 16 - 2.0**-40], True),  # exact sum 1 - 2**-40
+    ],
+)
+def test_check_reads_row_sums_exactly(coefficients, passed, tmp_path, capsys):
+    doc = {
+        "alphabet": {"symbols": ["0", "1"]},
+        "memory_depth": len(coefficients),
+        "kernel": {"type": "linear", "intercept": 0.0, "coefficients": coefficients},
+    }
+    path = tmp_path / "linear.json"
+    path.write_text(json.dumps(doc))
+    assert main(["check", str(path), "--criterion", "dobrushin"]) == (0 if passed else 2)
+    verdict = json.loads(capsys.readouterr().out)["criteria"]["dobrushin"]
+    assert verdict["satisfied"] is passed
+    assert verdict["scalars"]["row_sum_sup"] == (1.0 - 2.0**-40 if passed else 1.0)
+
+
 def test_check_input_errors(tmp_path, capsys):
     assert main(["check", str(tmp_path / "missing.json")]) == 1
     bad = tmp_path / "bad.json"

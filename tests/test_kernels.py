@@ -31,11 +31,11 @@ from lislab import (
 )
 import lislab
 from lislab.analysis import build_sensitivity_matrix, variation
-from lislab.core import random_observable
+from lislab.core import config_code, random_observable
 from lislab.kernels import family_row
 from lislab.specio import power_law_linear, two_state_markov
 
-from conftest import random_table_kernel
+from conftest import enumerate_configs, random_table_kernel
 
 
 def test_eval_singleton_markov_lookup(k1):
@@ -179,6 +179,75 @@ def test_measurability_only_declared_depth_matters(k1, k2):
         assert compose_window(f, Window(0, 1), base, h) == pytest.approx(
             compose_window(f, Window(0, 1), other, h), abs=1e-15
         )
+
+
+@pytest.mark.parametrize("length", [64, 70, 80])
+def test_a_long_past_reads_as_its_last_symbols(k1, k2, length):
+    # a past of 64 or more binary symbols led by ones once overflowed its int64 code
+    rng = np.random.default_rng(length)
+    table = random_table_kernel(rng, 2, 3)
+    override = random_table_kernel(rng, 2, 3).family
+    site = KernelSpec(table.alphabet, 3, SiteIndexed(table.family, ((1, override),)))
+    past = [1] * (length - 6) + rng.integers(0, 2, 6).tolist()
+    window = Window(0, 1)
+    for f in (k1, k2, table, site):
+        h = random_observable(Window(-5, 1), f.alphabet, rng)
+        assert compose_window(f, window, past, h) == compose_window(f, window, past[-5:], h)
+        last = past[length - f.memory_depth :]
+        assert (
+            marginal_distribution(f, window, past).weights.tolist()
+            == marginal_distribution(f, window, last).weights.tolist()
+        )
+
+
+def _reference_average(f: KernelSpec, window: Window, past, h) -> float:
+    """Kernel average of ``h`` as the sum over window configurations of ``eval_singleton`` products."""
+    total = 0.0
+    for config in enumerate_configs(window, f.alphabet):
+        path = (*past, *config)  # site window.lo + t sits at len(past) + t
+        weight = 1.0
+        for t, x in enumerate(config):
+            at = len(past) + t
+            weight *= eval_singleton(f, window.lo + t, path[at - f.memory_depth : at]).weights[x]
+        start = len(past) + h.support.lo - window.lo
+        total += weight * h.table[config_code(path[start : start + len(h.support)], f.alphabet.size)]
+    return total
+
+
+@given(
+    n=st.integers(2, 3),
+    depth=st.integers(0, 4),
+    site_indexed=st.booleans(),
+    placement=st.sampled_from(["inside", "straddling", "past"]),
+    seed=st.integers(0, 10**6),
+)
+@settings(max_examples=80, deadline=None)
+def test_composition_is_the_product_of_singleton_laws(n, depth, site_indexed, placement, seed):
+    rng = np.random.default_rng(seed)
+    f = random_table_kernel(rng, n, depth)
+    length = int(rng.integers(1, 4))
+    window = Window(0, length - 1)
+    if site_indexed:
+        override = random_table_kernel(rng, n, depth).family
+        f = KernelSpec(f.alphabet, depth, SiteIndexed(f.family, ((int(rng.integers(length)), override),)))
+    if placement == "inside":
+        lo = int(rng.integers(length))
+        hi = int(rng.integers(lo, length))
+    elif placement == "straddling":
+        lo, hi = -int(rng.integers(1, 4)), int(rng.integers(length))
+    else:
+        hi = -int(rng.integers(1, 4))
+        lo = hi - int(rng.integers(3))
+    h = random_observable(Window(lo, hi), f.alphabet, rng)
+    average = kernel_average_observable(f, window, h)
+    reach = max(depth, -lo, 1)
+    assert average.support == Window(-reach, -1)
+    for _ in range(3):
+        past = rng.integers(0, n, reach).tolist()
+        expected = _reference_average(f, window, past, h)
+        older = rng.integers(0, n, int(rng.integers(4))).tolist()
+        assert abs(compose_window(f, window, older + past, h) - expected) <= 1e-15
+        assert abs(average.table[config_code(past, n)] - expected) <= 1e-15
 
 
 def test_kernel_average_observable_support(k1):
